@@ -53,7 +53,7 @@ from .synth import (  # noqa: F401
     save_plant,
     toy_integrals_1d,
 )
-from .tanmodel import TanFit, eval_tan, fit_tan, tan_curve  # noqa: F401
+from .tanmodel import TanFit, eval_tan, fit_tan  # noqa: F401
 from .tensors import (  # noqa: F401
     GeometrySeries,
     Kind,

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import __version__, presets, reports
-from .heads import HeadKind
+from .heads import HeadKind, KernelMatrix
 from .nn import load_kernel
 from .spectral import align_eigensystems, eig_sym, eigen_differences
 from .suzuki import random_coupled_problem, verify_w_identity
@@ -337,19 +337,23 @@ def _cmd_eval(args) -> int:
     return _EXIT_OK
 
 
-def _load_kernel_matrix(path) -> np.ndarray:
-    """A kernel from either a model directory or a kernel checkpoint file."""
+def _load_kernel_matrix(path, planted: str) -> np.ndarray:
+    """A kernel from a model directory, a kernel checkpoint file, or the
+    ``planted`` array (``w_bare``/``w_eff``) of a plant's provenance.npz."""
     path = os.fspath(path)
     if os.path.isdir(path):
         return load_model(path).kernel.matrix
+    with np.load(path) as data:
+        if planted in data.files:
+            return KernelMatrix(data[planted]).matrix
     matrix, _ = load_kernel(path)
     return matrix
 
 
 def _cmd_analyze_spectrum(args) -> int:
     started = time.perf_counter()
-    bare = eig_sym(_load_kernel_matrix(args.bare))
-    eff = eig_sym(_load_kernel_matrix(args.eff))
+    bare = eig_sym(_load_kernel_matrix(args.bare, "w_bare"))
+    eff = eig_sym(_load_kernel_matrix(args.eff, "w_eff"))
     out = _ensure_out(args.out)
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
@@ -533,7 +537,7 @@ def _build_parser() -> _Parser:
     common(p, seeded=False)
 
     p = sub.add_parser("analyze-spectrum", help="align two kernel spectra")
-    p.add_argument("--bare", required=True, help="model directory or kernel .npz")
+    p.add_argument("--bare", required=True, help="model directory, kernel .npz or provenance.npz")
     p.add_argument("--eff", required=True)
     common(p, seeded=False)
 

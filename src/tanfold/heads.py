@@ -66,7 +66,7 @@ class KernelMatrix:
 
     The constructor validates; ``symmetrize=True`` instead projects with
     ``(K + K^T)/2`` (which is exact for already-symmetric input).  The stored
-    array is read-only; use :meth:`replace` to build an updated copy.
+    array is read-only.
     """
 
     def __init__(self, matrix: np.ndarray, *, symmetrize: bool = False):
@@ -90,9 +90,6 @@ class KernelMatrix:
     def random(cls, dim: int, scale: float = 1.0, seed: int = 0) -> "KernelMatrix":
         rng = np.random.default_rng(seed)
         return cls(rng.normal(scale=scale, size=(dim, dim)), symmetrize=True)
-
-    def replace(self, matrix: np.ndarray) -> "KernelMatrix":
-        return KernelMatrix(matrix, symmetrize=True)
 
 
 def _as_matrix(kernel) -> np.ndarray:

@@ -57,11 +57,11 @@ def write_mae_csv(path, per_geometry) -> None:
 
 def write_overlap_csv(path, report: AlignmentReport) -> None:
     """Aligned eigenvector overlap matrix in tidy (i, j, value) form."""
-    n = report.dim
-    rows = (
-        (i + 1, j + 1, report.overlap[i, j]) for i in range(n) for j in range(n)
-    )
-    write_csv(path, ("i", "j", "overlap"), rows)
+    # the bytes of write_csv, one format string per row
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,overlap\n")
+        for i, row in enumerate(report.overlap.tolist(), start=1):
+            fh.writelines("%d,%d,%.17g\n" % (i, j, v) for j, v in enumerate(row, start=1))
 
 
 def write_difference_csv(path, table: DifferenceTable) -> None:

@@ -29,11 +29,9 @@ from .tensors import (
     Kind,
     TensorSet,
     one_body_representatives,
-    orbit,
-    orbit_size,
+    orbit_table,
     save_series,
     symmetry_for,
-    two_body_representatives,
 )
 
 __all__ = [
@@ -155,26 +153,13 @@ def _planted_kernel(z: np.ndarray, eigenvalues: np.ndarray) -> KernelMatrix:
     return KernelMatrix((z * eigenvalues) @ z.T, symmetrize=True)
 
 
-def _two_body_tensor(n_orb, kind, entry, noise, rng):
-    sym = symmetry_for(kind)
-    out = np.zeros((n_orb,) * 4)
-    for rep in two_body_representatives(n_orb, sym):
-        value = entry(*rep)
-        if noise > 0.0:
-            value += noise * rng.standard_normal()
-        for member in orbit(rep, sym):
-            out[member] = value
-    return out
-
-
-def _one_body_tensor(n_orb, entry, noise, rng):
-    out = np.zeros((n_orb, n_orb))
-    for p, q in one_body_representatives(n_orb):
-        value = entry(p, q)
-        if noise > 0.0:
-            value += noise * rng.standard_normal()
-        out[p, q] = out[q, p] = value
-    return out
+def _planted_tensor(table, entry, noise, rng):
+    """``entry`` at each orbit representative plus optional noise, one draw
+    per orbit in representative order, spread over the orbit."""
+    values = np.array([entry(*rep) for rep in table.reps.tolist()])
+    if noise > 0.0:
+        values += noise * rng.standard_normal(values.size)
+    return table.expand(values)
 
 
 def _bare_rms(spec, coef_phi, kernel):
@@ -185,14 +170,12 @@ def _bare_rms(spec, coef_phi, kernel):
     """
     gs = sorted(spec.geometries)
     probe = {gs[0], gs[len(gs) // 2], gs[-1]}
-    sym = symmetry_for(Kind.BARE)
+    table = orbit_table(spec.n_orb, symmetry_for(Kind.BARE))
     total, count = 0.0, 0
-    reps = two_body_representatives(spec.n_orb, sym)
     for r in probe:
         phi = coef_phi @ _basis_row(_scaled(spec.geometries, r))
-        for p, q, rr, s in reps:
+        for (p, q, rr, s), k in zip(table.reps.tolist(), table.sizes.tolist()):
             v = eval_bare_two(phi[p], phi[q], phi[rr], phi[s], kernel)
-            k = orbit_size((p, q, rr, s), sym)
             total += k * v * v
             count += k
     return math.sqrt(total / count)
@@ -235,6 +218,9 @@ def plant_series(spec: PlantSpec) -> PlantResult:
     m_bare = _planted_kernel(z_one, eps_one)
     m_eff = _planted_kernel(z_one, eps_one * tan_factors)
 
+    one_table = orbit_table(spec.n_orb, None)
+    bare_table = orbit_table(spec.n_orb, symmetry_for(Kind.BARE))
+    eff_table = orbit_table(spec.n_orb, symmetry_for(Kind.EFFECTIVE))
     sets = []
     for r in sorted(spec.geometries):
         x = _scaled(spec.geometries, r)
@@ -258,14 +244,12 @@ def plant_series(spec: PlantSpec) -> PlantResult:
                 kind=Kind.BARE,
                 n_orb=spec.n_orb,
                 scalar_term=0.0,
-                one_body=_one_body_tensor(
-                    spec.n_orb,
+                one_body=_planted_tensor(
+                    one_table,
                     lambda p, q: eval_one(psi[p], psi[q], m_bare),
                     spec.noise, rng,
                 ),
-                two_body=_two_body_tensor(
-                    spec.n_orb, Kind.BARE, bare_two, spec.noise, rng
-                ),
+                two_body=_planted_tensor(bare_table, bare_two, spec.noise, rng),
                 system=spec.system,
             )
         )
@@ -275,14 +259,12 @@ def plant_series(spec: PlantSpec) -> PlantResult:
                 kind=Kind.EFFECTIVE,
                 n_orb=spec.n_orb,
                 scalar_term=0.0,
-                one_body=_one_body_tensor(
-                    spec.n_orb,
+                one_body=_planted_tensor(
+                    one_table,
                     lambda p, q: eval_one(psi[p], psi[q], m_eff),
                     spec.noise, rng,
                 ),
-                two_body=_two_body_tensor(
-                    spec.n_orb, Kind.EFFECTIVE, eff_two, spec.noise, rng
-                ),
+                two_body=_planted_tensor(eff_table, eff_two, spec.noise, rng),
                 system=spec.system,
             )
         )
@@ -436,14 +418,12 @@ def toy_integrals_1d(
         [fftconvolve(row, kernel)[n - 1 : 2 * n - 1] for row in pairs]
     )
 
-    two_body = np.zeros((n_orb,) * 4)
-    sym = symmetry_for(Kind.BARE)
-    for rep in two_body_representatives(n_orb, sym):
-        p, q, r, s = rep
+    table = orbit_table(n_orb, symmetry_for(Kind.BARE))
+    values = []
+    for p, q, r, s in table.reps.tolist():
         a, b = pair_index[(p, q)], pair_index[(r, s)]
-        v = 0.5 * (pairs[a] @ convolved[b] + pairs[b] @ convolved[a])
-        for member in orbit(rep, sym):
-            two_body[member] = v
+        values.append(0.5 * (pairs[a] @ convolved[b] + pairs[b] @ convolved[a]))
+    two_body = table.expand(values)
 
     return TensorSet(
         geometry=geometry,

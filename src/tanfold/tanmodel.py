@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TanFit", "fit_tan", "eval_tan", "tan_curve"]
+__all__ = ["TanFit", "fit_tan", "eval_tan"]
 
 #: |rate * (i - center)| must stay below pi/2 minus this margin.
 SINGULARITY_MARGIN = 1e-3
@@ -61,11 +61,6 @@ def eval_tan(fit: TanFit, index) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def tan_curve(fit: TanFit, indices) -> np.ndarray:
-    """Convenience alias of :func:`eval_tan` for plotting/export."""
-    return np.asarray(eval_tan(fit, indices), dtype=np.float64)
-
-
 def _ratios_from_pairs(pairs, floor_rel):
     arr = np.asarray(list(pairs), dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -100,7 +95,8 @@ def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> Ta
 
     The coarse stage scans ``_N_CENTER`` centers linearly over the index
     range and, per center, ``_N_RATE`` log-spaced rates up to the largest
-    singularity-free value; the best cell (ties broken toward the lowest
+    singularity-free value, keeping only cells that pass the refinement's
+    strict argument test; the best cell (ties broken toward the lowest
     rate, then lowest center) seeds the refinement.
     """
     idx, ratios = _ratios_from_pairs(pairs, floor_rel)
@@ -127,7 +123,11 @@ def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> Ta
         if rate_hi <= _RATE_GRID_LO:
             continue
         for rate in np.geomspace(_RATE_GRID_LO, rate_hi, _N_RATE):
-            tans = np.tan(rate * (idx - center))
+            arg = rate * (idx - center)
+            # the top rate can round onto the cap, where no step is accepted
+            if np.abs(arg).max() >= arg_cap:
+                continue
+            tans = np.tan(arg)
             denom = tans @ tans
             amp = (ratios @ tans) / denom if denom > 0 else 0.0
             key = (_sse(amp, tans, ratios), rate, center)

@@ -18,6 +18,7 @@ Orbital indices are 0-based everywhere in memory; the text formats are
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import re
@@ -34,6 +35,8 @@ __all__ = [
     "SymmetryViolationError",
     "canonical_index",
     "orbit",
+    "OrbitTable",
+    "orbit_table",
     "two_body_representatives",
     "one_body_representatives",
     "orbit_size",
@@ -143,13 +146,63 @@ def orbit_size(index: tuple[int, int, int, int], symmetry: Symmetry) -> int:
     return len(orbit(index, symmetry))
 
 
+@dataclass(frozen=True, eq=False)
+class OrbitTable:
+    """Orbit structure of every index tuple of one rank under one group.
+
+    A flat index is the row-major offset of a tuple in the
+    ``(n_orb,) * rank`` array, so flat order is lexicographic order and each
+    orbit's representative is its smallest flat member.  The arrays are
+    read-only: tables are shared through the cache of :func:`orbit_table`.
+    """
+
+    reps: np.ndarray      # (R, rank) representatives, sorted
+    rep_flat: np.ndarray  # (R,) their flat indices
+    members: np.ndarray   # (R, group order) flat image of each rep under each permutation
+    sizes: np.ndarray     # (R,) distinct members per orbit
+    orbit_of: np.ndarray  # (n_orb,) * rank: orbit id of every tuple
+
+    def expand(self, values) -> np.ndarray:
+        """The array holding ``values[i]`` on every member of orbit ``i``."""
+        return np.asarray(values, dtype=np.float64)[self.orbit_of]
+
+
+#: the one-body group (p, q) -> (q, p)
+_PAIR_PERMUTATIONS = ((0, 1), (1, 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _build_table(n_orb: int, perms: tuple[tuple[int, ...], ...]) -> OrbitTable:
+    rank = len(perms[0])
+    shape = (n_orb,) * rank
+    idx = np.indices(shape).reshape(rank, -1)
+    strides = n_orb ** np.arange(rank - 1, -1, -1)
+    images = np.stack([strides @ idx[list(perm)] for perm in perms], axis=1)
+    canon = images.min(axis=1)
+    rep_flat = np.flatnonzero(canon == np.arange(canon.size))
+    members = images[rep_flat]
+    sizes = 1 + np.count_nonzero(np.diff(np.sort(members, axis=1), axis=1), axis=1)
+    table = OrbitTable(
+        reps=idx[:, rep_flat].T.copy(),
+        rep_flat=rep_flat,
+        members=members,
+        sizes=sizes,
+        orbit_of=np.searchsorted(rep_flat, canon).reshape(shape),
+    )
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
+
+
+def orbit_table(n_orb: int, symmetry: Symmetry | None) -> OrbitTable:
+    """The cached orbit table of two-body indices under ``symmetry``, or of
+    one-body pairs ``(p, q) ~ (q, p)`` when ``symmetry`` is None."""
+    return _build_table(n_orb, _PAIR_PERMUTATIONS if symmetry is None else symmetry.permutations)
+
+
 def two_body_representatives(n_orb: int, symmetry: Symmetry) -> list[tuple[int, int, int, int]]:
     """Sorted canonical representatives, one per two-body orbit."""
-    reps = []
-    for idx in np.ndindex(n_orb, n_orb, n_orb, n_orb):
-        if canonical_index(*idx, symmetry) == idx:
-            reps.append(idx)
-    return reps
+    return list(map(tuple, orbit_table(n_orb, symmetry).reps.tolist()))
 
 
 def one_body_representatives(n_orb: int) -> list[tuple[int, int]]:
@@ -165,25 +218,23 @@ def _exact_symmetrize_two_body(a: np.ndarray, symmetry: Symmetry, tol: float) ->
     two and re-averaging an already symmetric tensor is exact, which makes
     the operation idempotent.
     """
-    n = a.shape[0]
-    out = np.empty_like(a)
-    done = np.zeros(a.shape, dtype=bool)
-    for idx in np.ndindex(n, n, n, n):
-        if done[idx]:
-            continue
-        members = orbit(idx, symmetry)
-        values = [a[m] for m in members]
-        spread = max(values) - min(values)
-        if spread > tol:
-            raise SymmetryViolationError(
-                f"two-body tensor violates {symmetry.value} symmetry at orbit of "
-                f"{idx}: spread {spread:.3e} exceeds {tol:.1e}"
-            )
-        mean = math.fsum(values) / len(values)
-        for m in members:
-            out[m] = mean
-            done[m] = True
-    return out
+    table = orbit_table(a.shape[0], symmetry)
+    flat = a.ravel()
+    values = flat[table.members]
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    spread = hi - lo
+    bad = np.flatnonzero(spread > tol)
+    if bad.size:
+        i = bad[0]
+        raise SymmetryViolationError(
+            f"two-body tensor violates {symmetry.value} symmetry at orbit of "
+            f"{_rep(table, i)}: spread {spread[i]:.3e} exceeds {tol:.1e}"
+        )
+    # the fsum mean of equal values is that value, with -0.0 turned to +0.0
+    mean = lo + 0.0
+    for i in np.flatnonzero(hi != lo):
+        mean[i] = math.fsum(flat[np.unique(table.members[i])].tolist()) / table.sizes[i]
+    return table.expand(mean)
 
 
 def _exact_symmetrize_one_body(a: np.ndarray, tol: float) -> np.ndarray:
@@ -259,7 +310,9 @@ class TensorSet:
 
 def nonsymmetric_unit(tset: TensorSet) -> list[tuple[tuple[int, int, int, int], float]]:
     """Two-body entries, exactly one per symmetry orbit, sorted by index."""
-    return [(idx, float(tset.two_body[idx])) for idx in two_body_representatives(tset.n_orb, tset.symmetry)]
+    table = orbit_table(tset.n_orb, tset.symmetry)
+    values = tset.two_body.ravel()[table.rep_flat].tolist()
+    return list(zip(map(tuple, table.reps.tolist()), values))
 
 
 def one_body_unit(tset: TensorSet) -> list[tuple[tuple[int, int], float]]:
@@ -328,6 +381,18 @@ def _classify_line(p: int, q: int, r: int, s: int) -> str:
     return "bad"
 
 
+def _rep(table: OrbitTable, key: int) -> tuple[int, ...]:
+    """The 0-based representative of orbit ``key``."""
+    return tuple(table.reps[key].tolist())
+
+
+def _expand_entries(table: OrbitTable, entries: dict[int, float]) -> np.ndarray:
+    """The full array from ``{orbit id: value}``; absent orbits are zero."""
+    values = np.zeros(table.sizes.size)
+    values[list(entries)] = list(entries.values())
+    return table.expand(values)
+
+
 def load_fcidump(
     path: str | os.PathLike,
     kind: Kind,
@@ -368,18 +433,19 @@ def load_fcidump(
     if expected_n_orb is not None and n_orb != expected_n_orb:
         raise TensorFormatError(f"{path}: NORB={n_orb} does not match expected {expected_n_orb}")
 
-    symmetry = symmetry_for(kind)
+    tables = (orbit_table(n_orb, None), orbit_table(n_orb, symmetry_for(kind)))
     scalar = None
-    one_entries: dict[tuple[int, int], float] = {}
-    two_entries: dict[tuple[int, int, int, int], float] = {}
+    entries: tuple[dict[int, float], dict[int, float]] = ({}, {})
 
-    def record(table: dict, key, value, ln: int) -> None:
-        if key in table and abs(table[key] - value) > DUPLICATE_TOL:
+    def record(body: int, index, value, ln: int) -> None:
+        table, seen = tables[body - 1], entries[body - 1]
+        key = int(table.orbit_of[index])
+        if key in seen and abs(seen[key] - value) > DUPLICATE_TOL:
             raise TensorFormatError(
-                f"{path}:{ln + 1}: conflicting duplicate for orbit of {key}: "
-                f"{table[key]!r} vs {value!r}"
+                f"{path}:{ln + 1}: conflicting duplicate for orbit of {_rep(table, key)}: "
+                f"{seen[key]!r} vs {value!r}"
             )
-        table.setdefault(key, value)
+        seen.setdefault(key, value)
 
     for ln in range(data_start, len(lines)):
         stripped = lines[ln].strip()
@@ -406,26 +472,17 @@ def load_fcidump(
                 raise TensorFormatError(f"{path}:{ln + 1}: conflicting duplicate scalar term")
             scalar = value if scalar is None else scalar
         elif shape == "one":
-            record(one_entries, (min(p, q) - 1, max(p, q) - 1), value, ln)
+            record(1, (p - 1, q - 1), value, ln)
         else:
-            key = canonical_index(p - 1, q - 1, r - 1, s - 1, symmetry)
-            record(two_entries, key, value, ln)
+            record(2, (p - 1, q - 1, r - 1, s - 1), value, ln)
 
-    one = np.zeros((n_orb, n_orb))
-    for (p, q), v in one_entries.items():
-        one[p, q] = v
-        one[q, p] = v
-    two = np.zeros((n_orb,) * 4)
-    for idx, v in two_entries.items():
-        for member in orbit(idx, symmetry):
-            two[member] = v
     return TensorSet(
         geometry=geometry,
         kind=kind,
         n_orb=n_orb,
         scalar_term=0.0 if scalar is None else scalar,
-        one_body=one,
-        two_body=two,
+        one_body=_expand_entries(tables[0], entries[0]),
+        two_body=_expand_entries(tables[1], entries[1]),
         system=system,
     )
 
@@ -490,11 +547,8 @@ def load_canonical(path: str | os.PathLike) -> TensorSet:
     except (KeyError, ValueError) as exc:
         raise TensorFormatError(f"{path}: bad or missing header field ({exc})") from exc
 
-    symmetry = symmetry_for(kind)
-    one = np.zeros((n_orb, n_orb))
-    two = np.zeros((n_orb,) * 4)
-    one_seen: dict[tuple[int, int], float] = {}
-    two_seen: dict[tuple[int, int, int, int], float] = {}
+    tables = (orbit_table(n_orb, None), orbit_table(n_orb, symmetry_for(kind)))
+    seen: tuple[dict[int, float], dict[int, float]] = ({}, {})
     for ln in range(body_start, len(lines)):
         stripped = lines[ln].strip()
         if not stripped:
@@ -513,30 +567,30 @@ def load_canonical(path: str | os.PathLike) -> TensorSet:
         for i in (t for t in (p, q, r, s) if t != 0):
             if i > n_orb:
                 raise TensorFormatError(f"{path}:{ln + 1}: index {i} out of range for n_orb={n_orb}")
-        if shape == "one":
-            key2 = (min(p, q) - 1, max(p, q) - 1)
-            if key2 in one_seen and abs(one_seen[key2] - value) > DUPLICATE_TOL:
-                raise TensorFormatError(f"{path}:{ln + 1}: conflicting duplicate one-body entry {key2}")
-            one_seen.setdefault(key2, value)
-        else:
-            key4 = canonical_index(p - 1, q - 1, r - 1, s - 1, symmetry)
-            if key4 in two_seen and abs(two_seen[key4] - value) > DUPLICATE_TOL:
-                raise TensorFormatError(f"{path}:{ln + 1}: conflicting duplicate two-body orbit {key4}")
-            two_seen.setdefault(key4, value)
+        body, index = (1, (p - 1, q - 1)) if shape == "one" else (2, (p - 1, q - 1, r - 1, s - 1))
+        table, entries = tables[body - 1], seen[body - 1]
+        key = int(table.orbit_of[index])
+        if key in entries and abs(entries[key] - value) > DUPLICATE_TOL:
+            name = "one-body entry" if body == 1 else "two-body orbit"
+            raise TensorFormatError(f"{path}:{ln + 1}: conflicting duplicate {name} {_rep(table, key)}")
+        entries.setdefault(key, value)
 
-    for (p, q), v in one_seen.items():
-        one[p, q] = v
-        one[q, p] = v
-    for idx, v in two_seen.items():
-        for member in orbit(idx, symmetry):
-            two[member] = v
+    # the writer emits every orbit, zeros included
+    for body, table, entries in zip((1, 2), tables, seen):
+        if len(entries) < table.sizes.size:
+            first = next(i for i in range(table.sizes.size) if i not in entries)
+            line = " ".join(str(i + 1) for i in _rep(table, first)) + (" 0 0" if body == 1 else "")
+            raise TensorFormatError(
+                f"{path}: truncated file, {len(entries)} of {table.sizes.size} {body}-body "
+                f"orbits present; first missing: ({line})"
+            )
     return TensorSet(
         geometry=geometry,
         kind=kind,
         n_orb=n_orb,
         scalar_term=scalar,
-        one_body=one,
-        two_body=two,
+        one_body=_expand_entries(tables[0], seen[0]),
+        two_body=_expand_entries(tables[1], seen[1]),
         system=system,
     )
 

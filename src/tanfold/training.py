@@ -25,25 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heads import (
-    HeadKind,
-    KernelMatrix,
-    eval_bare_two,
-    eval_eff_two,
-    eval_one,
-)
+from .heads import HeadKind, KernelMatrix
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net
-from .tensors import (
-    GeometrySeries,
-    Kind,
-    nonsymmetric_unit,
-    one_body_representatives,
-    one_body_unit,
-    orbit,
-    orbit_size,
-    symmetry_for,
-    two_body_representatives,
-)
+from .tensors import GeometrySeries, Kind, orbit_table, symmetry_for
 
 __all__ = [
     "BareInteractionModel",
@@ -131,6 +115,11 @@ def _scale(geometry_range, r: float) -> float:
     return (r - lo) / (hi - lo) if hi > lo else 0.0
 
 
+def _entry_table(kind: Kind, body: int, n_orb: int):
+    """The orbit table of the ``body``-body entries of ``kind`` tensors."""
+    return orbit_table(n_orb, symmetry_for(kind) if body == 2 else None)
+
+
 class _ModelBase:
     def _features(self, net: OrbitalNet, geometry: float) -> np.ndarray:
         x = net.embed(range(net.n_orb), _scale(self.geometry_range, geometry))
@@ -140,13 +129,19 @@ class _ModelBase:
     def n_orb(self) -> int:
         return self.net.n_orb
 
-    def predict_unit(self, geometry: float):
-        """(index, value) pairs over the nonsymmetric unit at one geometry."""
-        full = self.predict_full(geometry)
-        if self.head.body == 1:
-            return [(idx, full[idx]) for idx in one_body_representatives(self.n_orb)]
-        sym = symmetry_for(self.head.kind)
-        return [(idx, full[idx]) for idx in two_body_representatives(self.n_orb, sym)]
+    @property
+    def nets(self) -> tuple[OrbitalNet, ...]:
+        tilde = getattr(self, "net_tilde", None)
+        return (self.net,) if tilde is None else (self.net, tilde)
+
+    def predict_full(self, geometry: float) -> np.ndarray:
+        """Every entry at one geometry, exactly closed under the head's
+        symmetry: the pair-product head's value at each orbit
+        representative, spread over the orbit."""
+        feats = [self._features(net, geometry) for net in self.nets]
+        pred, _ = _pair_head(self.head, feats[0], feats[-1], self.kernel.matrix, 1)
+        table = _entry_table(self.head.kind, self.head.body, self.n_orb)
+        return table.expand(pred.ravel()[table.rep_flat])
 
 
 @dataclass(eq=False)
@@ -162,23 +157,6 @@ class BareInteractionModel(_ModelBase):
     def __post_init__(self):
         if self.head not in (HeadKind.BARE_ONE, HeadKind.BARE_TWO):
             raise ValueError(f"bare model cannot hold head {self.head.name}")
-
-    def predict_full(self, geometry: float) -> np.ndarray:
-        f = self._features(self.net, geometry)
-        n = self.n_orb
-        if self.head is HeadKind.BARE_ONE:
-            out = np.zeros((n, n))
-            for p, q in one_body_representatives(n):
-                out[p, q] = out[q, p] = eval_one(f[p], f[q], self.kernel)
-            return out
-        out = np.zeros((n,) * 4)
-        sym = symmetry_for(Kind.BARE)
-        for rep in two_body_representatives(n, sym):
-            p, q, r, s = rep
-            v = eval_bare_two(f[p], f[q], f[r], f[s], self.kernel)
-            for member in orbit(rep, sym):
-                out[member] = v
-        return out
 
 
 @dataclass(eq=False)
@@ -198,26 +176,6 @@ class EffectiveInteractionModel(_ModelBase):
         if (self.net_tilde is None) != (self.head is HeadKind.EFF_ONE):
             raise ValueError("EFF_TWO needs a second network; EFF_ONE must not have one")
 
-    def predict_full(self, geometry: float) -> np.ndarray:
-        f = self._features(self.net, geometry)
-        n = self.n_orb
-        if self.head is HeadKind.EFF_ONE:
-            out = np.zeros((n, n))
-            for p, q in one_body_representatives(n):
-                out[p, q] = out[q, p] = eval_one(f[p], f[q], self.kernel)
-            return out
-        ft = self._features(self.net_tilde, geometry)
-        out = np.zeros((n,) * 4)
-        sym = symmetry_for(Kind.EFFECTIVE)
-        for rep in two_body_representatives(n, sym):
-            p, q, r, s = rep
-            v = eval_eff_two(
-                f[p], f[q], f[r], f[s], ft[p], ft[q], ft[r], ft[s], self.kernel
-            )
-            for member in orbit(rep, sym):
-                out[member] = v
-        return out
-
 
 # ---------------------------------------------------------------------------
 # training engine
@@ -235,22 +193,18 @@ class _Samples:
 
 
 def _collect_samples(series, kind, geometries, body, net, geometry_range):
-    rows_per_geo = net.n_orb
-    x_blocks, base, idx, y = [], [], [], []
-    for gi, g in enumerate(geometries):
-        tset = series.get(g, kind)
-        x_blocks.append(net.embed(range(net.n_orb), _scale(geometry_range, g)))
-        unit = one_body_unit(tset) if body == 1 else nonsymmetric_unit(tset)
-        for index, value in unit:
-            base.append(gi * rows_per_geo)
-            idx.append(index)
-            y.append(value)
+    """One sample per orbit representative of each geometry, in order."""
+    n = net.n_orb
+    table = _entry_table(kind, body, n)
+    sets = [series.get(g, kind) for g in geometries]
     return _Samples(
-        x_all=np.vstack(x_blocks),
-        base=np.asarray(base, dtype=np.intp),
-        idx=np.asarray(idx, dtype=np.intp),
-        y=np.asarray(y, dtype=np.float64),
-        n_orb=net.n_orb,
+        x_all=np.vstack([net.embed(range(n), _scale(geometry_range, g)) for g in geometries]),
+        base=np.repeat(np.arange(len(sets), dtype=np.intp) * n, table.rep_flat.size),
+        idx=np.tile(table.reps.astype(np.intp), (len(sets), 1)),
+        y=np.concatenate([
+            (t.one_body if body == 1 else t.two_body).ravel()[table.rep_flat] for t in sets
+        ]),
+        n_orb=n,
     )
 
 
@@ -264,23 +218,23 @@ def _orbit_tables(head, samples):
     ``(n_geo, m, m)`` with ``m = n_orb**body``, or None when a row offset is
     not a block start or two samples share an orbit.
     """
-    n, k = samples.n_orb, samples.idx.shape[1]
-    perms = ((0, 1), (1, 0)) if head.body == 1 else symmetry_for(head.kind).permutations
+    n = samples.n_orb
+    table = _entry_table(head.kind, head.body, n)
+    n_rep = table.sizes.size
     block, offset = np.divmod(samples.base, n)
-    strides = n ** np.arange(k - 1, -1, -1)
-    members = np.stack([samples.idx[:, list(perm)] @ strides for perm in perms], axis=1)
-    members += (block * n**k)[:, None]
-    members.sort(axis=1)
-    if np.any(offset) or np.unique(members[:, 0]).size != members.shape[0]:
+    orbit_id = table.orbit_of[tuple(samples.idx.T)]
+    if np.any(offset) or np.unique(block * n_rep + orbit_id).size != orbit_id.size:
         return None
-    size = 1 + np.count_nonzero(np.diff(members, axis=1), axis=1)
     n_geo = samples.x_all.shape[0] // n
-    target = np.zeros(n_geo * n**k)
-    weight = np.zeros(n_geo * n**k)
-    target[members] = samples.y[:, None]
-    weight[members] = (1.0 / size)[:, None]
+    target = np.zeros((n_geo, n_rep))
+    weight = np.zeros((n_geo, n_rep))
+    target[block, orbit_id] = samples.y
+    weight[block, orbit_id] = 1.0 / table.sizes[orbit_id]
     m = n ** head.body
-    return target.reshape(n_geo, m, m), weight.reshape(n_geo, m, m)
+    return (
+        target[:, table.orbit_of.ravel()].reshape(n_geo, m, m),
+        weight[:, table.orbit_of.ravel()].reshape(n_geo, m, m),
+    )
 
 
 def _dense_targets(head, samples):
@@ -298,18 +252,21 @@ def _dense_targets(head, samples):
     return cached[2]
 
 
-def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
-    """Full-batch loss from per-geometry pair-product matrices.
+def _pair_head(head, phi, phit, w, n_geo):
+    """Every entry of ``n_geo`` geometry blocks from per-geometry
+    pair-product matrices.
 
     Rows of ``A_g`` are the orbital features (one-body) or the pair products
     ``phi_p * phi_q`` (bare) / ``phi_p * phit_q`` (effective), so
     ``A_g W A_g^T`` predicts every entry of geometry ``g`` at once; the
-    effective head averages it with its pair-swapped copy.
+    effective head averages it with its pair-swapped copy.  Returns the
+    predictions, shaped ``(n_geo, m, m)`` with ``m = n_orb**body``, and the
+    ``(f, ft, rows, rows_w)`` intermediates of the gradient.
     """
-    target, weight = tables
-    n_geo, ell = target.shape[0], w.shape[0]
+    ell = w.shape[0]
     f = phi.reshape(n_geo, -1, ell)
     n = f.shape[1]
+    ft = None
     if head.body == 1:
         rows = f
     else:
@@ -320,6 +277,14 @@ def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     if head is HeadKind.EFF_TWO:
         swap = np.arange(n * n).reshape(n, n).T.ravel()
         pred = 0.5 * (pred + pred[:, swap][:, :, swap])
+    return pred, (f, ft, rows, rows_w)
+
+
+def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
+    """Full-batch loss and gradients through :func:`_pair_head`."""
+    target, weight = tables
+    pred, (f, ft, rows, rows_w) = _pair_head(head, phi, phit, w, target.shape[0])
+    n_geo, n, ell = f.shape
     diff = pred - target
     wdiff = weight * diff
     loss = float(np.vdot(wdiff, diff)) * inv
@@ -600,6 +565,7 @@ def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[Ge
     kind = model.head.kind
     matched, _ = _match_geometries(train_geometries, series.geometries(kind))
     train_set = set(matched)
+    table = _entry_table(kind, model.head.body, model.n_orb)
     out = []
     for g in series.geometries(kind):
         tset = series.get(g, kind)
@@ -608,17 +574,10 @@ def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[Ge
         target = tset.one_body if model.head.body == 1 else tset.two_body
         pred = model.predict_full(g)
         err = np.abs(pred - target)
-        if model.head.body == 1:
-            reps = one_body_representatives(tset.n_orb)
-            unit = float(np.mean([err[i] for i in reps]))
-        else:
-            sym = symmetry_for(kind)
-            reps = two_body_representatives(tset.n_orb, sym)
-            unit = float(np.mean([err[i] for i in reps]))
         out.append(
             GeometryMAE(
                 geometry=float(g),
-                unit_mae=unit,
+                unit_mae=float(np.mean(err.ravel()[table.rep_flat])),
                 full_mae=float(err.mean()),
                 split="train" if g in train_set else "test",
             )
@@ -754,7 +713,7 @@ def save_model(model, directory: str | os.PathLike) -> None:
     """Write a model directory: metadata JSON, network(s), kernel."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    nets = [model.net] if getattr(model, "net_tilde", None) is None else [model.net, model.net_tilde]
+    nets = model.nets
     net_files = [f"net{i}.npz" for i in range(len(nets))]
     for fname, net in zip(net_files, nets):
         save_net(os.path.join(directory, fname), net)

@@ -287,6 +287,34 @@ def test_fit_tan_recovers_planted_law_from_exact_kernels(tmp_path, capsys):
     assert abs(payload["amplitude"] - 0.01) / 0.01 < 1e-6
 
 
+def test_analyze_spectrum_reads_provenance(work, tmp_path, capsys):
+    provenance = str(work["data"] / "provenance.npz")
+    spec_dir = tmp_path / "spec"
+    assert main(["analyze-spectrum", "--bare", provenance, "--eff", provenance,
+                 "--out", str(spec_dir)]) == 0
+    with np.load(provenance) as planted:
+        bare = np.linalg.eigvalsh(planted["w_bare"])[::-1]
+    rows = (spec_dir / "eigen_differences.csv").read_text().splitlines()[1:]
+    got = np.array([float(r.split(",")[1]) for r in rows])
+    assert np.abs(got - bare).max() <= 1e-12 * np.abs(bare).max()
+
+
+def test_truncated_tensor_file_fails(work, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in work["data"].glob("*.tensor"):
+        lines = path.read_text().splitlines(keepends=True)
+        if path.name == "bare_0002.tensor":
+            lines = lines[:-1]
+        (data / path.name).write_text("".join(lines))
+    code = main(["train-bare", "--system", "desk", "--body", "2",
+                 "--data", str(data), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bare_0002.tensor: truncated" in err
+    assert "first missing: (3 3 3 3)" in err
+
+
 def test_suzuki_verify_artifacts(tmp_path, capsys):
     out = tmp_path / "sz"
     code = main(["suzuki-verify", "--dim", "6", "--rdim", "2",

@@ -1,5 +1,6 @@
 """CSV/JSON artifact writers: schemas, precision, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -164,3 +165,20 @@ def test_fit_report_text_lists_config_and_losses():
     assert math.isnan(report.test_mae)
     # timing varies between reruns, so it stays out of the artifact
     assert "wall_time" not in text
+
+
+def test_write_overlap_csv_bytes_match_write_csv(tmp_path):
+    report, _ = _aligned_pair()
+    overlap = report.overlap.copy()
+    overlap[0, 1] = -0.0
+    overlap[1, 0] = 1.0 / 3.0
+    overlap[2, 3] = np.nextafter(1.0, 2.0)
+    overlap[3, 2] = np.nextafter(0.0, -1.0)
+    report = dataclasses.replace(report, overlap=overlap)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_overlap_csv(fast, report)
+    n = report.dim
+    write_csv(slow, ("i", "j", "overlap"),
+              ((i + 1, j + 1, overlap[i, j]) for i in range(n) for j in range(n)))
+    assert fast.read_bytes() == slow.read_bytes()
+    assert b"\n1,2,-0\n" in fast.read_bytes()

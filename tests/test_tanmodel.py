@@ -127,3 +127,17 @@ class TestEdgeCases:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             fit_tan([(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
+
+    def test_best_cell_on_top_rate_stays_evaluable(self):
+        # A law whose rate is the coarse grid's top rate at center 1: its
+        # farthest argument lands on the singularity cap, which the grid must
+        # not offer as a seed the refinement cannot leave.
+        from tanfold.tanmodel import SINGULARITY_MARGIN, _N_RATE, _RATE_GRID_LO
+
+        cap = math.pi / 2 - SINGULARITY_MARGIN
+        idx = np.arange(1, 33, dtype=np.float64)
+        rate = np.geomspace(_RATE_GRID_LO, cap / 31.0, _N_RATE)[-1]
+        assert np.abs(rate * (idx - 1.0)).max() >= cap
+        fit = fit_tan([(i, 1.0, 1.0 + 0.02 * math.tan(rate * (i - 1.0))) for i in idx])
+        assert np.abs(fit.rate * (idx - fit.center)).max() < cap
+        assert np.all(np.isfinite(eval_tan(fit, idx)))

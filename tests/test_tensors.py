@@ -1,12 +1,15 @@
 """Tensor containers, symmetry orbits, and file round-trips."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
 from tanfold.tensors import (
     DUPLICATE_TOL,
+    SYMMETRY_TOL,
     GeometrySeries,
     Kind,
     Symmetry,
@@ -20,6 +23,7 @@ from tanfold.tensors import (
     nonsymmetric_unit,
     one_body_unit,
     orbit,
+    orbit_table,
     save_canonical,
     save_series,
     two_body_representatives,
@@ -65,6 +69,8 @@ ORBIT_COUNTS = {
     (3, Symmetry.FOUR_FOLD): 27,
     (4, Symmetry.EIGHT_FOLD): 55,
     (4, Symmetry.FOUR_FOLD): 76,
+    (5, Symmetry.EIGHT_FOLD): 120,
+    (5, Symmetry.FOUR_FOLD): 175,
     (8, Symmetry.EIGHT_FOLD): 666,
     (8, Symmetry.FOUR_FOLD): 1072,
 }
@@ -82,7 +88,7 @@ class TestOrbits:
         assert len(orbit((0, 1, 2, 3), Symmetry.EIGHT_FOLD)) == 8
         assert len(orbit((0, 1, 2, 3), Symmetry.FOUR_FOLD)) == 4
 
-    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("symmetry", list(Symmetry))
     def test_representatives_match_brute_force(self, n_orb, symmetry):
         images = eight_fold_images if symmetry is Symmetry.EIGHT_FOLD else four_fold_images
@@ -94,6 +100,34 @@ class TestOrbits:
         rep_set = set(reps)
         for o in oracle:
             assert min(o) in rep_set
+        # the cached table agrees with the scalar orbit() member by member
+        table = orbit_table(n_orb, symmetry)
+        shape = (n_orb,) * 4
+        assert table.members.shape == (len(reps), len(symmetry.permutations))
+        for i, rep in enumerate(reps):
+            members = orbit(rep, symmetry)
+            flat = [int(np.ravel_multi_index(m, shape)) for m in members]
+            assert tuple(table.reps[i]) == rep
+            assert table.rep_flat[i] == flat[0]
+            assert table.sizes[i] == len(members)
+            assert sorted(set(table.members[i].tolist())) == flat
+            assert all(table.orbit_of[m] == i for m in members)
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 5])
+    def test_one_body_table_pairs(self, n_orb):
+        table = orbit_table(n_orb, None)
+        pairs = [(p, q) for p in range(n_orb) for q in range(p, n_orb)]
+        assert [tuple(r) for r in table.reps.tolist()] == pairs
+        assert table.sizes.tolist() == [1 if p == q else 2 for p, q in pairs]
+        for i, (p, q) in enumerate(pairs):
+            assert table.orbit_of[p, q] == table.orbit_of[q, p] == i
+
+    def test_table_is_cached_and_read_only(self):
+        table = orbit_table(3, Symmetry.FOUR_FOLD)
+        assert orbit_table(3, Symmetry.FOUR_FOLD) is table
+        for arr in (table.reps, table.rep_flat, table.members, table.sizes, table.orbit_of):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
 
     def test_four_fold_weaker_than_eight_fold(self):
         for n in (2, 3, 4):
@@ -125,6 +159,17 @@ def random_symmetric_tensors(n_orb, symmetry, rng):
     return one, two
 
 
+def fsum_symmetrize(a, symmetry):
+    """Reference orbit average: the fsum mean of each orbit's distinct members."""
+    out = np.empty_like(a)
+    for idx in itertools.product(range(a.shape[0]), repeat=4):
+        members = orbit(idx, symmetry)
+        mean = math.fsum(a[m] for m in members) / len(members)
+        for m in members:
+            out[m] = mean
+    return out
+
+
 class TestTensorSet:
     def test_construction_canonicalizes_exactly(self):
         rng = np.random.default_rng(0)
@@ -137,6 +182,30 @@ class TestTensorSet:
         for perm in Symmetry.EIGHT_FOLD.permutations:
             assert np.array_equal(a, a.transpose(perm))
         assert np.array_equal(tset.one_body, tset.one_body.T)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_orbit_average_matches_fsum_reference_bitwise(self, kind):
+        rng = np.random.default_rng(7)
+        sym = Symmetry.EIGHT_FOLD if kind is Kind.BARE else Symmetry.FOUR_FOLD
+        _, two = random_symmetric_tensors(4, sym, rng)
+        noisy = two + rng.uniform(-0.4, 0.4, size=two.shape) * SYMMETRY_TOL
+        # untouched, all -0.0 and mixed-zero orbits
+        noisy[0, 0, 0, 0] = 0.125
+        for m in orbit((0, 1, 2, 3), sym):
+            noisy[m] = -0.0
+        for k, m in enumerate(orbit((1, 2, 3, 3), sym)):
+            noisy[m] = -0.0 if k % 2 else 0.0
+        got = TensorSet(1.0, kind, 4, 0.0, np.zeros((4, 4)), noisy).two_body
+        want = fsum_symmetrize(noisy, sym)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[0, 1, 2, 3])
+
+    def test_violation_reports_first_orbit(self):
+        two = np.zeros((3,) * 4)
+        two[2, 1, 0, 0] = 1.0  # orbit of (0, 0, 1, 2)
+        two[0, 1, 0, 0] = 1.0  # orbit of (0, 0, 0, 1), the earlier one
+        with pytest.raises(SymmetryViolationError, match=r"orbit of \(0, 0, 0, 1\): spread 1\.000e\+00"):
+            TensorSet(1.0, Kind.BARE, 3, 0.0, np.zeros((3, 3)), two)
 
     def test_symmetry_violation_rejected(self):
         one = np.zeros((2, 2))
@@ -297,6 +366,19 @@ class TestCanonicalFormat:
     def test_empty_payload_all_zero(self, tmp_path):
         tset = self.roundtrip(TensorSet.zeros(1.0, Kind.BARE, 4), tmp_path)
         assert not tset.one_body.any() and not tset.two_body.any()
+
+    @pytest.mark.parametrize("drop", ["1 2 0 0", "1 1 2 3"])
+    def test_truncated_file_rejected(self, tmp_path, drop):
+        rng = np.random.default_rng(5)
+        one, two = random_symmetric_tensors(3, Symmetry.EIGHT_FOLD, rng)
+        path = tmp_path / "set.tensor"
+        save_canonical(path, TensorSet(1.0, Kind.BARE, 3, 0.0, one, two))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [ln for ln in lines if not ln.endswith(f" {drop}\n")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept), encoding="utf-8")
+        with pytest.raises(TensorFormatError, match=r"set\.tensor: truncated .*first missing: " + re.escape(f"({drop})")):
+            load_canonical(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "set.tensor"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tanfold import training as tr
-from tanfold.heads import HeadKind, KernelMatrix
+from tanfold.heads import HeadKind, KernelMatrix, eval_bare_two, eval_eff_two, eval_one
 from tanfold.nn import OrbitalNet
 from tanfold.synth import PlantSpec, plant_series
 from tanfold.tensors import (
@@ -416,6 +416,36 @@ def test_exactly_realizable_data_trains_below_one_millionth():
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("head", list(HeadKind))
+def test_predict_full_matches_scalar_heads(head):
+    """The batched head agrees with the scalar heads at every entry, and its
+    output is exactly closed under the head's symmetry group."""
+    net = OrbitalNet(4, 6, hidden=(8,), seed=31)
+    tilde = OrbitalNet(4, 6, hidden=(8,), seed=33) if head is HeadKind.EFF_TWO else None
+    kernel = KernelMatrix.random(6, scale=0.5, seed=32)
+    if head.kind is Kind.BARE:
+        model = BareInteractionModel(head=head, net=net, kernel=kernel, geometry_range=(1.0, 2.0))
+    else:
+        model = EffectiveInteractionModel(
+            head=head, net=net, net_tilde=tilde, kernel=kernel, geometry_range=(1.0, 2.0)
+        )
+    f = model._features(net, 1.3)
+    ft = model._features(tilde, 1.3) if tilde is not None else None
+    pred = model.predict_full(1.3)
+    want = np.empty_like(pred)
+    for index in np.ndindex(pred.shape):
+        if head.body == 1:
+            want[index] = eval_one(*(f[i] for i in index), kernel)
+        elif head is HeadKind.BARE_TWO:
+            want[index] = eval_bare_two(*(f[i] for i in index), kernel)
+        else:
+            want[index] = eval_eff_two(*(f[i] for i in index), *(ft[i] for i in index), kernel)
+    assert np.abs(pred - want).max() <= 1e-13 * np.abs(want).max()
+    perms = ((1, 0),) if head.body == 1 else symmetry_for(head.kind).permutations
+    for perm in perms:
+        assert np.array_equal(pred, pred.transpose(perm))
+
 
 def test_zero_kernel_mae_is_mean_absolute_entry(small_series):
     net = OrbitalNet(SMALL.n_orb, 4, hidden=(5,), seed=3)
