@@ -117,17 +117,6 @@ _TRAIN_KEYS = {
     "kernel_polish": bool,
 }
 
-
-def _train_overrides(config_path) -> dict:
-    if not config_path:
-        return {}
-    raw = _read_config(config_path)
-    unknown = sorted(set(raw) - set(_TRAIN_KEYS))
-    if unknown:
-        raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return {k: _coerce(k, v, _TRAIN_KEYS[k]) for k, v in raw.items()}
-
-
 _PLANT_KEYS = {
     "n_orb": int,
     "ell": int,
@@ -145,14 +134,15 @@ _PLANT_KEYS = {
 }
 
 
-def _plant_overrides(config_path) -> dict:
+def _config_overrides(config_path, keys: dict) -> dict:
+    """The settings of a config file, each coerced to its type in ``keys``."""
     if not config_path:
         return {}
     raw = _read_config(config_path)
-    unknown = sorted(set(raw) - set(_PLANT_KEYS))
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return {k: _coerce(k, v, _PLANT_KEYS[k]) for k, v in raw.items()}
+    return {k: _coerce(k, v, keys[k]) for k, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +223,7 @@ def _build_train_config(args, stage: HeadKind) -> "presets.TrainConfig":
         freeze_orbitals=settings.freeze_orbitals,
         kernel_polish=settings.kernel_polish,
     )
-    fields.update(_train_overrides(args.config))
+    fields.update(_config_overrides(args.config, _TRAIN_KEYS))
     if args.seed is not None:
         fields["seed"] = args.seed
     if fields["seed"] is None:
@@ -250,7 +240,7 @@ def _build_train_config(args, stage: HeadKind) -> "presets.TrainConfig":
 def _cmd_synth(args) -> int:
     started = time.perf_counter()
     spec = presets.plant_preset(args.plant)
-    overrides = _plant_overrides(args.config)
+    overrides = _config_overrides(args.config, _PLANT_KEYS)
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:

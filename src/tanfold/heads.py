@@ -33,9 +33,6 @@ __all__ = [
     "eval_one",
     "eval_bare_two",
     "eval_eff_two",
-    "grad_one",
-    "grad_bare_two",
-    "grad_eff_two",
 ]
 
 
@@ -125,57 +122,3 @@ def eval_eff_two(phi_p, phi_q, phi_r, phi_s, phit_p, phit_q, phit_r, phit_s, ker
     b = sym_bilinear(phi_q * phit_p, phi_s * phit_r, kernel)
     return 0.5 * (a + b)
 
-
-# ----------------------------------------------------------------------------
-# Gradients (upstream is the scalar dLoss/dEntry)
-# ----------------------------------------------------------------------------
-
-
-def _sym_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.outer(x, y) + np.outer(y, x))
-
-
-def grad_one(psi_p, psi_q, kernel, upstream: float = 1.0):
-    """Gradients of :func:`eval_one`: ``(dM, dpsi_p, dpsi_q)``.
-
-    ``dM`` is the symmetric projection, so kernel updates stay symmetric.
-    """
-    k = _as_matrix(kernel)
-    d_m = upstream * _sym_outer(psi_p, psi_q)
-    return d_m, upstream * (k @ psi_q), upstream * (k @ psi_p)
-
-
-def grad_bare_two(phi_p, phi_q, phi_r, phi_s, kernel, upstream: float = 1.0):
-    """Gradients of :func:`eval_bare_two`: ``(dW, dphi_p, dphi_q, dphi_r, dphi_s)``."""
-    k = _as_matrix(kernel)
-    u = phi_p * phi_q
-    v = phi_r * phi_s
-    ku = k @ u
-    kv = k @ v
-    d_w = upstream * _sym_outer(u, v)
-    return (
-        d_w,
-        upstream * kv * phi_q,
-        upstream * kv * phi_p,
-        upstream * ku * phi_s,
-        upstream * ku * phi_r,
-    )
-
-
-def grad_eff_two(phi_p, phi_q, phi_r, phi_s, phit_p, phit_q, phit_r, phit_s, kernel, upstream: float = 1.0):
-    """Gradients of :func:`eval_eff_two`.
-
-    Returns ``(dW, (dphi_p, dphi_q, dphi_r, dphi_s),
-    (dphit_p, dphit_q, dphit_r, dphit_s))``.
-    """
-    k = _as_matrix(kernel)
-    a = phi_p * phit_q
-    b = phi_r * phit_s
-    c = phi_q * phit_p
-    d = phi_s * phit_r
-    ka, kb, kc, kd = k @ a, k @ b, k @ c, k @ d
-    half = 0.5 * upstream
-    d_w = half * (_sym_outer(a, b) + _sym_outer(c, d))
-    d_phi = (half * kb * phit_q, half * kd * phit_p, half * ka * phit_s, half * kc * phit_r)
-    d_phit = (half * kd * phi_q, half * kb * phi_p, half * kc * phi_s, half * ka * phi_r)
-    return d_w, d_phi, d_phit

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .heads import KernelMatrix, eval_bare_two, eval_eff_two, eval_one
 from .tensors import (
@@ -411,6 +410,10 @@ def toy_integrals_1d(
             pair_index[(p, q)] = pair_index[(q, p)] = len(pairs)
             pairs.append(weights * funcs[p] * funcs[q])
     pairs = np.array(pairs)
+
+    # imported here, its only use: scipy.signal would add about a second
+    # to every `import tanfold`
+    from scipy.signal import fftconvolve
 
     lags = np.arange(-(n - 1), n, dtype=np.float64) * h
     kernel = 1.0 / (np.abs(lags) + SOFTENING)

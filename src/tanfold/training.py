@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .heads import HeadKind, KernelMatrix
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net
@@ -280,11 +281,27 @@ def _pair_head(head, phi, phit, w, n_geo):
     return pred, (f, ft, rows, rows_w)
 
 
+def _feature_grads(head, dw, drows, f, ft):
+    """``(dW, dPhi, dPhit)`` from the kernel gradient ``dw`` and the
+    gradient ``drows`` of every row of the pair-product matrices, shaped
+    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`_pair_head`."""
+    n_geo, n, ell = f.shape
+    dw = 0.5 * (dw + dw.T)
+    if head.body == 1:
+        return dw, drows.reshape(-1, ell), None
+    drows = drows.reshape(n_geo, n, n, ell)
+    dphi = np.einsum("gpqk,gqk->gpk", drows, ft).reshape(-1, ell)
+    dphit = np.einsum("gpqk,gpk->gqk", drows, f).reshape(-1, ell)
+    if head is HeadKind.BARE_TWO:
+        return dw, dphi + dphit, None
+    return dw, dphi, dphit
+
+
 def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     """Full-batch loss and gradients through :func:`_pair_head`."""
     target, weight = tables
     pred, (f, ft, rows, rows_w) = _pair_head(head, phi, phit, w, target.shape[0])
-    n_geo, n, ell = f.shape
+    ell = w.shape[0]
     diff = pred - target
     wdiff = weight * diff
     loss = float(np.vdot(wdiff, diff)) * inv
@@ -295,99 +312,75 @@ def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     dpred = (2.0 * inv) * wdiff
     dw = rows.reshape(-1, ell).T @ (dpred @ rows).reshape(-1, ell)
     drows = (dpred + dpred.transpose(0, 2, 1)) @ rows_w
+    return (loss, *_feature_grads(head, dw, drows, f, ft))
+
+
+def _row_loss(head, phi, phit, w, samples, sel, with_grads):
+    """Loss and gradients over ``sel`` from the distinct pair rows it touches.
+
+    Each sample is ``a W b^T`` over two rows of its geometry's pair-product
+    matrix (:func:`_pair_head`); EFF_TWO averages that with the pair-swapped
+    term.  A row is keyed by its flat index in the dense ``(n_geo, m)`` row
+    space, so each distinct row ``R_u`` and ``R_u W`` is computed once.  The
+    residual weights go into one sparse matrix ``S`` over the rows (block
+    diagonal in the geometries; repeated samples add up), and the gradients
+    are the dense form's with ``S`` for ``dpred``: ``dW = R^T S R`` and
+    ``dR = (S + S^T) R W`` (W is exactly symmetric).
+    """
+    n = samples.n_orb
+    ell = w.shape[0]
+    base, idx, y = samples.base[sel], samples.idx[sel], samples.y[sel]
+    # index columns of the rows (a, b) of each term
+    cols = [(0,), (1,)] if head.body == 1 else [(0, 1), (2, 3)]
+    if head is HeadKind.EFF_TWO:
+        cols += [(1, 0), (3, 2)]
+    digits = n ** np.arange(head.body - 1, -1, -1)
+    keys = np.concatenate([base * digits[0] + idx[:, c] @ digits for c in cols])
+    uniq, ends = np.unique(keys, return_inverse=True)
+    ends = ends.reshape(len(cols), -1)
+    f = phi.reshape(-1, n, ell)
+    ft = None
     if head.body == 1:
-        return loss, 0.5 * (dw + dw.T), drows.reshape(-1, ell), None
-    drows = drows.reshape(n_geo, n, n, ell)
-    dphi = np.einsum("gpqk,gqk->gpk", drows, ft).reshape(-1, ell)
-    dphit = np.einsum("gpqk,gpk->gqk", drows, f).reshape(-1, ell)
-    if head is HeadKind.BARE_TWO:
-        return loss, 0.5 * (dw + dw.T), dphi + dphit, None
-    return loss, 0.5 * (dw + dw.T), dphi, dphit
+        rows = phi[uniq]
+    else:
+        tilde = phi if head is HeadKind.BARE_TWO else phit
+        ft = tilde.reshape(f.shape)
+        p, q = np.divmod(uniq, n)
+        rows = phi[p] * tilde[p - p % n + q]
+    rows_w = rows @ w
+    half = 0.5 if head is HeadKind.EFF_TWO else 1.0
+    pred = half * sum(
+        np.einsum("ij,ij->i", rows_w[a], rows[b]) for a, b in zip(ends[::2], ends[1::2])
+    )
+    resid = pred - y
+    inv = 1.0 / y.size
+    loss = float(resid @ resid) * inv
+    if not with_grads:
+        return loss, None, None, None
+    dv = (2.0 * half * inv) * resid
+    s = csr_matrix(
+        (np.tile(dv, len(cols) // 2), (ends[::2].ravel(), ends[1::2].ravel())),
+        shape=(uniq.size, uniq.size),
+    )
+    drows = np.zeros((f.shape[0] * n ** head.body, ell))
+    drows[uniq] = (s + s.T) @ rows_w
+    return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft))
 
 
 def _batch_loss(head, phi, phit, w, samples, sel, with_grads):
     """Loss over ``sel`` plus (dW, dPhi, dPhit) when ``with_grads``.
 
     When ``sel`` covers every sample the loss comes from the dense
-    pair-product form, which needs no gather or scatter; a strict subset
-    gathers and scatters the rows of its own samples, which is cheaper
-    when the subset is small against the dense blocks.
+    pair-product form over every entry of every geometry; any other ``sel``
+    builds only the pair rows its samples touch, which is cheaper when the
+    subset is small against the dense blocks.
     """
     n = samples.y.size
     if sel.size == n and np.bincount(sel, minlength=n).all():
         tables = _dense_targets(head, samples)
         if tables is not None:
             return _dense_loss(head, phi, phit, w, tables, 1.0 / n, with_grads)
-    base = samples.base[sel]
-    idx = samples.idx[sel]
-    y = samples.y[sel]
-    inv = 1.0 / y.size
-
-    if head.body == 1:
-        fp, fq = phi[base + idx[:, 0]], phi[base + idx[:, 1]]
-        fqw = fq @ w
-        v = np.einsum("ij,ij->i", fp, fqw)
-        resid = v - y
-        loss = float(resid @ resid) * inv
-        if not with_grads:
-            return loss, None, None, None
-        dv = (2.0 * inv) * resid
-        dw = (dv[:, None] * fp).T @ fq
-        dphi = np.zeros_like(phi)
-        np.add.at(dphi, base + idx[:, 0], dv[:, None] * fqw)
-        np.add.at(dphi, base + idx[:, 1], dv[:, None] * (fp @ w))
-        return loss, 0.5 * (dw + dw.T), dphi, None
-
-    p, q, r, s = (base + idx[:, k] for k in range(4))
-    if head is HeadKind.BARE_TWO:
-        a = phi[p] * phi[q]
-        b = phi[r] * phi[s]
-        bw = b @ w
-        v = np.einsum("ij,ij->i", a, bw)
-        resid = v - y
-        loss = float(resid @ resid) * inv
-        if not with_grads:
-            return loss, None, None, None
-        dv = (2.0 * inv) * resid
-        dw = (dv[:, None] * a).T @ b
-        da = dv[:, None] * bw
-        db = dv[:, None] * (a @ w)
-        dphi = np.zeros_like(phi)
-        np.add.at(dphi, p, da * phi[q])
-        np.add.at(dphi, q, da * phi[p])
-        np.add.at(dphi, r, db * phi[s])
-        np.add.at(dphi, s, db * phi[r])
-        return loss, 0.5 * (dw + dw.T), dphi, None
-
-    # EFF_TWO: v = (a1 W b1 + a2 W b2) / 2 with the tilde family interleaved
-    a1 = phi[p] * phit[q]
-    b1 = phi[r] * phit[s]
-    a2 = phi[q] * phit[p]
-    b2 = phi[s] * phit[r]
-    b1w = b1 @ w
-    b2w = b2 @ w
-    v = 0.5 * (np.einsum("ij,ij->i", a1, b1w) + np.einsum("ij,ij->i", a2, b2w))
-    resid = v - y
-    loss = float(resid @ resid) * inv
-    if not with_grads:
-        return loss, None, None, None
-    h = (1.0 * inv) * resid  # = 0.5 * dv
-    dw = (h[:, None] * a1).T @ b1 + (h[:, None] * a2).T @ b2
-    da1 = h[:, None] * b1w
-    db1 = h[:, None] * (a1 @ w)
-    da2 = h[:, None] * b2w
-    db2 = h[:, None] * (a2 @ w)
-    dphi = np.zeros_like(phi)
-    dphit = np.zeros_like(phit)
-    np.add.at(dphi, p, da1 * phit[q])
-    np.add.at(dphit, q, da1 * phi[p])
-    np.add.at(dphi, r, db1 * phit[s])
-    np.add.at(dphit, s, db1 * phi[r])
-    np.add.at(dphi, q, da2 * phit[p])
-    np.add.at(dphit, p, da2 * phi[q])
-    np.add.at(dphi, s, db2 * phit[r])
-    np.add.at(dphit, r, db2 * phi[s])
-    return loss, 0.5 * (dw + dw.T), dphi, dphit
+    return _row_loss(head, phi, phit, w, samples, sel, with_grads)
 
 
 def _target_scale(y: np.ndarray) -> float:

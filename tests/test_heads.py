@@ -9,12 +9,10 @@ from tanfold.heads import (
     eval_bare_two,
     eval_eff_two,
     eval_one,
-    grad_bare_two,
-    grad_eff_two,
-    grad_one,
     sym_bilinear,
 )
 from tanfold.tensors import Kind
+from tanfold.training import _Samples, _batch_loss
 
 
 def rel_err(a, b, floor=1e-8):
@@ -114,7 +112,34 @@ class TestEvaluation:
         assert sym_bilinear(x, y, k) == pytest.approx(x @ k.matrix @ y, rel=1e-13)
 
 
+def sample_grads(head, vecs, kernel, upstream, tilde=None):
+    """Gradients of the training loss on one sample ``(0, 1[, 2, 3])``
+    whose orbitals carry ``vecs`` (and ``tilde``), as ``(dW, dPhi, dPhit)``.
+
+    The target is the head's value minus ``upstream / 2``, so the squared
+    residual's derivative ``2 * resid`` is ``upstream`` and the gradients
+    are ``upstream`` times those of the entry.  A second sample keeps the
+    one-sample ``sel`` a strict subset.
+    """
+    n = len(vecs)
+    if tilde is None:
+        value = (eval_one if head.body == 1 else eval_bare_two)(*vecs, kernel)
+    else:
+        value = eval_eff_two(*vecs, *tilde, kernel)
+    samples = _Samples(
+        x_all=np.zeros((n, n + 1)),
+        base=np.zeros(2, dtype=np.intp),
+        idx=np.array([np.arange(n), np.arange(n)[::-1]]),
+        y=np.array([value - 0.5 * upstream, 0.0]),
+        n_orb=n,
+    )
+    phit = None if tilde is None else np.array(tilde)
+    _, *grads = _batch_loss(head, np.array(vecs), phit, kernel, samples, np.array([0]), True)
+    return grads
+
+
 class TestGradients:
+    # each entry's gradients, through one-sample batches of the training loss
     def test_grad_one_matches_fd(self):
         rng = np.random.default_rng(12)
         k = KernelMatrix.random(12, seed=13)
@@ -122,8 +147,8 @@ class TestGradients:
         m.flags.writeable = True
         p, q = rng.normal(size=(2, 12))
         upstream = 0.7
-        dm, dp, dq = grad_one(p, q, m, upstream)
-        for vec, grad in ((p, dp), (q, dq)):
+        dm, dpq, _ = sample_grads(HeadKind.BARE_ONE, [p, q], m, upstream)
+        for vec, grad in zip((p, q), dpq):
             fd = fd_grad(lambda: upstream * eval_one(p, q, m), vec, rng=rng)
             for i, v in fd.items():
                 assert rel_err(grad[i], v) < 1e-6
@@ -139,8 +164,7 @@ class TestGradients:
         vecs = rng.normal(size=(4, 10))
         p, q, r, s = vecs
         upstream = -1.3
-        grads = grad_bare_two(p, q, r, s, w, upstream)
-        dw, dvecs = grads[0], grads[1:]
+        dw, dvecs, _ = sample_grads(HeadKind.BARE_TWO, [p, q, r, s], w, upstream)
         assert np.array_equal(dw, dw.T)
         obj = lambda: upstream * eval_bare_two(p, q, r, s, w)
         for vec, grad in zip(vecs, dvecs):
@@ -156,7 +180,7 @@ class TestGradients:
         rng = np.random.default_rng(16)
         w = KernelMatrix.random(8, seed=17).matrix
         p, q, r, s = rng.normal(size=(4, 8))
-        _, dp, _, _, _ = grad_bare_two(p, q, r, s, w, upstream=2.0)
+        _, (dp, _, _, _), _ = sample_grads(HeadKind.BARE_TWO, [p, q, r, s], w, 2.0)
         np.testing.assert_allclose(dp, 2.0 * q * (w @ (r * s)), rtol=1e-13)
 
     def test_grad_eff_two_matches_fd(self):
@@ -166,7 +190,9 @@ class TestGradients:
         vecs = rng.normal(size=(8, 9))
         p, q, r, s, tp, tq, tr, ts = vecs
         upstream = 0.9
-        dw, dphi, dphit = grad_eff_two(p, q, r, s, tp, tq, tr, ts, w, upstream)
+        dw, dphi, dphit = sample_grads(
+            HeadKind.EFF_TWO, [p, q, r, s], w, upstream, tilde=[tp, tq, tr, ts]
+        )
         assert np.array_equal(dw, dw.T)
         obj = lambda: upstream * eval_eff_two(p, q, r, s, tp, tq, tr, ts, w)
         for vec, grad in zip(vecs, (*dphi, *dphit)):

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,18 @@ class TestPlantSeries:
 
 class TestToyIntegrals:
     BASIS = [(0.0, 1.0), (0.8, 1.2), (-0.5, 0.9)]
+
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal costs about a second to import, which every CLI
+        # process would pay; only toy_integrals_1d needs it, and loads it
+        import tanfold
+
+        src = os.path.dirname(os.path.dirname(tanfold.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        code = "import sys, tanfold; assert 'scipy.signal' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_harmonic_ground_state_energy(self):
         # a unit-width Gaussian at the origin is the exact ground state of

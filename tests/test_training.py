@@ -120,7 +120,7 @@ _HEADS = (HeadKind.BARE_ONE, HeadKind.EFF_ONE, HeadKind.BARE_TWO, HeadKind.EFF_T
 
 
 # A full selection takes the dense pair-product form of the loss, a strict
-# subset the per-sample gather/scatter form; both are checked.
+# subset the pair-row form; both are checked.
 @pytest.mark.parametrize(
     "head, subset",
     [pytest.param(h, False, id=str(h)) for h in _HEADS]
@@ -188,7 +188,7 @@ def test_loss_is_mean_squared_error_over_unit(small_series):
 @pytest.mark.parametrize("head", _HEADS)
 def test_dense_form_equals_per_sample_form(head, small_series):
     # the full batch (dense pair-product form) is the size-weighted mean of
-    # two complementary halves (per-sample form), loss and gradients alike
+    # two complementary halves (pair-row form), loss and gradients alike
     nets, w, samples = _setup_head(head, small_series)
     phi = nets[0].forward(samples.x_all)
     phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
@@ -207,6 +207,106 @@ def test_dense_form_equals_per_sample_form(head, small_series):
         combined = sum(c * h[k] for c, h in zip(weights, halves))
         scale = np.abs(value).max()
         assert np.abs(combined - value).max() <= 1e-12 * scale
+
+
+def _per_sample_reference(head, phi, phit, w, samples, sel):
+    """Loss and gradients over ``sel`` entry by entry: each sample's pair
+    products gathered, its gradients scattered back with ``np.add.at`` (a
+    repeated sample counts twice)."""
+    base, idx, y = samples.base[sel], samples.idx[sel], samples.y[sel]
+    inv = 1.0 / y.size
+    dphi = np.zeros_like(phi)
+    if head.body == 1:
+        p, q = base + idx[:, 0], base + idx[:, 1]
+        resid = np.einsum("ij,ij->i", phi[p], phi[q] @ w) - y
+        dv = (2.0 * inv) * resid
+        dw = (dv[:, None] * phi[p]).T @ phi[q]
+        np.add.at(dphi, p, dv[:, None] * (phi[q] @ w))
+        np.add.at(dphi, q, dv[:, None] * (phi[p] @ w))
+        return float(resid @ resid) * inv, 0.5 * (dw + dw.T), dphi, None
+    p, q, r, s = (base + idx[:, k] for k in range(4))
+    eff = head is HeadKind.EFF_TWO
+    tilde, dtilde = (phit, np.zeros_like(phit)) if eff else (phi, dphi)
+    # v = c * sum over terms of (phi_i . tilde_j)^T W (phi_k . tilde_l);
+    # EFF_TWO averages the term with its pair swap
+    terms = [(p, q, r, s), (q, p, s, r)] if eff else [(p, q, r, s)]
+    c = 0.5 if eff else 1.0
+    pairs = [(phi[i] * tilde[j], phi[k] * tilde[l]) for i, j, k, l in terms]
+    resid = c * sum(np.einsum("ij,ij->i", a, b @ w) for a, b in pairs) - y
+    h = (2.0 * c * inv) * resid
+    dw = sum((h[:, None] * a).T @ b for a, b in pairs)
+    for (i, j, k, l), (a, b) in zip(terms, pairs):
+        da, db = h[:, None] * (b @ w), h[:, None] * (a @ w)
+        np.add.at(dphi, i, da * tilde[j])
+        np.add.at(dtilde, j, da * phi[i])
+        np.add.at(dphi, k, db * tilde[l])
+        np.add.at(dtilde, l, db * phi[k])
+    return float(resid @ resid) * inv, 0.5 * (dw + dw.T), dphi, dtilde if eff else None
+
+
+def _assert_close(got, want, rel=1e-12):
+    for g, v in zip(got, want):
+        if v is None:
+            assert g is None
+            continue
+        assert np.abs(np.asarray(g) - v).max() <= rel * np.abs(v).max()
+
+
+def _pair_row_selections(samples):
+    n = samples.y.size
+    rng = np.random.default_rng(3)
+    sub = rng.permutation(n)[: n // 3]
+    one_geo = np.flatnonzero(samples.base == samples.base[-1])
+    return {
+        "random": rng.permutation(n)[: 2 * n // 3],
+        "repeats": np.concatenate([sub, sub[:7], sub[:2]]),
+        "one-geometry": one_geo[rng.permutation(one_geo.size)[: one_geo.size // 2]],
+        "one-sample": np.array([n // 2]),
+    }
+
+
+@pytest.mark.parametrize("head", _HEADS)
+def test_pair_row_form_matches_per_sample_reference(head, small_series):
+    nets, w, samples = _setup_head(head, small_series)
+    phi = nets[0].forward(samples.x_all)
+    phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
+    for name, sel in _pair_row_selections(samples).items():
+        got = tr._batch_loss(head, phi, phit, w, samples, sel, True)
+        _assert_close(got, _per_sample_reference(head, phi, phit, w, samples, sel))
+        assert tr._batch_loss(head, phi, phit, w, samples, sel, False)[0] == got[0], name
+
+
+@pytest.mark.parametrize("head", _HEADS)
+def test_pair_row_form_counts_repeated_samples_twice(head, small_series):
+    nets, w, samples = _setup_head(head, small_series)
+    phi = nets[0].forward(samples.x_all)
+    phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
+    sub = np.random.default_rng(4).permutation(samples.y.size)[:10]
+    twice = tr._batch_loss(head, phi, phit, w, samples, np.concatenate([sub, sub[:4]]), True)
+    # the repeated four weigh 2/14, the other six 1/14
+    parts = [tr._batch_loss(head, phi, phit, w, samples, s, True) for s in (sub[:4], sub[4:])]
+    for k, value in enumerate(twice):
+        if value is None:
+            continue
+        combined = (8 / 14) * parts[0][k] + (6 / 14) * parts[1][k]
+        assert np.abs(combined - value).max() <= 1e-12 * np.abs(value).max()
+
+
+def test_pair_row_eff_two_with_equal_families_is_bare_two(small_series):
+    # phit = phi collapses the effective head onto the bare head
+    nets, w, samples = _setup_head(HeadKind.EFF_TWO, small_series)
+    phi = nets[0].forward(samples.x_all)
+    sel = np.random.default_rng(5).permutation(samples.y.size)[: samples.y.size // 2]
+    loss_e, dw_e, dphi_e, dphit_e = tr._batch_loss(
+        HeadKind.EFF_TWO, phi, phi, w, samples, sel, True
+    )
+    loss_b, dw_b, dphi_b, _ = tr._batch_loss(HeadKind.BARE_TWO, phi, None, w, samples, sel, True)
+    assert loss_e == pytest.approx(loss_b, rel=1e-13)
+    _assert_close((dw_e, dphi_e + dphit_e), (dw_b, dphi_b), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# fine-tuning
 # ---------------------------------------------------------------------------
 
 def _series_from_teacher(net, kernel, geometries):
