@@ -71,10 +71,9 @@ from .tensors import (  # noqa: F401
     save_series,
 )
 from .training import (  # noqa: F401
-    BareInteractionModel,
-    EffectiveInteractionModel,
     FitReport,
     GeometryMAE,
+    InteractionModel,
     TrainConfig,
     evaluate_mae,
     finetune_effective,

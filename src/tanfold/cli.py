@@ -185,52 +185,11 @@ def _jsonable(value):
 # stage resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_stage_settings(system: str, stage: HeadKind) -> tuple[presets.StageSettings, str]:
-    """(settings, profile) for a named molecular system or a plant preset."""
-    if system in presets.SYSTEMS:
-        preset = presets.system_preset(system)
-        field = {
-            HeadKind.BARE_ONE: preset.bare_one,
-            HeadKind.EFF_ONE: preset.eff_one,
-            HeadKind.BARE_TWO: preset.bare_two,
-            HeadKind.EFF_TWO: preset.eff_two,
-        }[stage]
-        return field, "paper"
-    if system in presets.PLANT_PRESETS:
-        if stage in (HeadKind.BARE_ONE, HeadKind.BARE_TWO):
-            return presets.DESK_STAGE1, "desk"
-        return presets.DESK_STAGE2, "desk"
-    known = sorted(set(presets.SYSTEMS) | set(presets.PLANT_PRESETS))
-    raise _UsageError(f"unknown system {system!r}; known: {', '.join(known)}")
-
-
 def _build_train_config(args, stage: HeadKind) -> "presets.TrainConfig":
-    settings, default_profile = _resolve_stage_settings(args.system, stage)
-    profile_name = args.profile or default_profile
-    if profile_name not in presets.PROFILES:
-        raise _UsageError(
-            f"unknown profile {profile_name!r}; known: {', '.join(sorted(presets.PROFILES))}"
-        )
-    profile = presets.PROFILES[profile_name]
-    fields = dict(
-        stage=stage,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        base_lr=settings.base_lr,
-        seed=args.seed,
-        ell=profile.ell,
-        hidden=profile.hidden,
-        freeze_orbitals=settings.freeze_orbitals,
-        kernel_polish=settings.kernel_polish,
-    )
-    fields.update(_config_overrides(args.config, _TRAIN_KEYS))
+    overrides = _config_overrides(args.config, _TRAIN_KEYS)
     if args.seed is not None:
-        fields["seed"] = args.seed
-    if fields["seed"] is None:
-        fields["seed"] = 0
-    from .training import TrainConfig
-
-    return TrainConfig(**fields)
+        overrides["seed"] = args.seed
+    return presets.training_config(args.system, stage, profile=args.profile, **overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,19 @@ A symmetric kernel acts on elementwise products of latent vectors:
                     + (phi_q . phit_p)^T W (phi_s . phit_r) ]
 
 where ``.`` is the elementwise product and ``phit`` a second latent family.
-Every bilinear form is evaluated as ``(x^T(Ky) + y^T(Kx))/2``; because IEEE
-addition and multiplication are commutative, this makes the bare head
-invariant under the full eight-fold index group and the effective head under
-the four-fold group *to the bit*, and reduces the effective head to the bare
-one bit-exactly when ``phit == phi``.
+
+:func:`pair_head` is the package's one batched head: it computes every entry
+of a batch of geometries at once from pair-product matrices, and
+:func:`head_at_reps` reads it at the orbit representatives of one geometry.
+Training, prediction and planting all go through it.
+
+The scalar forms (:func:`sym_bilinear` and the ``eval_*`` heads) are the
+reference the batched head is tested against.  Every bilinear form there is
+evaluated as ``(x^T(Ky) + y^T(Kx))/2``; because IEEE addition and
+multiplication are commutative, this makes the bare head invariant under the
+full eight-fold index group and the effective head under the four-fold group
+*to the bit*, and reduces the effective head to the bare one bit-exactly when
+``phit == phi``.
 """
 
 from __future__ import annotations
@@ -24,11 +32,14 @@ import enum
 
 import numpy as np
 
-from .tensors import Kind
+from .tensors import Kind, orbit_table, symmetry_for
 
 __all__ = [
     "HeadKind",
     "KernelMatrix",
+    "entry_table",
+    "head_at_reps",
+    "pair_head",
     "sym_bilinear",
     "eval_one",
     "eval_bare_two",
@@ -122,3 +133,42 @@ def eval_eff_two(phi_p, phi_q, phi_r, phi_s, phit_p, phit_q, phit_r, phit_s, ker
     b = sym_bilinear(phi_q * phit_p, phi_s * phit_r, kernel)
     return 0.5 * (a + b)
 
+
+def entry_table(kind: Kind, body: int, n_orb: int):
+    """The orbit table of the ``body``-body entries of ``kind`` tensors."""
+    return orbit_table(n_orb, symmetry_for(kind) if body == 2 else None)
+
+
+def pair_head(head, phi, phit, w, n_geo):
+    """Every entry of ``n_geo`` geometry blocks from per-geometry
+    pair-product matrices.
+
+    Rows of ``A_g`` are the orbital features (one-body) or the pair products
+    ``phi_p * phi_q`` (bare) / ``phi_p * phit_q`` (effective), so
+    ``A_g W A_g^T`` predicts every entry of geometry ``g`` at once; the
+    effective head averages it with its pair-swapped copy.  Returns the
+    predictions, shaped ``(n_geo, m, m)`` with ``m = n_orb**body``, and the
+    ``(f, ft, rows, rows_w)`` intermediates of the gradient.
+    """
+    ell = w.shape[0]
+    f = phi.reshape(n_geo, -1, ell)
+    n = f.shape[1]
+    ft = None
+    if head.body == 1:
+        rows = f
+    else:
+        ft = f if head is HeadKind.BARE_TWO else phit.reshape(n_geo, n, ell)
+        rows = (f[:, :, None] * ft[:, None]).reshape(n_geo, n * n, ell)
+    rows_w = rows @ w
+    pred = rows_w @ rows.transpose(0, 2, 1)
+    if head is HeadKind.EFF_TWO:
+        swap = np.arange(n * n).reshape(n, n).T.ravel()
+        pred = 0.5 * (pred + pred[:, swap][:, :, swap])
+    return pred, (f, ft, rows, rows_w)
+
+
+def head_at_reps(head, phi, phit, w) -> np.ndarray:
+    """The head's values at the orbit representatives of one geometry, in
+    representative order; ``phi``/``phit`` are ``(n_orb, ell)`` features."""
+    pred, _ = pair_head(head, phi, phit, w, 1)
+    return pred.ravel()[entry_table(head.kind, head.body, phi.shape[0]).rep_flat]

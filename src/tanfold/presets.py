@@ -18,12 +18,13 @@ Two run profiles exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .heads import HeadKind
 from .synth import PlantSpec
+from .tensors import Kind
 from .training import TrainConfig
 
 __all__ = [
@@ -167,39 +168,30 @@ def system_preset(name: str) -> SystemPreset:
         raise ValueError(f"unknown system {name!r}; known systems: {known}") from None
 
 
-_STAGE_FIELD = {
-    HeadKind.BARE_ONE: "bare_one",
-    HeadKind.EFF_ONE: "eff_one",
-    HeadKind.BARE_TWO: "bare_two",
-    HeadKind.EFF_TWO: "eff_two",
-}
-
-
 def training_config(
-    system: str, stage: HeadKind, *, profile: str = "paper", seed: int = 0, **overrides
+    system: str, stage: HeadKind, *, profile: str | None = None, seed: int = 0, **overrides
 ) -> TrainConfig:
-    """Published TrainConfig for one system and stage under a profile.
+    """TrainConfig for one stage of a named system or plant preset.
 
+    A named system takes its published stage settings and defaults to the
+    ``paper`` profile; a plant preset takes ``DESK_STAGE1`` (bare stages) or
+    ``DESK_STAGE2`` (effective stages) and defaults to the ``desk`` profile.
     ``overrides`` replace individual TrainConfig fields (epochs, batch_size,
     base_lr, ...), which is how CLI flags and config files take precedence.
     """
-    preset = system_preset(system)
-    settings: StageSettings = getattr(preset, _STAGE_FIELD[stage])
-    net = PROFILES[profile] if profile in PROFILES else None
+    if system in SYSTEMS:
+        settings, default_profile = getattr(SYSTEMS[system], stage.name.lower()), "paper"
+    elif system in PLANT_PRESETS:
+        settings = DESK_STAGE1 if stage.kind is Kind.BARE else DESK_STAGE2
+        default_profile = "desk"
+    else:
+        known = ", ".join(sorted([*SYSTEMS, *PLANT_PRESETS]))
+        raise ValueError(f"unknown system {system!r}; known: {known}")
+    net = PROFILES.get(profile or default_profile)
     if net is None:
         known = ", ".join(sorted(PROFILES))
         raise ValueError(f"unknown profile {profile!r}; known profiles: {known}")
-    fields = dict(
-        stage=stage,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        base_lr=settings.base_lr,
-        seed=seed,
-        ell=net.ell,
-        hidden=net.hidden,
-        freeze_orbitals=settings.freeze_orbitals,
-        kernel_polish=settings.kernel_polish,
-    )
+    fields = dict(asdict(settings), stage=stage, seed=seed, ell=net.ell, hidden=net.hidden)
     fields.update(overrides)
     return TrainConfig(**fields)
 

@@ -226,6 +226,19 @@ def _half_spread(g: np.ndarray) -> float:
     return float(phases.max() - phases.min())
 
 
+def _tanh_partial_sums(g: np.ndarray, h_od_mat: np.ndarray, n_max: int):
+    """Yield the truncated tanh transforms of orders 1, ..., n_max."""
+    half = g / 2
+    coeffs = tanh_coefficients(n_max)
+    nested = ituple_commutator(half, h_od_mat, 1)
+    total = float(coeffs[0]) * nested
+    yield total
+    for n in range(1, n_max):
+        nested = ituple_commutator(half, nested, 2)
+        total = total + float(coeffs[n]) * nested
+        yield total
+
+
 def z_tanh_series(g: np.ndarray, h_od_mat: np.ndarray, n_max: int) -> np.ndarray:
     """Truncated tanh transform sum_{n<=n_max} t_n [(G/2)^(2n-1), H_OD]."""
     g = _as_square_complex(g, "g")
@@ -237,13 +250,7 @@ def z_tanh_series(g: np.ndarray, h_od_mat: np.ndarray, n_max: int) -> np.ndarray
             "eigenphase spread of G/2 is >= pi/2: the series diverges",
             stacklevel=2,
         )
-    half = g / 2
-    coeffs = tanh_coefficients(n_max)
-    nested = ituple_commutator(half, h_od_mat, 1)
-    total = float(coeffs[0]) * nested
-    for n in range(1, n_max):
-        nested = ituple_commutator(half, nested, 2)
-        total = total + float(coeffs[n]) * nested
+    *_, total = _tanh_partial_sums(g, h_od_mat, n_max)
     return total
 
 
@@ -297,23 +304,15 @@ def verify_w_identity(prob: SuzukiProblem, *, n_max: int = 12) -> WIdentityRepor
     lhs_f = float(np.linalg.norm(lhs))
     rel = float(np.linalg.norm(diff)) / lhs_f if lhs_f > 0 else 0.0
 
-    errors = []
-    half = gen.g / 2
-    coeffs = tanh_coefficients(n_max)
-    nested = ituple_commutator(half, od, 1)
-    partial = float(coeffs[0]) * nested
-    errors.append(float(np.abs(partial - closed).max()))
-    for n in range(1, n_max):
-        nested = ituple_commutator(half, nested, 2)
-        partial = partial + float(coeffs[n]) * nested
-        errors.append(float(np.abs(partial - closed).max()))
-
     return WIdentityReport(
         max_abs=float(np.abs(diff).max()),
         rel_frobenius=rel,
         lhs_frobenius=lhs_f,
         half_spread=_half_spread(gen.g),
-        series_errors=tuple(errors),
+        series_errors=tuple(
+            float(np.abs(partial - closed).max())
+            for partial in _tanh_partial_sums(gen.g, od, n_max)
+        ),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .heads import KernelMatrix, eval_bare_two, eval_eff_two, eval_one
+from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
 from .tensors import (
     GeometrySeries,
     Kind,
@@ -152,13 +152,13 @@ def _planted_kernel(z: np.ndarray, eigenvalues: np.ndarray) -> KernelMatrix:
     return KernelMatrix((z * eigenvalues) @ z.T, symmetrize=True)
 
 
-def _planted_tensor(table, entry, noise, rng):
-    """``entry`` at each orbit representative plus optional noise, one draw
-    per orbit in representative order, spread over the orbit."""
-    values = np.array([entry(*rep) for rep in table.reps.tolist()])
+def _planted_tensor(head, phi, phit, kernel, noise, rng):
+    """The head's value at each orbit representative plus optional noise,
+    one draw per orbit in representative order, spread over the orbit."""
+    values = head_at_reps(head, phi, phit, kernel.matrix)
     if noise > 0.0:
         values += noise * rng.standard_normal(values.size)
-    return table.expand(values)
+    return entry_table(head.kind, head.body, phi.shape[0]).expand(values)
 
 
 def _bare_rms(spec, coef_phi, kernel):
@@ -169,15 +169,15 @@ def _bare_rms(spec, coef_phi, kernel):
     """
     gs = sorted(spec.geometries)
     probe = {gs[0], gs[len(gs) // 2], gs[-1]}
-    table = orbit_table(spec.n_orb, symmetry_for(Kind.BARE))
-    total, count = 0.0, 0
-    for r in probe:
-        phi = coef_phi @ _basis_row(_scaled(spec.geometries, r))
-        for (p, q, rr, s), k in zip(table.reps.tolist(), table.sizes.tolist()):
-            v = eval_bare_two(phi[p], phi[q], phi[rr], phi[s], kernel)
-            total += k * v * v
-            count += k
-    return math.sqrt(total / count)
+    sizes = entry_table(Kind.BARE, 2, spec.n_orb).sizes
+    total = sum(
+        sizes @ np.square(head_at_reps(
+            HeadKind.BARE_TWO, coef_phi @ _basis_row(_scaled(spec.geometries, r)),
+            None, kernel.matrix,
+        ))
+        for r in probe
+    )
+    return math.sqrt(total / (len(probe) * spec.n_orb**4))
 
 
 def plant_series(spec: PlantSpec) -> PlantResult:
@@ -217,9 +217,6 @@ def plant_series(spec: PlantSpec) -> PlantResult:
     m_bare = _planted_kernel(z_one, eps_one)
     m_eff = _planted_kernel(z_one, eps_one * tan_factors)
 
-    one_table = orbit_table(spec.n_orb, None)
-    bare_table = orbit_table(spec.n_orb, symmetry_for(Kind.BARE))
-    eff_table = orbit_table(spec.n_orb, symmetry_for(Kind.EFFECTIVE))
     sets = []
     for r in sorted(spec.geometries):
         x = _scaled(spec.geometries, r)
@@ -227,46 +224,21 @@ def plant_series(spec: PlantSpec) -> PlantResult:
         phi = coef_phi @ row
         psi = coef_psi @ row
         phit = phi * (1.0 + spec.eta * (coef_def @ row))
-
-        def bare_two(p, q, rr, s):
-            return eval_bare_two(phi[p], phi[q], phi[rr], phi[s], w_bare)
-
-        def eff_two(p, q, rr, s):
-            return eval_eff_two(
-                phi[p], phi[q], phi[rr], phi[s],
-                phit[p], phit[q], phit[rr], phit[s], w_eff,
+        for one, two, m, w in (
+            (HeadKind.BARE_ONE, HeadKind.BARE_TWO, m_bare, w_bare),
+            (HeadKind.EFF_ONE, HeadKind.EFF_TWO, m_eff, w_eff),
+        ):
+            sets.append(
+                TensorSet(
+                    geometry=r,
+                    kind=two.kind,
+                    n_orb=spec.n_orb,
+                    scalar_term=0.0,
+                    one_body=_planted_tensor(one, psi, None, m, spec.noise, rng),
+                    two_body=_planted_tensor(two, phi, phit, w, spec.noise, rng),
+                    system=spec.system,
+                )
             )
-
-        sets.append(
-            TensorSet(
-                geometry=r,
-                kind=Kind.BARE,
-                n_orb=spec.n_orb,
-                scalar_term=0.0,
-                one_body=_planted_tensor(
-                    one_table,
-                    lambda p, q: eval_one(psi[p], psi[q], m_bare),
-                    spec.noise, rng,
-                ),
-                two_body=_planted_tensor(bare_table, bare_two, spec.noise, rng),
-                system=spec.system,
-            )
-        )
-        sets.append(
-            TensorSet(
-                geometry=r,
-                kind=Kind.EFFECTIVE,
-                n_orb=spec.n_orb,
-                scalar_term=0.0,
-                one_body=_planted_tensor(
-                    one_table,
-                    lambda p, q: eval_one(psi[p], psi[q], m_eff),
-                    spec.noise, rng,
-                ),
-                two_body=_planted_tensor(eff_table, eff_two, spec.noise, rng),
-                system=spec.system,
-            )
-        )
 
     return PlantResult(
         spec=spec,

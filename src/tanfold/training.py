@@ -21,20 +21,19 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .heads import HeadKind, KernelMatrix
+from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps, pair_head
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net
-from .tensors import GeometrySeries, Kind, orbit_table, symmetry_for
+from .tensors import GeometrySeries, Kind
 
 __all__ = [
-    "BareInteractionModel",
-    "EffectiveInteractionModel",
     "FitReport",
     "GeometryMAE",
+    "InteractionModel",
     "TrainConfig",
     "evaluate_mae",
     "finetune_effective",
@@ -116,66 +115,39 @@ def _scale(geometry_range, r: float) -> float:
     return (r - lo) / (hi - lo) if hi > lo else 0.0
 
 
-def _entry_table(kind: Kind, body: int, n_orb: int):
-    """The orbit table of the ``body``-body entries of ``kind`` tensors."""
-    return orbit_table(n_orb, symmetry_for(kind) if body == 2 else None)
+@dataclass(eq=False)
+class InteractionModel:
+    """A trained head: one orbital network per latent family of ``head``
+    (two for EFF_TWO, one otherwise) and one symmetric kernel."""
 
+    head: HeadKind
+    nets: tuple[OrbitalNet, ...]
+    kernel: KernelMatrix
+    geometry_range: tuple[float, float]
+    system: str = ""
 
-class _ModelBase:
+    def __post_init__(self):
+        self.nets = tuple(self.nets)
+        if len(self.nets) != self.head.n_nets:
+            raise ValueError(
+                f"head {self.head.name} needs {self.head.n_nets} network(s), got {len(self.nets)}"
+            )
+
+    @property
+    def n_orb(self) -> int:
+        return self.nets[0].n_orb
+
     def _features(self, net: OrbitalNet, geometry: float) -> np.ndarray:
         x = net.embed(range(net.n_orb), _scale(self.geometry_range, geometry))
         return net.forward(x)
 
-    @property
-    def n_orb(self) -> int:
-        return self.net.n_orb
-
-    @property
-    def nets(self) -> tuple[OrbitalNet, ...]:
-        tilde = getattr(self, "net_tilde", None)
-        return (self.net,) if tilde is None else (self.net, tilde)
-
     def predict_full(self, geometry: float) -> np.ndarray:
         """Every entry at one geometry, exactly closed under the head's
-        symmetry: the pair-product head's value at each orbit
-        representative, spread over the orbit."""
+        symmetry: the head's value at each orbit representative, spread
+        over the orbit."""
         feats = [self._features(net, geometry) for net in self.nets]
-        pred, _ = _pair_head(self.head, feats[0], feats[-1], self.kernel.matrix, 1)
-        table = _entry_table(self.head.kind, self.head.body, self.n_orb)
-        return table.expand(pred.ravel()[table.rep_flat])
-
-
-@dataclass(eq=False)
-class BareInteractionModel(_ModelBase):
-    """Stage-1 model: one orbital network and one symmetric kernel."""
-
-    head: HeadKind
-    net: OrbitalNet
-    kernel: KernelMatrix
-    geometry_range: tuple[float, float]
-    system: str = ""
-
-    def __post_init__(self):
-        if self.head not in (HeadKind.BARE_ONE, HeadKind.BARE_TWO):
-            raise ValueError(f"bare model cannot hold head {self.head.name}")
-
-
-@dataclass(eq=False)
-class EffectiveInteractionModel(_ModelBase):
-    """Stage-2 model; the two-body head carries two orbital networks."""
-
-    head: HeadKind
-    net: OrbitalNet
-    net_tilde: OrbitalNet | None
-    kernel: KernelMatrix
-    geometry_range: tuple[float, float]
-    system: str = ""
-
-    def __post_init__(self):
-        if self.head not in (HeadKind.EFF_ONE, HeadKind.EFF_TWO):
-            raise ValueError(f"effective model cannot hold head {self.head.name}")
-        if (self.net_tilde is None) != (self.head is HeadKind.EFF_ONE):
-            raise ValueError("EFF_TWO needs a second network; EFF_ONE must not have one")
+        values = head_at_reps(self.head, feats[0], feats[-1], self.kernel.matrix)
+        return entry_table(self.head.kind, self.head.body, self.n_orb).expand(values)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +168,7 @@ class _Samples:
 def _collect_samples(series, kind, geometries, body, net, geometry_range):
     """One sample per orbit representative of each geometry, in order."""
     n = net.n_orb
-    table = _entry_table(kind, body, n)
+    table = entry_table(kind, body, n)
     sets = [series.get(g, kind) for g in geometries]
     return _Samples(
         x_all=np.vstack([net.embed(range(n), _scale(geometry_range, g)) for g in geometries]),
@@ -220,7 +192,7 @@ def _orbit_tables(head, samples):
     not a block start or two samples share an orbit.
     """
     n = samples.n_orb
-    table = _entry_table(head.kind, head.body, n)
+    table = entry_table(head.kind, head.body, n)
     n_rep = table.sizes.size
     block, offset = np.divmod(samples.base, n)
     orbit_id = table.orbit_of[tuple(samples.idx.T)]
@@ -253,38 +225,10 @@ def _dense_targets(head, samples):
     return cached[2]
 
 
-def _pair_head(head, phi, phit, w, n_geo):
-    """Every entry of ``n_geo`` geometry blocks from per-geometry
-    pair-product matrices.
-
-    Rows of ``A_g`` are the orbital features (one-body) or the pair products
-    ``phi_p * phi_q`` (bare) / ``phi_p * phit_q`` (effective), so
-    ``A_g W A_g^T`` predicts every entry of geometry ``g`` at once; the
-    effective head averages it with its pair-swapped copy.  Returns the
-    predictions, shaped ``(n_geo, m, m)`` with ``m = n_orb**body``, and the
-    ``(f, ft, rows, rows_w)`` intermediates of the gradient.
-    """
-    ell = w.shape[0]
-    f = phi.reshape(n_geo, -1, ell)
-    n = f.shape[1]
-    ft = None
-    if head.body == 1:
-        rows = f
-    else:
-        ft = f if head is HeadKind.BARE_TWO else phit.reshape(n_geo, n, ell)
-        rows = (f[:, :, None] * ft[:, None]).reshape(n_geo, n * n, ell)
-    rows_w = rows @ w
-    pred = rows_w @ rows.transpose(0, 2, 1)
-    if head is HeadKind.EFF_TWO:
-        swap = np.arange(n * n).reshape(n, n).T.ravel()
-        pred = 0.5 * (pred + pred[:, swap][:, :, swap])
-    return pred, (f, ft, rows, rows_w)
-
-
 def _feature_grads(head, dw, drows, f, ft):
     """``(dW, dPhi, dPhit)`` from the kernel gradient ``dw`` and the
     gradient ``drows`` of every row of the pair-product matrices, shaped
-    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`_pair_head`."""
+    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`."""
     n_geo, n, ell = f.shape
     dw = 0.5 * (dw + dw.T)
     if head.body == 1:
@@ -298,9 +242,9 @@ def _feature_grads(head, dw, drows, f, ft):
 
 
 def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
-    """Full-batch loss and gradients through :func:`_pair_head`."""
+    """Full-batch loss and gradients through :func:`pair_head`."""
     target, weight = tables
-    pred, (f, ft, rows, rows_w) = _pair_head(head, phi, phit, w, target.shape[0])
+    pred, (f, ft, rows, rows_w) = pair_head(head, phi, phit, w, target.shape[0])
     ell = w.shape[0]
     diff = pred - target
     wdiff = weight * diff
@@ -315,21 +259,21 @@ def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     return (loss, *_feature_grads(head, dw, drows, f, ft))
 
 
-def _row_loss(head, phi, phit, w, samples, sel, with_grads):
-    """Loss and gradients over ``sel`` from the distinct pair rows it touches.
+def _pair_rows(head, phi, phit, samples, sel):
+    """The distinct pair rows the samples of ``sel`` touch.
 
-    Each sample is ``a W b^T`` over two rows of its geometry's pair-product
-    matrix (:func:`_pair_head`); EFF_TWO averages that with the pair-swapped
-    term.  A row is keyed by its flat index in the dense ``(n_geo, m)`` row
-    space, so each distinct row ``R_u`` and ``R_u W`` is computed once.  The
-    residual weights go into one sparse matrix ``S`` over the rows (block
-    diagonal in the geometries; repeated samples add up), and the gradients
-    are the dense form's with ``S`` for ``dpred``: ``dW = R^T S R`` and
-    ``dR = (S + S^T) R W`` (W is exactly symmetric).
+    Each sample is the mean over its terms of ``a W b^T``, with ``a`` and
+    ``b`` two rows of its geometry's pair-product matrix (:func:`pair_head`);
+    EFF_TWO adds the pair-swapped term to the direct one.  A row is keyed by
+    its flat index in the dense ``(n_geo, m)`` row space, so each distinct
+    row is built once.  Returns ``(uniq, ends, rows, f, ft)``: the sorted
+    keys, the positions in ``rows`` of each term's ``(a, b)`` shaped
+    ``(n_terms, 2, sel.size)``, the rows, and the features of
+    :func:`pair_head`.
     """
     n = samples.n_orb
-    ell = w.shape[0]
-    base, idx, y = samples.base[sel], samples.idx[sel], samples.y[sel]
+    ell = phi.shape[1]
+    base, idx = samples.base[sel], samples.idx[sel]
     # index columns of the rows (a, b) of each term
     cols = [(0,), (1,)] if head.body == 1 else [(0, 1), (2, 3)]
     if head is HeadKind.EFF_TWO:
@@ -337,7 +281,6 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads):
     digits = n ** np.arange(head.body - 1, -1, -1)
     keys = np.concatenate([base * digits[0] + idx[:, c] @ digits for c in cols])
     uniq, ends = np.unique(keys, return_inverse=True)
-    ends = ends.reshape(len(cols), -1)
     f = phi.reshape(-1, n, ell)
     ft = None
     if head.body == 1:
@@ -347,11 +290,23 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads):
         ft = tilde.reshape(f.shape)
         p, q = np.divmod(uniq, n)
         rows = phi[p] * tilde[p - p % n + q]
+    return uniq, ends.reshape(len(cols) // 2, 2, -1), rows, f, ft
+
+
+def _row_loss(head, phi, phit, w, samples, sel, with_grads):
+    """Loss and gradients over ``sel`` from the distinct pair rows it touches
+    (:func:`_pair_rows`), computing each ``R_u W`` once.
+
+    The residual weights go into one sparse matrix ``S`` over the rows
+    (block diagonal in the geometries; repeated samples add up), and the
+    gradients are the dense form's with ``S`` for ``dpred``:
+    ``dW = R^T S R`` and ``dR = (S + S^T) R W`` (W is exactly symmetric).
+    """
+    uniq, ends, rows, f, ft = _pair_rows(head, phi, phit, samples, sel)
+    y = samples.y[sel]
     rows_w = rows @ w
-    half = 0.5 if head is HeadKind.EFF_TWO else 1.0
-    pred = half * sum(
-        np.einsum("ij,ij->i", rows_w[a], rows[b]) for a, b in zip(ends[::2], ends[1::2])
-    )
+    half = 1.0 / len(ends)
+    pred = half * sum(np.einsum("ij,ij->i", rows_w[a], rows[b]) for a, b in ends)
     resid = pred - y
     inv = 1.0 / y.size
     loss = float(resid @ resid) * inv
@@ -359,10 +314,11 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads):
         return loss, None, None, None
     dv = (2.0 * half * inv) * resid
     s = csr_matrix(
-        (np.tile(dv, len(cols) // 2), (ends[::2].ravel(), ends[1::2].ravel())),
+        (np.tile(dv, len(ends)), (ends[:, 0].ravel(), ends[:, 1].ravel())),
         shape=(uniq.size, uniq.size),
     )
-    drows = np.zeros((f.shape[0] * n ** head.body, ell))
+    n_geo, n, ell = f.shape
+    drows = np.zeros((n_geo * n ** head.body, ell))
     drows[uniq] = (s + s.T) @ rows_w
     return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft))
 
@@ -403,24 +359,19 @@ def _calibrated_kernel(head, net, samples, ell, seed) -> np.ndarray:
     ``c`` scales the initial predictions by ``c``.  Choose ``c`` so the
     initial prediction RMS is ``KERNEL_INIT_FRACTION`` of the target RMS,
     which keeps the start of training independent of the units of the
-    planted data.  ``mean(pred**2)`` comes out of three loss evaluations:
-    ``L(w) = mean((pred - y)**2)`` gives
-    ``mean(pred**2) = (L(+w) + L(-w)) / 2 - L(0)``.
+    planted data.  ``mean(pred**2)`` is the loss against zero targets; it
+    is not taken as a difference of losses, which would cancel most of its
+    digits when the random predictions are small against the targets.
     """
     w1 = KernelMatrix.random(ell, scale=1.0, seed=seed).matrix.copy()
-    phi = net.forward(samples.x_all)
+    unlabelled = replace(samples, y=np.zeros_like(samples.y))
     sel = np.arange(samples.y.size)
-
-    def loss_at(mat):
-        loss, *_ = _batch_loss(head, phi, None, mat, samples, sel, False)
-        return loss
-
-    loss_zero = loss_at(np.zeros_like(w1))
-    mean_pred_sq = 0.5 * (loss_at(w1) + loss_at(-w1)) - loss_zero
-    if loss_zero <= 0.0 or mean_pred_sq <= 0.0:
+    phi = net.forward(samples.x_all)
+    mean_pred_sq, *_ = _batch_loss(head, phi, None, w1, unlabelled, sel, False)
+    mean_y_sq = float(np.mean(np.square(samples.y)))
+    if mean_y_sq <= 0.0 or mean_pred_sq <= 0.0:
         return 0.2 * w1
-    scale = KERNEL_INIT_FRACTION * math.sqrt(loss_zero / mean_pred_sq)
-    return scale * w1
+    return KERNEL_INIT_FRACTION * math.sqrt(mean_y_sq / mean_pred_sq) * w1
 
 
 #: size guard for the exact kernel solve (entries of the design matrix)
@@ -445,36 +396,41 @@ def _solve_kernel(head, nets, samples, w_base) -> np.ndarray:
     accumulates while the features are still drifting, and (b) when
     fine-tuning keeps the kernel as close as possible to its transferred
     initialization.  Only components the data constrains are changed.
+
+    Each sample predicts ``sum_ij D_ij W_ij`` with ``D`` the mean over its
+    terms (:func:`_pair_rows`) of ``(a b^T + b a^T) / 2``.  The design holds
+    one row per sample and the ``ell(ell+1)/2`` upper-triangle entries of
+    ``D`` as columns, those off the diagonal scaled by ``sqrt(2)``.  That
+    packing maps symmetric kernels isometrically (Frobenius norm) onto the
+    columns, so the singular values, the cutoff and the minimum-norm kernel
+    are those of the dense ``ell**2`` design, at half the unknowns.
     """
     ell = w_base.shape[0]
     n = samples.y.size
-    if n * ell * ell > _POLISH_LIMIT:
+    iu, ju = np.triu_indices(ell)
+    if n * iu.size > _POLISH_LIMIT:
         raise ValueError(
-            f"kernel_polish needs n_samples * ell**2 <= {_POLISH_LIMIT:g}; "
-            f"got {n} * {ell}**2"
+            f"kernel_polish needs n_samples * ell(ell+1)/2 <= {_POLISH_LIMIT:g}; "
+            f"got {n} * {iu.size}"
         )
     phi = nets[0].forward(samples.x_all)
     phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
-    base, idx = samples.base, samples.idx
-    if head.body == 1:
-        design = np.einsum(
-            "ki,kj->kij", phi[base + idx[:, 0]], phi[base + idx[:, 1]]
-        )
-    else:
-        p, q, r, s = (base + idx[:, k] for k in range(4))
-        if head is HeadKind.BARE_TWO:
-            design = np.einsum("ki,kj->kij", phi[p] * phi[q], phi[r] * phi[s])
-        else:
-            design = 0.5 * (
-                np.einsum("ki,kj->kij", phi[p] * phit[q], phi[r] * phit[s])
-                + np.einsum("ki,kj->kij", phi[q] * phit[p], phi[s] * phit[r])
-            )
-    design = 0.5 * (design + design.transpose(0, 2, 1))
-    design = design.reshape(n, ell * ell)
-    resid = samples.y - design @ w_base.ravel()
+    _, ends, rows, *_ = _pair_rows(head, phi, phit, samples, np.arange(n))
+    design = np.zeros((n, iu.size))
+    for a, b in ends:
+        ra, rb = rows[a], rows[b]
+        # kernel row i fills the columns (i, i..ell-1), from its diagonal on
+        for i, start in enumerate(np.flatnonzero(iu == ju)):
+            seg = design[:, start : start + ell - i]
+            seg += ra[:, i, None] * rb[:, i:]
+            seg += rb[:, i, None] * ra[:, i:]
+    root2 = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    design *= root2 / (2 * len(ends))
+    resid = samples.y - design @ (w_base[iu, ju] * root2)
     delta, *_ = np.linalg.lstsq(design, resid, rcond=_POLISH_RCOND)
-    w = w_base + delta.reshape(ell, ell)
-    return 0.5 * (w + w.T)
+    step = np.zeros_like(w_base)
+    step[iu, ju] = step[ju, iu] = delta / root2
+    return w_base + step
 
 
 def _full_loss(head, nets, w, samples) -> float:
@@ -558,7 +514,7 @@ def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[Ge
     kind = model.head.kind
     matched, _ = _match_geometries(train_geometries, series.geometries(kind))
     train_set = set(matched)
-    table = _entry_table(kind, model.head.body, model.n_orb)
+    table = entry_table(kind, model.head.body, model.n_orb)
     out = []
     for g in series.geometries(kind):
         tset = series.get(g, kind)
@@ -580,7 +536,7 @@ def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[Ge
 
 def train_bare(
     series: GeometrySeries, cfg: TrainConfig, holdout=()
-) -> tuple[BareInteractionModel, FitReport]:
+) -> tuple[InteractionModel, FitReport]:
     """Stage 1: fit network and kernel to the bare tensors.
 
     All bare geometries in ``series`` are used for training except those
@@ -615,9 +571,9 @@ def train_bare(
         final = _full_loss(cfg.stage, [net], w, samples)
     sq = scale * scale
 
-    model = BareInteractionModel(
+    model = InteractionModel(
         head=cfg.stage,
-        net=net,
+        nets=(net,),
         kernel=KernelMatrix(scale * w, symmetrize=True),
         geometry_range=geometry_range,
         system=series.system,
@@ -634,10 +590,10 @@ def train_bare(
 
 def finetune_effective(
     series: GeometrySeries,
-    bare_model: BareInteractionModel,
+    bare_model: InteractionModel,
     cfg: TrainConfig,
     refs=None,
-) -> tuple[EffectiveInteractionModel, FitReport]:
+) -> tuple[InteractionModel, FitReport]:
     """Stage 2: fine-tune on effective tensors at reference geometries.
 
     The network parameters are copied from the stage-1 model (twice for
@@ -648,6 +604,10 @@ def finetune_effective(
     """
     if cfg.stage not in (HeadKind.EFF_ONE, HeadKind.EFF_TWO):
         raise ValueError(f"finetune_effective needs an effective stage, got {cfg.stage.name}")
+    if bare_model.head.kind is not Kind.BARE:
+        raise ValueError(
+            f"finetune_effective starts from a stage-1 (bare) model, got head {bare_model.head.name}"
+        )
     if cfg.stage.body != bare_model.head.body:
         raise ValueError("stage-1 and stage-2 body ranks disagree")
     start = time.perf_counter()
@@ -660,15 +620,10 @@ def finetune_effective(
     if not refs:
         raise ValueError("need at least one reference geometry")
 
-    net = bare_model.net.copy()
-    nets = [net]
-    net_tilde = None
-    if cfg.stage is HeadKind.EFF_TWO:
-        net_tilde = bare_model.net.copy()
-        nets.append(net_tilde)
+    nets = [bare_model.nets[0].copy() for _ in range(cfg.stage.n_nets)]
     samples = _collect_samples(
         series, Kind.EFFECTIVE, sorted(refs), cfg.stage.body,
-        net, bare_model.geometry_range,
+        nets[0], bare_model.geometry_range,
     )
     scale = _target_scale(samples.y)
     samples.y = samples.y / scale
@@ -680,10 +635,9 @@ def finetune_effective(
         final = _full_loss(cfg.stage, nets, w, samples)
     sq = scale * scale
 
-    model = EffectiveInteractionModel(
+    model = InteractionModel(
         head=cfg.stage,
-        net=net,
-        net_tilde=net_tilde,
+        nets=nets,
         kernel=KernelMatrix(scale * w, symmetrize=True),
         geometry_range=bare_model.geometry_range,
         system=series.system,
@@ -731,20 +685,10 @@ def load_model(directory: str | os.PathLike):
         meta = json.load(fh)
     if meta.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {meta.get('format')!r}")
-    head = HeadKind[meta["head"]]
-    nets = [load_net(os.path.join(directory, f))[0] for f in meta["nets"]]
-    kernel = KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"]))[0])
-    geometry_range = tuple(meta["geometry_range"])
-    if head in (HeadKind.BARE_ONE, HeadKind.BARE_TWO):
-        return BareInteractionModel(
-            head=head, net=nets[0], kernel=kernel,
-            geometry_range=geometry_range, system=meta.get("system", ""),
-        )
-    return EffectiveInteractionModel(
-        head=head,
-        net=nets[0],
-        net_tilde=nets[1] if len(nets) > 1 else None,
-        kernel=kernel,
-        geometry_range=geometry_range,
+    return InteractionModel(
+        head=HeadKind[meta["head"]],
+        nets=[load_net(os.path.join(directory, f))[0] for f in meta["nets"]],
+        kernel=KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"]))[0]),
+        geometry_range=tuple(meta["geometry_range"]),
         system=meta.get("system", ""),
     )

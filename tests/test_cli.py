@@ -157,6 +157,14 @@ def test_refs_off_grid_fail(work, tmp_path, capsys):
     assert "9.5" in capsys.readouterr().err
 
 
+def test_finetune_rejects_stage2_model(work, tmp_path, capsys):
+    code = main(["finetune", "--system", "desk",
+                 "--model", str(work["run"] / "stage2" / "model"),
+                 "--data", str(work["data"]), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "EFF_TWO" in capsys.readouterr().err
+
+
 def test_suzuki_rdim_validation(tmp_path, capsys):
     code = main(["suzuki-verify", "--dim", "4", "--rdim", "4",
                  "--out", str(tmp_path / "x")])

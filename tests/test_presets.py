@@ -7,6 +7,8 @@ import pytest
 from tanfold.heads import HeadKind
 from tanfold.presets import (
     DESK_REFS,
+    DESK_STAGE1,
+    DESK_STAGE2,
     PLANT_PRESETS,
     PROFILES,
     SYSTEMS,
@@ -83,6 +85,24 @@ def test_training_config_desk_profile_and_overrides():
 def test_training_config_rejects_unknown_profile():
     with pytest.raises(ValueError, match="profile"):
         training_config("H4", HeadKind.BARE_ONE, profile="pocket")
+
+
+def test_training_config_resolves_plant_presets():
+    for stage, settings in ((HeadKind.BARE_TWO, DESK_STAGE1), (HeadKind.EFF_ONE, DESK_STAGE2)):
+        cfg = training_config("desk", stage)
+        assert (cfg.ell, cfg.hidden) == (32, (64, 64))  # the desk profile by default
+        assert (cfg.epochs, cfg.batch_size, cfg.base_lr) == (
+            settings.epochs, settings.batch_size, settings.base_lr
+        )
+        assert (cfg.freeze_orbitals, cfg.kernel_polish) == (
+            settings.freeze_orbitals, settings.kernel_polish
+        )
+    assert training_config("default-h4", HeadKind.EFF_TWO, profile="paper").ell == 300
+
+
+def test_training_config_unknown_system_lists_systems_and_plants():
+    with pytest.raises(ValueError, match="H4.*desk"):
+        training_config("XYZ", HeadKind.BARE_TWO)
 
 
 def test_plant_presets_resolve():

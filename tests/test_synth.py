@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tanfold.heads import eval_bare_two
+from tanfold.heads import eval_bare_two, eval_eff_two, eval_one
 from tanfold.synth import (
     GridSpec,
     PlantSpec,
@@ -83,10 +83,39 @@ class TestPlantSeries:
 
         phi = res.coef_phi @ _basis_row(_scaled(spec.geometries, 1.0))
         eff = res.series.get(1.0, Kind.EFFECTIVE).two_body
+        want = np.empty_like(eff)
         for idx in np.ndindex(*eff.shape):
-            p, q, r, s = idx
-            want = eval_bare_two(phi[p], phi[q], phi[r], phi[s], res.w_eff)
-            assert eff[idx] == want
+            want[idx] = eval_bare_two(*(phi[i] for i in idx), res.w_eff)
+        assert np.abs(eff - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_planted_entries_match_scalar_heads(self):
+        # every entry of all four tensors against the scalar reference heads
+        spec = PlantSpec(
+            n_orb=4, ell=24, geometries=(1.0, 1.7, 3.0),
+            rate=2.0e-2, amplitude=1.0e-3, center=12.0, eta=0.05, seed=2,
+        )
+        res = plant_series(spec)
+        from tanfold.synth import _basis_row, _scaled
+
+        for r in spec.geometries:
+            row = _basis_row(_scaled(spec.geometries, r))
+            phi, psi = res.coef_phi @ row, res.coef_psi @ row
+            phit = phi * (1.0 + spec.eta * (res.coef_deform @ row))
+            for kind, m, w in ((Kind.BARE, res.m_bare, res.w_bare),
+                               (Kind.EFFECTIVE, res.m_eff, res.w_eff)):
+                tset = res.series.get(r, kind)
+                want_one = np.empty_like(tset.one_body)
+                for p, q in np.ndindex(*want_one.shape):
+                    want_one[p, q] = eval_one(psi[p], psi[q], m)
+                want_two = np.empty_like(tset.two_body)
+                for idx in np.ndindex(*want_two.shape):
+                    f = [phi[i] for i in idx]
+                    want_two[idx] = (
+                        eval_bare_two(*f, w) if kind is Kind.BARE
+                        else eval_eff_two(*f, *(phit[i] for i in idx), w)
+                    )
+                for got, want in ((tset.one_body, want_one), (tset.two_body, want_two)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_bare_entry_scale_near_target(self):
         res = plant_series(SMALL)
