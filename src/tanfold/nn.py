@@ -36,7 +36,12 @@ CHECKPOINT_VERSION = 1
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """SiLU activation ``x * sigmoid(x)``."""
+    """SiLU activation ``x * sigmoid(x)``.
+
+    :class:`OrbitalNet` computes each layer's sigmoid once and reuses it in
+    :meth:`~OrbitalNet.backward`; this and :func:`silu_prime` are the
+    reference it is tested against.
+    """
     return x * expit(x)
 
 
@@ -60,6 +65,11 @@ class OrbitalNet:
     seed : int
         Seed for the uniform +-sqrt(6/(fan_in+fan_out)) weight init.
         Biases start at zero.
+
+    All parameters live in one contiguous float64 vector, :attr:`flat`
+    (each layer's weight matrix, then its bias); :attr:`weights`,
+    :attr:`biases` and :attr:`params` are views of it, so one optimizer
+    update covers the whole network.
     """
 
     def __init__(self, n_orb: int, output_dim: int, hidden=(200, 200, 200), seed: int = 0):
@@ -70,22 +80,37 @@ class OrbitalNet:
         self.sizes = [self.n_orb + 1, *map(int, hidden), self.output_dim]
         self.seed = int(seed)
         rng = np.random.default_rng(self.seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+        self._bind(np.zeros(sum((a + 1) * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))))
+        for w in self.weights:
+            fan_in, fan_out = w.shape
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
     # -- parameter plumbing ---------------------------------------------------
 
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of ``flat`` shaped like :attr:`params`: each layer's weight
+        matrix, then its bias, back to back in one contiguous vector."""
+        out, start = [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            out.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+            start += fan_in * fan_out
+            out.append(flat[start : start + fan_out])
+            start += fan_out
+        return out
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the parameter vector; weights and biases view it."""
+        self.flat = flat
+        views = self.views(flat)
+        self.weights: list[np.ndarray] = views[0::2]
+        self.biases: list[np.ndarray] = views[1::2]
+
     @property
     def params(self) -> list[np.ndarray]:
-        """Flat list of parameter arrays, alternating weight/bias per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Parameter arrays, alternating weight/bias per layer; views of
+        :attr:`flat`."""
+        return self.views(self.flat)
 
     def copy(self) -> "OrbitalNet":
         other = OrbitalNet.__new__(OrbitalNet)
@@ -93,8 +118,7 @@ class OrbitalNet:
         other.output_dim = self.output_dim
         other.sizes = list(self.sizes)
         other.seed = self.seed
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other._bind(self.flat.copy())
         return other
 
     # -- evaluation -----------------------------------------------------------
@@ -115,48 +139,59 @@ class OrbitalNet:
 
         ``x`` has shape ``(batch, n_orb + 1)``.  With ``with_cache=True``
         returns ``(y, cache)`` where the cache holds what :meth:`backward`
-        needs.
+        needs: every layer's input and each hidden layer's pre-activation
+        ``z`` and sigmoid ``expit(z)``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with {self.sizes[0]} features")
         activations = [x]
-        pre = []
+        pre, sig = [], []
         a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
+            z = a @ w
+            z += b
             if i < last:
+                s = expit(z)
+                a = z * s  # silu(z)
                 pre.append(z)
-                a = silu(z)
+                sig.append(s)
                 activations.append(a)
             else:
                 a = z
         if with_cache:
-            return a, (activations, pre)
+            return a, (activations, pre, sig)
         return a
 
     def predict(self, orbital: int, r_norm: float) -> np.ndarray:
         """Latent vector of a single orbital at a single scaled geometry."""
         return self.forward(self.embed([orbital], [r_norm]))[0]
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, out: np.ndarray | None = None):
         """Gradients of ``sum(grad_out * forward(x))`` w.r.t. parameters.
 
         Returns ``(grads, grad_x)`` with ``grads`` ordered like
-        :attr:`params`.
+        :attr:`params`: views of ``out`` (a vector shaped like :attr:`flat`,
+        allocated when None), which receives the whole gradient.
         """
-        activations, pre = cache
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
+        activations, pre, sig = cache
+        if out is None:
+            out = np.empty_like(self.flat)
+        grads = self.views(out)
         delta = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = activations[i]
-            grads[2 * i] = a_prev.T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            np.matmul(activations[i].T, delta, out=grads[2 * i])
+            np.sum(delta, axis=0, out=grads[2 * i + 1])
+            delta = delta @ self.weights[i].T
             if i > 0:
-                delta = (delta @ self.weights[i].T) * silu_prime(pre[i - 1])
-            else:
-                delta = delta @ self.weights[i].T
+                # silu'(z) = s (1 + z (1 - s)) from the cached s = expit(z)
+                s = sig[i - 1]
+                d = 1.0 - s
+                d *= pre[i - 1]
+                d += 1.0
+                d *= s
+                delta *= d
         return grads, delta
 
 
@@ -206,15 +241,26 @@ def adam_step(params, grads, state: AdamState) -> float:
             raise FloatingPointError("non-finite gradient in adam_step")
     state.t += 1
     lr = cosine_lr(state.base_lr, state.t, state.total_steps)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), spelled out in place with
+    # the same operations in the same order, so every value is unchanged
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        u = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += u
+        np.square(g, out=u)
+        u *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += u
+        den = np.divide(v, bc2)
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(m, bc1, out=u)
+        u *= lr
+        u /= den
+        p -= u
     return lr
 
 
@@ -251,9 +297,12 @@ def load_net(path) -> tuple[OrbitalNet, int]:
         _check_header(data, "orbital-net", path)
         sizes = data["sizes"].tolist()
         net = OrbitalNet(sizes[0] - 1, sizes[-1], hidden=sizes[1:-1], seed=int(data["seed"]))
-        for i in range(len(net.weights)):
-            net.weights[i] = data[f"w{i}"].copy()
-            net.biases[i] = data[f"b{i}"].copy()
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            for key, view in ((f"w{i}", w), (f"b{i}", b)):
+                stored = data[key]
+                if stored.shape != view.shape:
+                    raise ValueError(f"{path}: {key} has shape {stored.shape}, expected {view.shape}")
+                view[...] = stored
         return net, int(data["step"])
 
 

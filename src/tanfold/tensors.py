@@ -39,7 +39,6 @@ __all__ = [
     "orbit_table",
     "two_body_representatives",
     "one_body_representatives",
-    "orbit_size",
     "nonsymmetric_unit",
     "one_body_unit",
     "load_fcidump",
@@ -139,11 +138,6 @@ def canonical_index(
             if not 0 <= i < n_orb:
                 raise IndexError(f"orbital index {i} out of range for n_orb={n_orb}")
     return orbit(idx, symmetry)[0]
-
-
-def orbit_size(index: tuple[int, int, int, int], symmetry: Symmetry) -> int:
-    """Number of distinct tuples in the orbit of ``index``."""
-    return len(orbit(index, symmetry))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,10 +506,12 @@ def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
         f"# n_orb: {tset.n_orb}",
         f"# scalar_term: {_fmt(tset.scalar_term)}",
     ]
-    for (p, q), v in one_body_unit(tset):
-        lines.append(f"{_fmt(v)} {p + 1} {q + 1} 0 0")
-    for (p, q, r, s), v in nonsymmetric_unit(tset):
-        lines.append(f"{_fmt(v)} {p + 1} {q + 1} {r + 1} {s + 1}")
+    one = orbit_table(tset.n_orb, None)
+    for (p, q), v in zip((one.reps + 1).tolist(), tset.one_body.ravel()[one.rep_flat].tolist()):
+        lines.append(f"{v:.17g} {p} {q} 0 0")
+    two = orbit_table(tset.n_orb, tset.symmetry)
+    for (p, q, r, s), v in zip((two.reps + 1).tolist(), tset.two_body.ravel()[two.rep_flat].tolist()):
+        lines.append(f"{v:.17g} {p} {q} {r} {s}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

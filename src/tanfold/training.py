@@ -161,8 +161,6 @@ class _Samples:
     idx: np.ndarray      # (N, 2) or (N, 4) orbital indices
     y: np.ndarray        # (N,) target entries
     n_orb: int
-    # (head, copies of base/idx/y, tables) of the last _dense_targets call
-    _dense: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _collect_samples(series, kind, geometries, body, net, geometry_range):
@@ -210,27 +208,15 @@ def _orbit_tables(head, samples):
     )
 
 
-def _dense_targets(head, samples):
-    """:func:`_orbit_tables`, rebuilt only when the samples have changed
-    (training rescales ``samples.y`` after collecting it)."""
-    arrays = (samples.base, samples.idx, samples.y)
-    cached = samples._dense
-    if (
-        cached is None
-        or cached[0] is not head
-        or not all(np.array_equal(a, b) for a, b in zip(cached[1], arrays))
-    ):
-        cached = (head, tuple(a.copy() for a in arrays), _orbit_tables(head, samples))
-        samples._dense = cached
-    return cached[2]
-
-
 def _feature_grads(head, dw, drows, f, ft):
     """``(dW, dPhi, dPhit)`` from the kernel gradient ``dw`` and the
     gradient ``drows`` of every row of the pair-product matrices, shaped
-    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`."""
+    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`.
+    ``drows`` None (frozen features) gives ``(dW, None, None)``."""
     n_geo, n, ell = f.shape
     dw = 0.5 * (dw + dw.T)
+    if drows is None:
+        return dw, None, None
     if head.body == 1:
         return dw, drows.reshape(-1, ell), None
     drows = drows.reshape(n_geo, n, n, ell)
@@ -241,7 +227,7 @@ def _feature_grads(head, dw, drows, f, ft):
     return dw, dphi, dphit
 
 
-def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
+def _dense_loss(head, phi, phit, w, tables, inv, with_grads, kernel_only):
     """Full-batch loss and gradients through :func:`pair_head`."""
     target, weight = tables
     pred, (f, ft, rows, rows_w) = pair_head(head, phi, phit, w, target.shape[0])
@@ -255,7 +241,7 @@ def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     # pair swap, so the swap average passes dpred through unchanged.
     dpred = (2.0 * inv) * wdiff
     dw = rows.reshape(-1, ell).T @ (dpred @ rows).reshape(-1, ell)
-    drows = (dpred + dpred.transpose(0, 2, 1)) @ rows_w
+    drows = None if kernel_only else (dpred + dpred.transpose(0, 2, 1)) @ rows_w
     return (loss, *_feature_grads(head, dw, drows, f, ft))
 
 
@@ -293,7 +279,7 @@ def _pair_rows(head, phi, phit, samples, sel):
     return uniq, ends.reshape(len(cols) // 2, 2, -1), rows, f, ft
 
 
-def _row_loss(head, phi, phit, w, samples, sel, with_grads):
+def _row_loss(head, phi, phit, w, samples, sel, with_grads, kernel_only):
     """Loss and gradients over ``sel`` from the distinct pair rows it touches
     (:func:`_pair_rows`), computing each ``R_u W`` once.
 
@@ -317,26 +303,28 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads):
         (np.tile(dv, len(ends)), (ends[:, 0].ravel(), ends[:, 1].ravel())),
         shape=(uniq.size, uniq.size),
     )
-    n_geo, n, ell = f.shape
-    drows = np.zeros((n_geo * n ** head.body, ell))
-    drows[uniq] = (s + s.T) @ rows_w
+    drows = None
+    if not kernel_only:
+        n_geo, n, ell = f.shape
+        drows = np.zeros((n_geo * n ** head.body, ell))
+        drows[uniq] = (s + s.T) @ rows_w
     return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft))
 
 
-def _batch_loss(head, phi, phit, w, samples, sel, with_grads):
+def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, kernel_only=False):
     """Loss over ``sel`` plus (dW, dPhi, dPhit) when ``with_grads``.
 
-    When ``sel`` covers every sample the loss comes from the dense
-    pair-product form over every entry of every geometry; any other ``sel``
-    builds only the pair rows its samples touch, which is cheaper when the
-    subset is small against the dense blocks.
+    With ``tables`` (:func:`_orbit_tables` of ``samples``, for a ``sel``
+    that covers every sample) the loss comes from the dense pair-product
+    form over every entry of every geometry, whatever the order of ``sel``;
+    otherwise it builds only the pair rows the samples of ``sel`` touch,
+    which is cheaper when the subset is small against the dense blocks.
+    ``kernel_only`` leaves out the feature gradients (dPhi, dPhit are None).
     """
-    n = samples.y.size
-    if sel.size == n and np.bincount(sel, minlength=n).all():
-        tables = _dense_targets(head, samples)
-        if tables is not None:
-            return _dense_loss(head, phi, phit, w, tables, 1.0 / n, with_grads)
-    return _row_loss(head, phi, phit, w, samples, sel, with_grads)
+    if tables is not None:
+        inv = 1.0 / samples.y.size
+        return _dense_loss(head, phi, phit, w, tables, inv, with_grads, kernel_only)
+    return _row_loss(head, phi, phit, w, samples, sel, with_grads, kernel_only)
 
 
 def _target_scale(y: np.ndarray) -> float:
@@ -367,7 +355,9 @@ def _calibrated_kernel(head, net, samples, ell, seed) -> np.ndarray:
     unlabelled = replace(samples, y=np.zeros_like(samples.y))
     sel = np.arange(samples.y.size)
     phi = net.forward(samples.x_all)
-    mean_pred_sq, *_ = _batch_loss(head, phi, None, w1, unlabelled, sel, False)
+    mean_pred_sq, *_ = _batch_loss(
+        head, phi, None, w1, unlabelled, sel, False, tables=_orbit_tables(head, unlabelled)
+    )
     mean_y_sq = float(np.mean(np.square(samples.y)))
     if mean_y_sq <= 0.0 or mean_pred_sq <= 0.0:
         return 0.2 * w1
@@ -437,45 +427,54 @@ def _full_loss(head, nets, w, samples) -> float:
     phi = nets[0].forward(samples.x_all)
     phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
     sel = np.arange(samples.y.size)
-    loss, *_ = _batch_loss(head, phi, phit, w, samples, sel, with_grads=False)
+    loss, *_ = _batch_loss(
+        head, phi, phit, w, samples, sel, False, tables=_orbit_tables(head, samples)
+    )
     return loss
 
 
 def _train_loop(head, nets, w, samples, cfg) -> tuple[float, float]:
-    """Adam/cosine minimization; mutates ``nets`` and ``w`` in place."""
+    """Adam/cosine minimization; mutates ``nets`` and ``w`` in place.
+
+    What is the same at every step is settled once, before the first: when
+    one batch holds every sample, the dense tables are built once and no
+    permutation is drawn (the dense loss does not depend on the order, and
+    the generator serves nothing else); frozen networks are evaluated once
+    and only the kernel gradient is formed.
+    """
     n = samples.y.size
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
+    frozen = cfg.freeze_orbitals
 
-    params = [] if cfg.freeze_orbitals else [p for net in nets for p in net.params]
-    params = params + [w]
+    net_grads = [] if frozen else [np.empty_like(net.flat) for net in nets]
+    params = [net.flat for net in nets if not frozen] + [w]
     state = AdamState.for_params(params, cfg.base_lr, total_steps)
+    tables = _orbit_tables(head, samples) if steps_per_epoch == 1 else None
     rng = np.random.default_rng(cfg.seed)
+    every = np.arange(n)
+    feats = [net.forward(samples.x_all) for net in nets] if frozen else None
 
     initial = _full_loss(head, nets, w, samples)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = every if tables is not None else rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
-            phi = caches[0][0]
-            phit = caches[1][0] if len(caches) > 1 else None
+            if not frozen:
+                caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
+                feats = [c[0] for c in caches]
             loss, dw, dphi, dphit = _batch_loss(
-                head, phi, phit, w, samples, sel, with_grads=True
+                head, feats[0], feats[1] if len(feats) > 1 else None, w, samples, sel, True,
+                tables=tables, kernel_only=frozen,
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, step {state.t}"
                 )
-            if cfg.freeze_orbitals:
-                grads = [dw]
-            else:
-                grads = []
-                for net, cache, dout in zip(nets, caches, (dphi, dphit)):
-                    net_grads, _ = net.backward(cache[1], dout)
-                    grads.extend(net_grads)
-                grads.append(dw)
-            adam_step(params, grads, state)
+            if not frozen:
+                for net, cache, dout, out in zip(nets, caches, (dphi, dphit), net_grads):
+                    net.backward(cache[1], dout, out)
+            adam_step(params, net_grads + [dw], state)
     return initial, _full_loss(head, nets, w, samples)
 
 

@@ -44,6 +44,7 @@ from tanfold.tensors import (
 from tanfold.training import (
     TrainConfig,
     _batch_loss,
+    _orbit_tables,
     _Samples,
     finetune_effective,
     train_bare,
@@ -121,11 +122,13 @@ def _check_head_gradients(head, rng):
     phit = 0.7 * rng.standard_normal((n_geo * n_orb, ell))
     m = rng.standard_normal((ell, ell))
     w = 0.3 * (m + m.T)
+    # every sample, with the dense tables: the trainer's full-batch form
     sel = np.arange(samples.y.size)
-    _, dw, dphi, dphit = _batch_loss(head, phi, phit, w, samples, sel, True)
+    tables = _orbit_tables(head, samples)
+    _, dw, dphi, dphit = _batch_loss(head, phi, phit, w, samples, sel, True, tables=tables)
 
     def loss():
-        value, *_ = _batch_loss(head, phi, phit, w, samples, sel, False)
+        value, *_ = _batch_loss(head, phi, phit, w, samples, sel, False, tables=tables)
         return value
 
     worst, checked = 0.0, 0

@@ -30,7 +30,6 @@ def rel_err(a, b, floor=1e-8):
 class TestActivations:
     def test_silu_values(self):
         x = np.array([-2.0, 0.0, 0.5, 3.0])
-        expected = x / (1.0 + np.exp(-x)) * (1.0 + np.exp(-x)) * 0  # placeholder
         expected = x * (1.0 / (1.0 + np.exp(-x)))
         np.testing.assert_allclose(silu(x), expected, rtol=1e-15)
 
@@ -116,6 +115,164 @@ class TestOrbitalNet:
             down = float((net.forward(xp) * grad_out).sum())
             fd = (up - down) / (2 * h)
             assert rel_err(grad_x[b, -1], fd) < 1e-6
+
+
+def reference_forward_backward(net, x, grad_out):
+    """Forward and backward written with ``silu``/``silu_prime``, each
+    gradient its own array."""
+    activations, pre = [x], []
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        if i < last:
+            pre.append(z)
+            a = silu(z)
+            activations.append(a)
+        else:
+            a = z
+    grads = [None] * (2 * len(net.weights))
+    delta = grad_out
+    for i in range(last, -1, -1):
+        grads[2 * i] = activations[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta = delta * silu_prime(pre[i - 1])
+    return a, grads, delta
+
+
+class TestCachedSigmoid:
+    # desk shape (61 geometries x 4 orbitals, hidden 64x64, ell 32) and the
+    # data-hf shape (6 geometries x 8 orbitals, hidden 200x3, ell 300)
+    @pytest.mark.parametrize(
+        "n_orb, rows, hidden, ell",
+        [(4, 244, (64, 64), 32), (8, 48, (200, 200, 200), 300)],
+        ids=["desk", "data-hf"],
+    )
+    def test_backward_equals_silu_prime_form_bitwise(self, n_orb, rows, hidden, ell):
+        rng = np.random.default_rng(rows)
+        net = OrbitalNet(n_orb, ell, hidden=hidden, seed=rows)
+        # perturb the zero biases so every layer's bias enters the test
+        net.flat += 0.05 * rng.standard_normal(net.flat.size)
+        x = net.embed(rng.integers(0, n_orb, rows), rng.uniform(0.0, 1.0, rows))
+        grad_out = rng.standard_normal((rows, ell))
+        y_ref, grads_ref, gx_ref = reference_forward_backward(net, x, grad_out)
+        y, cache = net.forward(x, with_cache=True)
+        grads, gx = net.backward(cache, grad_out)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(gx, gx_ref)
+        assert len(grads) == len(grads_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
+        # the same gradient, written into a caller's flat vector
+        out = np.full(net.flat.size, np.nan)
+        grads_out, _ = net.backward(cache, grad_out, out)
+        assert np.array_equal(out, np.concatenate([g.ravel() for g in grads_ref]))
+        assert all(np.shares_memory(g, out) for g in grads_out)
+
+
+class TestFlatParameters:
+    def test_params_are_views_of_one_vector(self):
+        net = OrbitalNet(3, 5, hidden=(7, 6), seed=4)
+        assert net.flat.ndim == 1 and net.flat.flags.c_contiguous
+        assert net.flat.size == sum(p.size for p in net.params)
+        assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.params]))
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.weights[0][0, 0] == 0.0 and net.biases[-1][-1] == net.flat.size - 1
+
+    def test_copy_has_its_own_buffer(self):
+        net = OrbitalNet(3, 5, hidden=(7,), seed=4)
+        twin = net.copy()
+        assert np.array_equal(twin.flat, net.flat)
+        assert not np.shares_memory(twin.flat, net.flat)
+        before = net.flat.copy()
+        twin.weights[0][...] += 1.0
+        twin.biases[1][...] -= 1.0
+        assert np.array_equal(net.flat, before)
+        assert all(np.shares_memory(p, twin.flat) for p in twin.params)
+
+    def test_loaded_nets_have_their_own_buffers(self, tmp_path):
+        net = OrbitalNet(3, 5, hidden=(7, 6), seed=4)
+        net.flat += 0.1
+        path = tmp_path / "net.npz"
+        save_net(path, net)
+        a, _ = load_net(path)
+        b, _ = load_net(path)
+        assert np.array_equal(a.flat, net.flat)
+        assert all(np.shares_memory(p, a.flat) for p in a.params)
+        a.flat[:] = 0.0
+        assert np.array_equal(b.flat, net.flat)
+
+    def test_load_rejects_wrong_layer_shape(self, tmp_path):
+        net = OrbitalNet(2, 4, hidden=(4,), seed=0)
+        path = tmp_path / "net.npz"
+        save_net(path, net)
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["w1"] = payload["w1"][:1]
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="w1"):
+            load_net(path)
+
+
+def reference_adam(params, grads, m, v, t, state):
+    """The Adam recursion one array at a time, as textbook expressions."""
+    lr = cosine_lr(state.base_lr, t, state.total_steps)
+    b1, b2 = state.beta1, state.beta2
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * np.square(g)
+        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + state.eps)
+
+
+class TestFlatAdam:
+    @staticmethod
+    def nets_and_kernel():
+        nets = [OrbitalNet(4, 8, hidden=(16, 12), seed=s) for s in (1, 2)]
+        w = np.random.default_rng(3).standard_normal((8, 8))
+        return nets, w + w.T
+
+    def test_flat_update_equals_per_array_recursion_bitwise(self):
+        nets, w = self.nets_and_kernel()
+        ref_nets, ref_w = [net.copy() for net in nets], w.copy()
+        params = [net.flat for net in nets] + [w]
+        state = AdamState.for_params(params, base_lr=0.01, total_steps=7)
+        ref_params = [p for net in ref_nets for p in net.params] + [ref_w]
+        ref_m = [np.zeros_like(p) for p in ref_params]
+        ref_v = [np.zeros_like(p) for p in ref_params]
+        rng = np.random.default_rng(4)
+        for t in range(1, 6):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2) for p in params]
+            ref_grads = [g for net, flat in zip(nets, grads) for g in net.views(flat)] + [grads[-1]]
+            adam_step(params, grads, state)
+            reference_adam(ref_params, ref_grads, ref_m, ref_v, t, state)
+            assert state.t == t
+            for net, ref in zip(nets, ref_nets):
+                assert np.array_equal(net.flat, ref.flat)
+            assert np.array_equal(w, ref_w)
+            flat_m = [m for net, mm in zip(nets, state.m) for m in net.views(mm)] + [state.m[-1]]
+            assert all(np.array_equal(a, b) for a, b in zip(flat_m, ref_m))
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_finite_gradient_leaves_everything_untouched(self, bad):
+        nets, w = self.nets_and_kernel()
+        params = [net.flat for net in nets] + [w]
+        state = AdamState.for_params(params, base_lr=0.01, total_steps=10)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            adam_step(params, [rng.standard_normal(p.shape) for p in params], state)
+        snapshot = [a.copy() for a in (*params, *state.m, *state.v)]
+        grads = [rng.standard_normal(p.shape) for p in params]
+        grads[bad].flat[grads[bad].size // 2] = np.nan
+        with pytest.raises(FloatingPointError):
+            adam_step(params, grads, state)
+        assert state.t == 2
+        for a, b in zip((*params, *state.m, *state.v), snapshot):
+            assert np.array_equal(a, b)
 
 
 class TestAdam:

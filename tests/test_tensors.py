@@ -9,6 +9,7 @@ import pytest
 
 from tanfold.tensors import (
     DUPLICATE_TOL,
+    FORMAT_TAG,
     SYMMETRY_TOL,
     GeometrySeries,
     Kind,
@@ -387,6 +388,41 @@ class TestCanonicalFormat:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(TensorFormatError):
             load_canonical(path)
+
+    @staticmethod
+    def unit_writer(path, tset):
+        """The canonical writer spelled out over one_body_unit and
+        nonsymmetric_unit, as FORMATS.md describes the file."""
+        fmt = lambda v: format(v, ".17g")  # noqa: E731
+        lines = [
+            f"# {FORMAT_TAG}",
+            f"# system: {tset.system}",
+            f"# geometry: {fmt(tset.geometry)}",
+            f"# kind: {tset.kind.value}",
+            f"# n_orb: {tset.n_orb}",
+            f"# scalar_term: {fmt(tset.scalar_term)}",
+        ]
+        for (p, q), v in one_body_unit(tset):
+            lines.append(f"{fmt(v)} {p + 1} {q + 1} 0 0")
+        for (p, q, r, s), v in nonsymmetric_unit(tset):
+            lines.append(f"{fmt(v)} {p + 1} {q + 1} {r + 1} {s + 1}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("n_orb", [4, 8])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_bytes_match_unit_writer(self, kind, n_orb, tmp_path):
+        rng = np.random.default_rng(n_orb)
+        sym = Symmetry.EIGHT_FOLD if kind is Kind.BARE else Symmetry.FOUR_FOLD
+        one, two = random_symmetric_tensors(n_orb, sym, rng)
+        # a spread of magnitudes, exact zeros and integers among the values
+        one *= 1e-300
+        two[two > 1.5] = 0.0
+        two[two < -1.5] = 3.0
+        tset = TensorSet(2.0 / 3.0, kind, n_orb, -rng.normal() * 1e12, one, two, system="s")
+        got, want = tmp_path / "got.tensor", tmp_path / "want.tensor"
+        save_canonical(got, tset)
+        self.unit_writer(want, tset)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(3)

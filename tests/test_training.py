@@ -19,7 +19,7 @@ import pytest
 
 from tanfold import training as tr
 from tanfold.heads import HeadKind, KernelMatrix, eval_bare_two, eval_eff_two, eval_one
-from tanfold.nn import OrbitalNet
+from tanfold.nn import AdamState, OrbitalNet, adam_step
 from tanfold.presets import plant_preset
 from tanfold.synth import PlantSpec, plant_series
 from tanfold.tensors import (
@@ -83,22 +83,28 @@ def _setup_head(head, series):
     return nets, w, samples
 
 
+def _full_or(head, samples, sel):
+    """``sel`` and no dense tables, or (``sel`` None) every sample with the
+    dense tables, as the trainer passes a full batch."""
+    if sel is None:
+        return np.arange(samples.y.size), tr._orbit_tables(head, samples)
+    return sel, None
+
+
 def _loss(head, nets, w, samples, sel=None):
     phi = nets[0].forward(samples.x_all)
     phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
-    if sel is None:
-        sel = np.arange(samples.y.size)
-    return tr._batch_loss(head, phi, phit, w, samples, sel, with_grads=False)[0]
+    sel, tables = _full_or(head, samples, sel)
+    return tr._batch_loss(head, phi, phit, w, samples, sel, False, tables=tables)[0]
 
 
 def _grads(head, nets, w, samples, sel=None):
     caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
     phi = caches[0][0]
     phit = caches[1][0] if len(caches) > 1 else None
-    if sel is None:
-        sel = np.arange(samples.y.size)
+    sel, tables = _full_or(head, samples, sel)
     loss, dw, dphi, dphit = tr._batch_loss(
-        head, phi, phit, w, samples, sel, with_grads=True
+        head, phi, phit, w, samples, sel, True, tables=tables
     )
     net_grads = []
     for net, cache, dout in zip(nets, caches, (dphi, dphit)):
@@ -195,7 +201,8 @@ def test_dense_form_equals_per_sample_form(head, small_series):
     phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
     n = samples.y.size
     order = np.random.default_rng(2).permutation(n)
-    full = tr._batch_loss(head, phi, phit, w, samples, order, True)
+    tables = tr._orbit_tables(head, samples)
+    full = tr._batch_loss(head, phi, phit, w, samples, order, True, tables=tables)
     halves = [
         tr._batch_loss(head, phi, phit, w, samples, sel, True)
         for sel in (order[: n // 2], order[n // 2 :])
@@ -208,6 +215,21 @@ def test_dense_form_equals_per_sample_form(head, small_series):
         combined = sum(c * h[k] for c, h in zip(weights, halves))
         scale = np.abs(value).max()
         assert np.abs(combined - value).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("head", _HEADS)
+def test_kernel_only_gives_the_same_kernel_gradient(head, small_series):
+    # frozen networks take only dW, bit for bit the dW of the full call
+    nets, w, samples = _setup_head(head, small_series)
+    phi = nets[0].forward(samples.x_all)
+    phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
+    subset = np.random.default_rng(6).permutation(samples.y.size)[:20]
+    for sel, tables in (_full_or(head, samples, None), (subset, None)):
+        full = tr._batch_loss(head, phi, phit, w, samples, sel, True, tables=tables)
+        only = tr._batch_loss(head, phi, phit, w, samples, sel, True, tables=tables, kernel_only=True)
+        assert only[0] == full[0]
+        assert np.array_equal(only[1], full[1]) and np.array_equal(only[1], only[1].T)
+        assert only[2:] == (None, None)
 
 
 def _per_sample_reference(head, phi, phit, w, samples, sel):
@@ -497,6 +519,51 @@ def test_freeze_orbitals_only_moves_kernel(small_series):
     )
     for trained, fresh in zip(model.nets[0].params, reference.params):
         assert np.array_equal(trained, fresh)
+
+
+def _frozen_reference(series, bare_model, cfg):
+    """:func:`finetune_effective` with frozen networks at every effective
+    geometry, as a plain loop: the features recomputed and every gradient
+    formed at each step, a permutation drawn every epoch, the dense form
+    chosen whenever a batch holds every sample.  Returns the kernel."""
+    nets = [bare_model.nets[0].copy() for _ in range(cfg.stage.n_nets)]
+    refs = sorted(float(g) for g in series.geometries(Kind.EFFECTIVE))
+    samples = tr._collect_samples(
+        series, Kind.EFFECTIVE, refs, cfg.stage.body, nets[0], bare_model.geometry_range
+    )
+    scale = tr._target_scale(samples.y)
+    samples.y = samples.y / scale
+    w = bare_model.kernel.matrix / scale
+    n = samples.y.size
+    state = AdamState.for_params([w], cfg.base_lr, cfg.epochs * math.ceil(n / cfg.batch_size))
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            feats = [net.forward(samples.x_all, with_cache=True)[0] for net in nets]
+            tables = tr._orbit_tables(cfg.stage, samples) if sel.size == n else None
+            _, dw, _, _ = tr._batch_loss(
+                cfg.stage, feats[0], feats[-1] if len(nets) > 1 else None, w, samples, sel,
+                True, tables=tables,
+            )
+            adam_step([w], [dw], state)
+    return KernelMatrix(scale * w, symmetrize=True).matrix
+
+
+@pytest.mark.parametrize(
+    "stage, batch_size",
+    [(HeadKind.EFF_TWO, 4096), (HeadKind.EFF_TWO, 16), (HeadKind.EFF_ONE, 4096)],
+    ids=["eff-two-full", "eff-two-minibatch", "eff-one-full"],
+)
+def test_frozen_finetune_equals_per_step_reference(stage, batch_size, small_series):
+    bare = HeadKind.BARE_TWO if stage.body == 2 else HeadKind.BARE_ONE
+    bare_model, _ = train_bare(small_series, quick_config(bare, epochs=4))
+    cfg = quick_config(stage, epochs=6, batch_size=batch_size, freeze_orbitals=True)
+    model, _ = finetune_effective(small_series, bare_model, cfg)
+    assert np.array_equal(model.kernel.matrix, _frozen_reference(small_series, bare_model, cfg))
+    for net in model.nets:
+        assert np.array_equal(net.flat, bare_model.nets[0].flat)
 
 
 def test_diverging_run_aborts(small_series):
