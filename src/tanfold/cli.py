@@ -242,18 +242,21 @@ def _cmd_train_bare(args) -> int:
     return _EXIT_OK
 
 
+def _parse_refs(text: str) -> list[float]:
+    """The geometries of a ``--refs`` flag; empty fields are skipped."""
+    try:
+        return [float(r) for r in text.split(",") if r.strip()]
+    except ValueError:
+        raise _UsageError(f"--refs must be comma-separated numbers, got {text!r}")
+
+
 def _cmd_finetune(args) -> int:
     started = time.perf_counter()
     bare_model = load_model(args.model)
     stage = _head_for(bare_model.head.body, Kind.EFFECTIVE)
     cfg = _build_train_config(args, stage)
     series = load_series(args.data)
-    refs = None
-    if args.refs:
-        try:
-            refs = [float(r) for r in args.refs.split(",") if r.strip()]
-        except ValueError:
-            raise _UsageError(f"--refs must be comma-separated numbers, got {args.refs!r}")
+    refs = _parse_refs(args.refs) if args.refs else None
     out = _ensure_out(args.out)
     model, report = finetune_effective(series, bare_model, cfg, refs=refs)
     save_model(model, os.path.join(out, "model"))
@@ -274,7 +277,7 @@ def _cmd_eval(args) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
     series = load_series(args.data)
-    refs = [float(r) for r in args.refs.split(",")] if args.refs else []
+    refs = _parse_refs(args.refs) if args.refs else []
     out = _ensure_out(args.out)
     per_geometry = evaluate_mae(model, series, train_geometries=refs)
     reports.write_mae_csv(os.path.join(out, "mae.csv"), per_geometry)
@@ -329,11 +332,13 @@ def _read_difference_csv(path):
             f_idx = header.index("flagged")
         except ValueError:
             raise _UsageError(f"{path}: expected columns index,bare,eff,...,flagged")
-        for line in fh:
+        for ln, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if parts[f_idx] == "true":
-                continue
-            rows.append((int(parts[i_idx]), float(parts[b_idx]), float(parts[e_idx])))
+            try:
+                if parts[f_idx] != "true":
+                    rows.append((int(parts[i_idx]), float(parts[b_idx]), float(parts[e_idx])))
+            except (IndexError, ValueError):
+                raise _UsageError(f"{path}:{ln}: bad row {line.strip()!r} for columns {','.join(header)}")
     return rows
 
 

@@ -206,8 +206,9 @@ def training_config(
 #: minibatches here, then solves the kernel exactly for the trained
 #: features.  Stage 2 freezes the orbital networks so the spectral
 #: deformation in the data lands in the kernel, where the analysis reads
-#: it; with frozen networks the fine-tune is linear in the kernel and the
-#: exact solve makes the Adam epochs a short refinement.
+#: it.  With frozen networks the fine-tune is linear in the kernel, so the
+#: exact solve from the transferred kernel is the whole stage: no Adam
+#: epoch runs.
 DESK_STAGE1 = StageSettings(
     epochs=60000, batch_size=4096, base_lr=0.005, kernel_polish=True
 )

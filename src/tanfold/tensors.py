@@ -201,12 +201,13 @@ def two_body_representatives(n_orb: int, symmetry: Symmetry) -> list[tuple[int, 
 
 def one_body_representatives(n_orb: int) -> list[tuple[int, int]]:
     """Sorted canonical one-body representatives ``p <= q``."""
-    return [(p, q) for p in range(n_orb) for q in range(p, n_orb)]
+    return list(map(tuple, orbit_table(n_orb, None).reps.tolist()))
 
 
-def _exact_symmetrize_two_body(a: np.ndarray, symmetry: Symmetry, tol: float) -> np.ndarray:
+def _orbit_average(a: np.ndarray, symmetry: Symmetry | None, tol: float) -> np.ndarray:
     """Orbit-average ``a`` so closure under ``symmetry`` holds to the bit.
 
+    ``symmetry`` None averages a one-body matrix over ``(p, q) ~ (q, p)``.
     Every orbit member receives the identical double (the fsum mean of the
     orbit values).  Orbit sizes divide the group order, so they are powers of
     two and re-averaging an already symmetric tensor is exact, which makes
@@ -220,26 +221,16 @@ def _exact_symmetrize_two_body(a: np.ndarray, symmetry: Symmetry, tol: float) ->
     bad = np.flatnonzero(spread > tol)
     if bad.size:
         i = bad[0]
+        what = ("one-body tensor is not symmetric" if symmetry is None
+                else f"two-body tensor violates {symmetry.value} symmetry")
         raise SymmetryViolationError(
-            f"two-body tensor violates {symmetry.value} symmetry at orbit of "
-            f"{_rep(table, i)}: spread {spread[i]:.3e} exceeds {tol:.1e}"
+            f"{what} at orbit of {_rep(table, i)}: spread {spread[i]:.3e} exceeds {tol:.1e}"
         )
     # the fsum mean of equal values is that value, with -0.0 turned to +0.0
     mean = lo + 0.0
     for i in np.flatnonzero(hi != lo):
         mean[i] = math.fsum(flat[np.unique(table.members[i])].tolist()) / table.sizes[i]
     return table.expand(mean)
-
-
-def _exact_symmetrize_one_body(a: np.ndarray, tol: float) -> np.ndarray:
-    spread = np.abs(a - a.T).max()
-    if spread > tol:
-        raise SymmetryViolationError(
-            f"one-body tensor is not symmetric: max |h_pq - h_qp| = {spread:.3e}"
-        )
-    # (x + y)/2 and (y + x)/2 round identically, so the result is exactly
-    # symmetric and already-symmetric input passes through bit for bit.
-    return (a + a.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +267,8 @@ class TensorSet:
                 raise ValueError(f"{name} contains non-finite entries")
         if not np.isfinite(self.scalar_term):
             raise ValueError("scalar_term is not finite")
-        one = _exact_symmetrize_one_body(one, SYMMETRY_TOL)
-        two = _exact_symmetrize_two_body(two, self.symmetry, SYMMETRY_TOL)
+        one = _orbit_average(one, None, SYMMETRY_TOL)
+        two = _orbit_average(two, self.symmetry, SYMMETRY_TOL)
         one.flags.writeable = False
         two.flags.writeable = False
         object.__setattr__(self, "geometry", float(self.geometry))
@@ -359,20 +350,8 @@ class GeometrySeries:
 
 
 # ----------------------------------------------------------------------------
-# FCIDUMP-like reader
+# Body lines, shared by both text formats
 # ----------------------------------------------------------------------------
-
-_NORB_RE = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
-
-
-def _classify_line(p: int, q: int, r: int, s: int) -> str:
-    if p == q == r == s == 0:
-        return "scalar"
-    if p >= 1 and q >= 1 and r == 0 and s == 0:
-        return "one"
-    if p >= 1 and q >= 1 and r >= 1 and s >= 1:
-        return "two"
-    return "bad"
 
 
 def _rep(table: OrbitTable, key: int) -> tuple[int, ...]:
@@ -380,11 +359,81 @@ def _rep(table: OrbitTable, key: int) -> tuple[int, ...]:
     return tuple(table.reps[key].tolist())
 
 
-def _expand_entries(table: OrbitTable, entries: dict[int, float]) -> np.ndarray:
-    """The full array from ``{orbit id: value}``; absent orbits are zero."""
-    values = np.zeros(table.sizes.size)
-    values[list(entries)] = list(entries.values())
-    return table.expand(values)
+def _file_index(table: OrbitTable, key: int) -> str:
+    """Orbit ``key``'s representative as a file writes it: 1-based ``p q r s``."""
+    rep = [i + 1 for i in _rep(table, key)]
+    return " ".join(map(str, rep + [0, 0] * (len(rep) == 2)))
+
+
+def _bad_index(n_orb: int, index: tuple[int, ...]) -> str:
+    for i in index:
+        if i > n_orb:
+            return f"index {i} out of range for n_orb={n_orb}"
+    return "invalid index pattern ({} {} {} {})".format(*index)
+
+
+def _read_body(
+    path, lines: list[str], start: int, tables: tuple[OrbitTable, OrbitTable], scalar: float | None
+) -> tuple[float | None, tuple[dict[int, float], dict[int, float]]]:
+    """Parse the ``value p q r s`` lines ``lines[start:]`` of a tensor file.
+
+    Blank and ``#`` lines are skipped.  Indices are 1-based: ``0 0 0 0`` is
+    the scalar term, ``p q 0 0`` a one-body entry and ``p q r s`` a two-body
+    entry, orbit-reduced through ``tables`` (one-body, two-body).  Values
+    must be finite.  Lines of one orbit, and scalar lines together with the
+    starting ``scalar``, must agree to ``DUPLICATE_TOL``; the first value is
+    kept.  Returns the scalar (None if there is none) and the
+    ``{orbit id: value}`` maps of both ranks.
+    """
+    n = tables[0].orbit_of.shape[0]
+    # one-body, two-body and scalar entries; the scalar is entry 0 of its own
+    entries: tuple[dict[int, float], ...] = ({}, {}, {} if scalar is None else {0: scalar})
+    for ln in range(start, len(lines)):
+        tokens = lines[ln].split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        try:
+            value = float(tokens[0])
+            p, q, r, s = map(int, tokens[1:])
+        except ValueError as exc:
+            why = exc if len(tokens) == 5 else f"expected 'value p q r s', got {lines[ln].strip()!r}"
+            raise TensorFormatError(f"{path}:{ln + 1}: {why}") from exc
+        if not math.isfinite(value):
+            raise TensorFormatError(f"{path}:{ln + 1}: non-finite value {tokens[0]!r}")
+        if 0 < r <= n and 0 < s <= n and 0 < p <= n and 0 < q <= n:
+            body, key = 1, tables[1].orbit_of.item(p - 1, q - 1, r - 1, s - 1)
+        elif r == s == 0 and 0 < p <= n and 0 < q <= n:
+            body, key = 0, tables[0].orbit_of.item(p - 1, q - 1)
+        elif p == q == r == s == 0:
+            body, key = 2, 0
+        else:
+            raise TensorFormatError(f"{path}:{ln + 1}: {_bad_index(n, (p, q, r, s))}")
+        seen = entries[body]
+        if abs(seen.setdefault(key, value) - value) > DUPLICATE_TOL:
+            what = "scalar term" if body == 2 else f"orbit of ({_file_index(tables[body], key)})"
+            raise TensorFormatError(
+                f"{path}:{ln + 1}: conflicting duplicate for the {what}: {seen[key]!r} vs {value!r}"
+            )
+    return entries[2].get(0), entries[:2]
+
+
+def _tensor_set(tables, scalar, entries, **fields) -> TensorSet:
+    """The :class:`TensorSet` of parsed body entries; absent orbits are zero."""
+    arrays = []
+    for table, seen in zip(tables, entries):
+        values = np.zeros(table.sizes.size)
+        values[list(seen)] = list(seen.values())
+        arrays.append(table.expand(values))
+    return TensorSet(
+        scalar_term=0.0 if scalar is None else scalar, one_body=arrays[0], two_body=arrays[1], **fields
+    )
+
+
+# ----------------------------------------------------------------------------
+# FCIDUMP-like reader
+# ----------------------------------------------------------------------------
+
+_NORB_RE = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
 
 
 def load_fcidump(
@@ -400,85 +449,33 @@ def load_fcidump(
     The file is a ``&FCI NORB=...`` header terminated by ``&END`` (or a bare
     ``/``), followed by ``value p q r s`` lines with 1-based indices.
     ``(p q 0 0)`` encodes one-body entries and the all-zero index the scalar
-    term.  Entries are expanded under the symmetry group of ``kind``;
-    duplicate entries of one orbit must agree to ``DUPLICATE_TOL``.
+    term (zero when absent).  Blank and ``#`` lines are skipped and values
+    must be finite.  Entries are expanded under the symmetry group of
+    ``kind``; duplicate entries of one orbit must agree to ``DUPLICATE_TOL``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
 
     n_orb = None
     data_start = None
-    header_seen = False
     for ln, line in enumerate(lines):
         stripped = line.strip()
-        if not stripped:
-            continue
         m = _NORB_RE.search(stripped)
         if m:
             n_orb = int(m.group(1))
-        header_seen = True
         if "&END" in stripped.upper() or stripped == "/":
             data_start = ln + 1
             break
     if n_orb is None or data_start is None:
         raise TensorFormatError(f"{path}: missing FCIDUMP header with NORB and &END terminator")
-    if not header_seen or n_orb < 1:
+    if n_orb < 1:
         raise TensorFormatError(f"{path}: invalid NORB={n_orb}")
     if expected_n_orb is not None and n_orb != expected_n_orb:
         raise TensorFormatError(f"{path}: NORB={n_orb} does not match expected {expected_n_orb}")
 
     tables = (orbit_table(n_orb, None), orbit_table(n_orb, symmetry_for(kind)))
-    scalar = None
-    entries: tuple[dict[int, float], dict[int, float]] = ({}, {})
-
-    def record(body: int, index, value, ln: int) -> None:
-        table, seen = tables[body - 1], entries[body - 1]
-        key = int(table.orbit_of[index])
-        if key in seen and abs(seen[key] - value) > DUPLICATE_TOL:
-            raise TensorFormatError(
-                f"{path}:{ln + 1}: conflicting duplicate for orbit of {_rep(table, key)}: "
-                f"{seen[key]!r} vs {value!r}"
-            )
-        seen.setdefault(key, value)
-
-    for ln in range(data_start, len(lines)):
-        stripped = lines[ln].strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 5:
-            raise TensorFormatError(f"{path}:{ln + 1}: expected 'value p q r s', got {stripped!r}")
-        try:
-            value = float(tokens[0])
-            p, q, r, s = (int(t) for t in tokens[1:])
-        except ValueError as exc:
-            raise TensorFormatError(f"{path}:{ln + 1}: {exc}") from exc
-        if not math.isfinite(value):
-            raise TensorFormatError(f"{path}:{ln + 1}: non-finite value {tokens[0]!r}")
-        shape = _classify_line(p, q, r, s)
-        if shape == "bad":
-            raise TensorFormatError(f"{path}:{ln + 1}: invalid index pattern ({p} {q} {r} {s})")
-        for i in (t for t in (p, q, r, s) if t != 0):
-            if i > n_orb:
-                raise TensorFormatError(f"{path}:{ln + 1}: index {i} out of range for NORB={n_orb}")
-        if shape == "scalar":
-            if scalar is not None and abs(scalar - value) > DUPLICATE_TOL:
-                raise TensorFormatError(f"{path}:{ln + 1}: conflicting duplicate scalar term")
-            scalar = value if scalar is None else scalar
-        elif shape == "one":
-            record(1, (p - 1, q - 1), value, ln)
-        else:
-            record(2, (p - 1, q - 1, r - 1, s - 1), value, ln)
-
-    return TensorSet(
-        geometry=geometry,
-        kind=kind,
-        n_orb=n_orb,
-        scalar_term=0.0 if scalar is None else scalar,
-        one_body=_expand_entries(tables[0], entries[0]),
-        two_body=_expand_entries(tables[1], entries[1]),
-        system=system,
-    )
+    scalar, entries = _read_body(path, lines, data_start, tables, None)
+    return _tensor_set(tables, scalar, entries, geometry=geometry, kind=kind, n_orb=n_orb, system=system)
 
 
 # ----------------------------------------------------------------------------
@@ -517,7 +514,12 @@ def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
 
 
 def load_canonical(path: str | os.PathLike) -> TensorSet:
-    """Read a file written by :func:`save_canonical`."""
+    """Read a file written by :func:`save_canonical`.
+
+    The ``#`` header lines come first; the body follows the rules of
+    :func:`load_fcidump`, with the header's ``scalar_term`` as the scalar a
+    ``0 0 0 0`` line must agree with.  Every orbit must be present.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != f"# {FORMAT_TAG}":
@@ -540,55 +542,22 @@ def load_canonical(path: str | os.PathLike) -> TensorSet:
         kind = Kind(header["kind"])
         n_orb = int(header["n_orb"])
         scalar = float(header["scalar_term"])
+        if n_orb < 1 or not math.isfinite(geometry) or not math.isfinite(scalar):
+            raise ValueError("n_orb must be positive, geometry and scalar_term finite")
     except (KeyError, ValueError) as exc:
         raise TensorFormatError(f"{path}: bad or missing header field ({exc})") from exc
 
     tables = (orbit_table(n_orb, None), orbit_table(n_orb, symmetry_for(kind)))
-    seen: tuple[dict[int, float], dict[int, float]] = ({}, {})
-    for ln in range(body_start, len(lines)):
-        stripped = lines[ln].strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 5:
-            raise TensorFormatError(f"{path}:{ln + 1}: expected 'value p q r s'")
-        try:
-            value = float(tokens[0])
-            p, q, r, s = (int(t) for t in tokens[1:])
-        except ValueError as exc:
-            raise TensorFormatError(f"{path}:{ln + 1}: {exc}") from exc
-        shape = _classify_line(p, q, r, s)
-        if shape == "scalar" or shape == "bad":
-            raise TensorFormatError(f"{path}:{ln + 1}: invalid index pattern ({p} {q} {r} {s})")
-        for i in (t for t in (p, q, r, s) if t != 0):
-            if i > n_orb:
-                raise TensorFormatError(f"{path}:{ln + 1}: index {i} out of range for n_orb={n_orb}")
-        body, index = (1, (p - 1, q - 1)) if shape == "one" else (2, (p - 1, q - 1, r - 1, s - 1))
-        table, entries = tables[body - 1], seen[body - 1]
-        key = int(table.orbit_of[index])
-        if key in entries and abs(entries[key] - value) > DUPLICATE_TOL:
-            name = "one-body entry" if body == 1 else "two-body orbit"
-            raise TensorFormatError(f"{path}:{ln + 1}: conflicting duplicate {name} {_rep(table, key)}")
-        entries.setdefault(key, value)
-
+    scalar, entries = _read_body(path, lines, body_start, tables, scalar)
     # the writer emits every orbit, zeros included
-    for body, table, entries in zip((1, 2), tables, seen):
-        if len(entries) < table.sizes.size:
-            first = next(i for i in range(table.sizes.size) if i not in entries)
-            line = " ".join(str(i + 1) for i in _rep(table, first)) + (" 0 0" if body == 1 else "")
+    for body, table, seen in zip((1, 2), tables, entries):
+        if len(seen) < table.sizes.size:
+            first = next(i for i in range(table.sizes.size) if i not in seen)
             raise TensorFormatError(
-                f"{path}: truncated file, {len(entries)} of {table.sizes.size} {body}-body "
-                f"orbits present; first missing: ({line})"
+                f"{path}: truncated file, {len(seen)} of {table.sizes.size} {body}-body "
+                f"orbits present; first missing: ({_file_index(table, first)})"
             )
-    return TensorSet(
-        geometry=geometry,
-        kind=kind,
-        n_orb=n_orb,
-        scalar_term=scalar,
-        one_body=_expand_entries(tables[0], seen[0]),
-        two_body=_expand_entries(tables[1], seen[1]),
-        system=system,
-    )
+    return _tensor_set(tables, scalar, entries, geometry=geometry, kind=kind, n_orb=n_orb, system=system)
 
 
 def save_series(series: GeometrySeries, directory: str | os.PathLike) -> list[str]:

@@ -628,7 +628,12 @@ def finetune_effective(
     samples.y = samples.y / scale
     w = bare_model.kernel.matrix / scale
     w_start = w.copy()
-    initial, final = _train_loop(cfg.stage, nets, w, samples, cfg)
+    if cfg.freeze_orbitals and cfg.kernel_polish:
+        # the networks take no step and the solve starts from w_start,
+        # whatever Adam does to the kernel: there is nothing to train
+        initial = _full_loss(cfg.stage, nets, w, samples)
+    else:
+        initial, final = _train_loop(cfg.stage, nets, w, samples, cfg)
     if cfg.kernel_polish:
         w = _solve_kernel(cfg.stage, nets, samples, w_start)
         final = _full_loss(cfg.stage, nets, w, samples)

@@ -148,6 +148,18 @@ def test_bad_refs_fail(work, tmp_path, capsys):
     assert "refs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("refs, code", [("1.0,,2.0", 0), ("1.0;2.0", 1)])
+def test_eval_parses_refs_like_finetune(work, tmp_path, capsys, refs, code):
+    out = tmp_path / "eval"
+    assert main(["eval", "--model", str(work["run"] / "stage2" / "model"),
+                 "--data", str(work["data"]), "--refs", refs, "--out", str(out)]) == code
+    if code:
+        assert "--refs must be comma-separated numbers" in capsys.readouterr().err
+    else:
+        splits = [line.rsplit(",", 1)[1] for line in (out / "mae.csv").read_text().splitlines()[1:]]
+        assert splits.count("train") == 2
+
+
 def test_refs_off_grid_fail(work, tmp_path, capsys):
     code = main(["finetune", "--system", "desk",
                  "--model", str(work["run"] / "stage1" / "model"),
@@ -321,6 +333,40 @@ def test_truncated_tensor_file_fails(work, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bare_0002.tensor: truncated" in err
     assert "first missing: (3 3 3 3)" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls[:6] + ["nan" + ls[6][ls[6].index(" "):]] + ls[7:],
+     "bare_0002.tensor:7: non-finite value 'nan'"),
+    (lambda ls: ls + ["1.5 1 1 0 0\n"],
+     "bare_0002.tensor:{end}: conflicting duplicate for the orbit of (1 1 0 0)"),
+    (lambda ls: ls + ["0 1 9 0 0\n"],
+     "bare_0002.tensor:{end}: index 9 out of range for n_orb=3"),
+    (lambda ls: [line.replace("# n_orb: 3", "# n_orb: three") for line in ls],
+     "bare_0002.tensor: bad or missing header field"),
+], ids=["nan", "duplicate", "index", "header"])
+def test_bad_tensor_file_fails(work, tmp_path, capsys, edit, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in work["data"].glob("*.tensor"):
+        lines = path.read_text().splitlines(keepends=True)
+        if path.name == "bare_0002.tensor":
+            lines = edit(lines)
+            end = len(lines)
+        (data / path.name).write_text("".join(lines))
+    code = main(["train-bare", "--system", "desk", "--body", "2",
+                 "--data", str(data), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert message.format(end=end) in capsys.readouterr().err
+
+
+def test_fit_tan_short_row_fails(tmp_path, capsys):
+    table = tmp_path / "eigen_differences.csv"
+    table.write_text("index,bare,eff,diff,rel_diff,flagged\n"
+                     "0,1.5,1.25,-0.25,-0.1666,false\n"
+                     "1,0.5\n")
+    assert main(["fit-tan", "--table", str(table), "--out", str(tmp_path / "fit")]) == 1
+    assert f"{table}:3: bad row '1,0.5'" in capsys.readouterr().err
 
 
 def test_suzuki_verify_artifacts(tmp_path, capsys):

@@ -22,6 +22,7 @@ from tanfold.tensors import (
     load_fcidump,
     load_series,
     nonsymmetric_unit,
+    one_body_representatives,
     one_body_unit,
     orbit,
     orbit_table,
@@ -201,6 +202,31 @@ class TestTensorSet:
         assert got.tobytes() == want.tobytes()
         assert not np.signbit(got[0, 1, 2, 3])
 
+    def test_one_body_average_is_half_sum_bitwise(self):
+        rng = np.random.default_rng(11)
+        one = rng.normal(size=(5, 5))
+        one = (one + one.T) + rng.uniform(-0.4, 0.4, size=one.shape) * SYMMETRY_TOL
+        one[0, 0] = -0.0
+        one[1, 2] = one[2, 1] = -0.0
+        got = TensorSet(1.0, Kind.BARE, 5, 0.0, one, np.zeros((5,) * 4)).one_body
+        want = (one + one.T) / 2.0
+        assert np.array_equal(got, want)
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        # an orbit of -0.0 turns to +0.0, as two-body orbits do
+        assert not np.signbit(got[~nonzero]).any()
+
+    def test_one_body_violation_reports_first_orbit(self):
+        one = np.zeros((3, 3))
+        one[2, 1] = 1.0
+        one[0, 1] = 0.5
+        with pytest.raises(SymmetryViolationError, match=r"one-body .* orbit of \(0, 1\): spread 5\.000e-01"):
+            TensorSet(1.0, Kind.BARE, 3, 0.0, one, np.zeros((3,) * 4))
+
+    def test_one_body_representatives(self):
+        for n in (1, 2, 5):
+            assert one_body_representatives(n) == [(p, q) for p in range(n) for q in range(p, n)]
+
     def test_violation_reports_first_orbit(self):
         two = np.zeros((3,) * 4)
         two[2, 1, 0, 0] = 1.0  # orbit of (0, 0, 1, 2)
@@ -325,6 +351,22 @@ class TestFcidump:
         with pytest.raises(TensorFormatError):
             load_fcidump(path, Kind.BARE)
 
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = self.write(tmp_path, "# a comment\n\n0.5 1 1 1 2\n   # indented\n-1.5 0 0 0 0\n")
+        tset = load_fcidump(path, Kind.BARE)
+        assert tset.scalar_term == -1.5 and tset.two_body[0, 0, 0, 1] == 0.5
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        path = self.write(tmp_path, f"0.5 1 1 1 2\n{token} 1 2 0 0\n")
+        with pytest.raises(TensorFormatError, match=r"dump\.txt:4: non-finite value"):
+            load_fcidump(path, Kind.BARE)
+
+    def test_conflicting_scalar_rejected(self, tmp_path):
+        path = self.write(tmp_path, "-1.5 0 0 0 0\n-1.25 0 0 0 0\n")
+        with pytest.raises(TensorFormatError, match=r"dump\.txt:4: conflicting duplicate for the scalar term"):
+            load_fcidump(path, Kind.BARE)
+
     def test_orbital_index_zero_pattern_rejected(self, tmp_path):
         path = self.write(tmp_path, "0.5 1 0 0 0\n")
         with pytest.raises(TensorFormatError):
@@ -423,6 +465,69 @@ class TestCanonicalFormat:
         save_canonical(got, tset)
         self.unit_writer(want, tset)
         assert got.read_bytes() == want.read_bytes()
+
+    def edit(self, tmp_path, change):
+        """A saved n_orb 2 bare set whose body lines pass through ``change``."""
+        path = tmp_path / "set.tensor"
+        save_canonical(path, TensorSet(1.0, Kind.BARE, 2, -0.75, np.eye(2), np.ones((2,) * 4)))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:6] + change(lines[6:])) + "\n", encoding="utf-8")
+        return path
+
+    def test_comment_and_blank_body_lines_skipped(self, tmp_path):
+        path = self.edit(tmp_path, lambda body: ["# note", ""] + body[:2] + ["  # x"] + body[2:])
+        tset = load_canonical(path)
+        assert np.array_equal(tset.one_body, np.eye(2)) and tset.two_body.all()
+
+    @pytest.mark.parametrize("scalar, ok", [("-0.75", True), ("-0.5", False)])
+    def test_scalar_line_is_a_duplicate_of_the_header(self, tmp_path, scalar, ok):
+        path = self.edit(tmp_path, lambda body: body + [f"{scalar} 0 0 0 0"])
+        if ok:
+            assert load_canonical(path).scalar_term == -0.75
+        else:
+            with pytest.raises(TensorFormatError, match=r"set\.tensor:16: conflicting duplicate for the scalar term"):
+                load_canonical(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("nan 1 1 0 0", r"set\.tensor:7: non-finite value 'nan'"),
+        ("2 1 1 0 0", r"set\.tensor:8: conflicting duplicate for the orbit of \(1 1 0 0\): 2\.0 vs 1\.0"),
+        ("1 1 3 0 0", r"set\.tensor:7: index 3 out of range for n_orb=2"),
+        ("1 1 0 1 0", r"set\.tensor:7: invalid index pattern \(1 0 1 0\)"),
+        ("1 1 1 0", r"set\.tensor:7: expected 'value p q r s'"),
+    ])
+    def test_bad_body_line_names_file_and_line(self, tmp_path, line, message):
+        path = self.edit(tmp_path, lambda body: [line] + body)
+        with pytest.raises(TensorFormatError, match=message):
+            load_canonical(path)
+
+    @pytest.mark.parametrize("field", ["n_orb: two", "n_orb: 0", "scalar_term: nan", "geometry: inf"])
+    def test_bad_header_field_rejected(self, tmp_path, field):
+        path = self.edit(tmp_path, lambda body: body)
+        key = field.partition(":")[0]
+        lines = [f"# {field}" if ln.startswith(f"# {key}:") else ln
+                 for ln in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TensorFormatError, match=r"set\.tensor: bad or missing header field"):
+            load_canonical(path)
+
+    def test_both_formats_share_the_body_rules(self, tmp_path):
+        body = ["0.5 1 1 1 2", "# c", "", "0.25 1 2 0 0", "0.5 2 1 1 1", "-1.5 0 0 0 0"]
+        dump = tmp_path / "dump.txt"
+        dump.write_text("&FCI NORB=2\n&END\n" + "\n".join(body) + "\n", encoding="utf-8")
+        want = load_fcidump(dump, Kind.EFFECTIVE)
+        one = orbit_table(2, None)
+        two = orbit_table(2, Symmetry.FOUR_FOLD)
+        full = [f"{v!r} {p + 1} {q + 1} 0 0"
+                for v, (p, q) in zip(want.one_body.flat[one.rep_flat].tolist(), one.reps.tolist())]
+        full += [f"{v!r} " + " ".join(str(k + 1) for k in rep)
+                 for v, rep in zip(want.two_body.flat[two.rep_flat].tolist(), two.reps.tolist())]
+        canon = tmp_path / "set.tensor"
+        header = [f"# {FORMAT_TAG}", "# system: ", "# geometry: 0", "# kind: effective", "# n_orb: 2",
+                  "# scalar_term: -1.5"]
+        canon.write_text("\n".join(header + full + body) + "\n", encoding="utf-8")
+        got = load_canonical(canon)
+        assert got.scalar_term == want.scalar_term
+        assert np.array_equal(got.one_body, want.one_body) and np.array_equal(got.two_body, want.two_body)
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(3)

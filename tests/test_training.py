@@ -566,6 +566,36 @@ def test_frozen_finetune_equals_per_step_reference(stage, batch_size, small_seri
         assert np.array_equal(net.flat, bare_model.nets[0].flat)
 
 
+@pytest.mark.parametrize("stage", [HeadKind.EFF_TWO, HeadKind.EFF_ONE])
+def test_frozen_polished_finetune_is_the_solve_alone(stage, small_series, monkeypatch):
+    # the polish starts from the transferred kernel, so Adam epochs on a
+    # frozen stage could only be thrown away
+    bare = HeadKind.BARE_TWO if stage.body == 2 else HeadKind.BARE_ONE
+    bare_model, _ = train_bare(small_series, quick_config(bare, epochs=4))
+    cfg = quick_config(stage, epochs=6, batch_size=4096, freeze_orbitals=True, kernel_polish=True)
+
+    def no_adam(*args, **kwargs):
+        raise AssertionError("a frozen, polished stage ran an Adam step")
+
+    monkeypatch.setattr(tr, "adam_step", no_adam)
+    model, report = finetune_effective(small_series, bare_model, cfg)
+
+    nets = [bare_model.nets[0].copy() for _ in range(stage.n_nets)]
+    refs = sorted(float(g) for g in small_series.geometries(Kind.EFFECTIVE))
+    samples = tr._collect_samples(
+        small_series, Kind.EFFECTIVE, refs, stage.body, nets[0], bare_model.geometry_range
+    )
+    scale = tr._target_scale(samples.y)
+    samples.y = samples.y / scale
+    w_start = bare_model.kernel.matrix / scale
+    w = tr._solve_kernel(stage, nets, samples, w_start)
+    assert np.array_equal(model.kernel.matrix, KernelMatrix(scale * w, symmetrize=True).matrix)
+    assert report.initial_loss == scale * scale * tr._full_loss(stage, nets, w_start, samples)
+    assert report.final_loss == scale * scale * tr._full_loss(stage, nets, w, samples)
+    for net in model.nets:
+        assert np.array_equal(net.flat, bare_model.nets[0].flat)
+
+
 def test_diverging_run_aborts(small_series):
     # a step of size ~1e40 sends the quartic loss past float range, which
     # must surface as an error instead of a silent garbage model
