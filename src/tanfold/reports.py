@@ -57,11 +57,12 @@ def write_mae_csv(path, per_geometry) -> None:
 
 def write_overlap_csv(path, report: AlignmentReport) -> None:
     """Aligned eigenvector overlap matrix in tidy (i, j, value) form."""
-    # the bytes of write_csv, one format string per row
+    # the bytes of write_csv, one % per row on a template holding its indices
+    cells = [f"{j},%.17g" for j in range(1, report.overlap.shape[1] + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("i,j,overlap\n")
         for i, row in enumerate(report.overlap.tolist(), start=1):
-            fh.writelines("%d,%d,%.17g\n" % (i, j, v) for j, v in enumerate(row, start=1))
+            fh.write((f"{i}," + f"\n{i},".join(cells) + "\n") % tuple(row))
 
 
 def write_difference_csv(path, table: DifferenceTable) -> None:

@@ -2,8 +2,9 @@
 
 Given a Hermitian ``H`` and a block split ``R``/``Q`` (model space first),
 this module constructs an anti-Hermitian generator ``G`` with
-``Q e^{-G} H e^{G} R = 0`` via the direct rotation, and verifies the
-closed-form relation between the effective-interaction correction
+``Q e^{-G} H e^{G} R = 0`` via the direct rotation (the arctan of the
+wave-operator amplitude), and verifies the closed-form relation between
+the effective-interaction correction
 
     W = R e^{-G} H e^{G} R - R H R
 
@@ -23,9 +24,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import logm
 
 __all__ = [
     "Generator",
@@ -80,14 +81,6 @@ class SuzukiProblem:
     def dim(self) -> int:
         return self.h.shape[0]
 
-    def projector_r(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        p[: self.r_dim, : self.r_dim] = np.eye(self.r_dim)
-        return p
-
-    def projector_q(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=np.complex128) - self.projector_r()
-
 
 @dataclass(frozen=True, eq=False)
 class Generator:
@@ -108,6 +101,11 @@ class Generator:
         g.flags.writeable = False
         object.__setattr__(self, "g", g)
 
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenphases and eigenvectors of iG, decomposed once per generator."""
+        return np.linalg.eigh(1j * self.g)
+
 
 def h_od(prob: SuzukiProblem) -> np.ndarray:
     """Block-off-diagonal part R H Q + Q H R."""
@@ -118,27 +116,32 @@ def h_od(prob: SuzukiProblem) -> np.ndarray:
     return out
 
 
+def _expm_from_eigh(phases: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(G) from the eigensystem of iG."""
+    return (v * np.exp(-1j * phases)) @ v.conj().T
+
+
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
     """exp(G) for anti-Hermitian G via the Hermitian eigenproblem of iG.
 
     Exactly unitary to working precision, with no scaling-and-squaring
     heuristics involved.
     """
-    g = _as_square_complex(g, "g")
-    w, v = np.linalg.eigh(1j * g)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return _expm_from_eigh(*np.linalg.eigh(1j * _as_square_complex(g, "g")))
 
 
 def build_generator(prob: SuzukiProblem) -> Generator:
     """Direct-rotation generator decoupling the R and Q blocks.
 
     Eigenvectors of H are assigned to the model space by descending
-    R-projection norm; the rotation mapping the reference R subspace onto
-    their span with minimal action is U = T (T^dag T)^{-1/2} with
-    T = P1 R + (1-P1)(1-Q-complement), and G is its principal logarithm.
-    The diagonal blocks of G vanish by construction; this is validated.
+    R-projection norm and split as ``V_r = [A; B]``.  With the thin SVD
+    ``B A^{-1} = Z diag(t) X^dag`` of the gauge-free wave-operator
+    amplitude, ``G = [[0, -K^dag], [K, 0]]`` and ``K = Z diag(arctan t) X^dag``
+    (Davis-Kahan): the ``t`` are the tangents of the principal angles, all
+    below pi/2, and G is the principal logarithm of the polar rotation.
+    ``sigma_min(A)^2 < 1e-12`` and a decoupling residual above 1e-10 raise.
     """
-    dim, r = prob.dim, prob.r_dim
+    r = prob.r_dim
     _, vecs = np.linalg.eigh(prob.h)
     proj = np.sum(np.abs(vecs[:r, :]) ** 2, axis=0)
     order = np.argsort(-proj, kind="stable")
@@ -148,34 +151,25 @@ def build_generator(prob: SuzukiProblem) -> Generator:
             f"{proj[order[r - 1]]:.3e} and {proj[order[r]]:.3e} are too close"
         )
     v_r = vecs[:, order[:r]]
-    p1 = v_r @ v_r.conj().T
-
-    rp = prob.projector_r()
-    qp = prob.projector_q()
-    t = p1 @ rp + (np.eye(dim) - p1) @ qp
-    tt = t.conj().T @ t
-    s, w = np.linalg.eigh(tt)
-    if s.min() < 1e-12:
-        raise ValueError("logarithm branch failure: assigned subspace is "
-                         "orthogonal to the reference block")
-    u = t @ ((w * (s ** -0.5)) @ w.conj().T)
-
-    ev = np.linalg.eigvals(u)
-    if np.abs(ev + 1.0).min() < 1e-8:
-        raise ValueError("logarithm branch failure: rotation eigenvalue at -1")
-    g_raw = logm(u)
-    g = 0.5 * (g_raw - g_raw.conj().T)
+    u_a, s_a, vh_a = np.linalg.svd(v_r[:r])
+    if s_a[-1] ** 2 < 1e-12:
+        raise ValueError("assigned subspace is orthogonal to the reference block")
+    omega = ((v_r[r:] @ vh_a.conj().T) / s_a) @ u_a.conj().T
+    z, t, xh = np.linalg.svd(omega, full_matrices=False)
+    k = (z * np.arctan(t)) @ xh
+    g = np.zeros((prob.dim, prob.dim), dtype=np.complex128)
+    g[r:, :r] = k
+    g[:r, r:] = -k.conj().T
     gen = Generator(g, r)
 
-    resid = transformed(prob, gen)
-    if np.abs(resid[r:, :r]).max() > BLOCK_TOL:
+    if np.abs(transformed(prob, gen)[r:, :r]).max() > BLOCK_TOL:
         raise ArithmeticError("decoupling residual above 1e-10")
     return gen
 
 
 def transformed(prob: SuzukiProblem, gen: Generator) -> np.ndarray:
     """Full similarity transform e^{-G} H e^{G}."""
-    u = expm_antihermitian(gen.g)
+    u = _expm_from_eigh(*gen.eigh)
     return u.conj().T @ prob.h @ u
 
 
@@ -193,10 +187,13 @@ def ituple_commutator(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
         raise ValueError("operands must have equal dimensions")
     if i < 1:
         raise ValueError("nesting depth must be >= 1")
-    out = b
+    return _nested_commutator(a, b, i)
+
+
+def _nested_commutator(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     for _ in range(i):
-        out = a @ out - out @ a
-    return out
+        b = a @ b - b @ a
+    return b
 
 
 def tanh_coefficients(n_max: int) -> tuple[Fraction, ...]:
@@ -220,21 +217,20 @@ def tanh_coefficients(n_max: int) -> tuple[Fraction, ...]:
     )
 
 
-def _half_spread(g: np.ndarray) -> float:
-    """Largest eigenphase difference of G/2."""
-    phases = np.linalg.eigvalsh(1j * g / 2)
-    return float(phases.max() - phases.min())
+def _half_spread(phases: np.ndarray) -> float:
+    """Largest eigenphase difference of G/2, from the eigenphases of iG."""
+    return float(phases.max() - phases.min()) / 2
 
 
 def _tanh_partial_sums(g: np.ndarray, h_od_mat: np.ndarray, n_max: int):
     """Yield the truncated tanh transforms of orders 1, ..., n_max."""
     half = g / 2
     coeffs = tanh_coefficients(n_max)
-    nested = ituple_commutator(half, h_od_mat, 1)
+    nested = _nested_commutator(half, h_od_mat, 1)
     total = float(coeffs[0]) * nested
     yield total
     for n in range(1, n_max):
-        nested = ituple_commutator(half, nested, 2)
+        nested = _nested_commutator(half, nested, 2)
         total = total + float(coeffs[n]) * nested
         yield total
 
@@ -245,7 +241,7 @@ def z_tanh_series(g: np.ndarray, h_od_mat: np.ndarray, n_max: int) -> np.ndarray
     h_od_mat = _as_square_complex(h_od_mat, "h_od")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if _half_spread(g) >= SPREAD_LIMIT:
+    if _half_spread(np.linalg.eigvalsh(1j * g)) >= SPREAD_LIMIT:
         warnings.warn(
             "eigenphase spread of G/2 is >= pi/2: the series diverges",
             stacklevel=2,
@@ -264,11 +260,15 @@ def z_tanh_closed(g: np.ndarray, h_od_mat: np.ndarray) -> np.ndarray:
     """
     g = _as_square_complex(g, "g")
     h_od_mat = _as_square_complex(h_od_mat, "h_od")
-    phases, v = np.linalg.eigh(1j * g / 2)
-    if phases.max() - phases.min() >= SPREAD_LIMIT:
+    return _tanh_closed(*np.linalg.eigh(1j * g), h_od_mat)
+
+
+def _tanh_closed(phases: np.ndarray, v: np.ndarray, h_od_mat: np.ndarray) -> np.ndarray:
+    """z_tanh_closed from the eigenphases and eigenvectors of iG."""
+    if _half_spread(phases) >= SPREAD_LIMIT:
         raise ValueError("eigenphase spread of G/2 reaches pi/2: "
                          "closed-form tanh transform is singular")
-    gamma = -1j * phases
+    gamma = -0.5j * phases
     factors = np.tanh(gamma[:, None] - gamma[None, :])
     core = factors * (v.conj().T @ h_od_mat @ v)
     return v @ core @ v.conj().T
@@ -297,10 +297,9 @@ def verify_w_identity(prob: SuzukiProblem, *, n_max: int = 12) -> WIdentityRepor
     r = prob.r_dim
 
     lhs = h_eff(prob, gen) - prob.h[:r, :r]
-    closed = z_tanh_closed(gen.g, od)
-    rhs = -closed[:r, :r]
+    closed = _tanh_closed(*gen.eigh, od)
 
-    diff = lhs - rhs
+    diff = lhs + closed[:r, :r]  # lhs - (-R Z_tanh R)
     lhs_f = float(np.linalg.norm(lhs))
     rel = float(np.linalg.norm(diff)) / lhs_f if lhs_f > 0 else 0.0
 
@@ -308,7 +307,7 @@ def verify_w_identity(prob: SuzukiProblem, *, n_max: int = 12) -> WIdentityRepor
         max_abs=float(np.abs(diff).max()),
         rel_frobenius=rel,
         lhs_frobenius=lhs_f,
-        half_spread=_half_spread(gen.g),
+        half_spread=_half_spread(gen.eigh[0]),
         series_errors=tuple(
             float(np.abs(partial - closed).max())
             for partial in _tanh_partial_sums(gen.g, od, n_max)

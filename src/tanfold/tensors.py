@@ -581,7 +581,15 @@ def load_series(directory: str | os.PathLike) -> GeometrySeries:
     names = sorted(n for n in os.listdir(directory) if n.endswith(".tensor"))
     if not names:
         raise TensorFormatError(f"{directory}: no .tensor files found")
-    sets = [load_canonical(os.path.join(directory, n)) for n in names]
+    paths = [os.path.join(directory, n) for n in names]
+    sets = [load_canonical(p) for p in paths]
+    first = {}
+    for path, t in zip(paths, sets):
+        other = first.setdefault((t.geometry, t.kind), path)
+        if other != path:
+            raise TensorFormatError(
+                f"{other} and {path} both hold geometry {t.geometry}, kind {t.kind.value}"
+            )
     systems = {t.system for t in sets}
     if len(systems) != 1:
         raise TensorFormatError(f"{directory}: inconsistent system labels {sorted(systems)}")

@@ -508,10 +508,12 @@ def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[Ge
     ``unit_mae`` averages over the nonsymmetric unit (each representative
     once); ``full_mae`` weights by orbit size, i.e. averages over the full
     expanded tensor.  Geometries in ``train_geometries`` are labeled
-    "train", all others "test".
+    "train", all others "test"; each must match a geometry of the series.
     """
     kind = model.head.kind
-    matched, _ = _match_geometries(train_geometries, series.geometries(kind))
+    matched, missing = _match_geometries(train_geometries, series.geometries(kind))
+    if missing:
+        raise ValueError(f"no {kind.value} tensors at train geometries {missing}")
     train_set = set(matched)
     table = entry_table(kind, model.head.body, model.n_orb)
     out = []

@@ -169,6 +169,14 @@ def test_refs_off_grid_fail(work, tmp_path, capsys):
     assert "9.5" in capsys.readouterr().err
 
 
+def test_eval_refs_off_grid_fail(work, tmp_path, capsys):
+    code = main(["eval", "--model", str(work["run"] / "stage2" / "model"),
+                 "--data", str(work["data"]), "--refs", "1.0,9.5",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "9.5" in capsys.readouterr().err
+
+
 def test_finetune_rejects_stage2_model(work, tmp_path, capsys):
     code = main(["finetune", "--system", "desk",
                  "--model", str(work["run"] / "stage2" / "model"),
@@ -358,6 +366,20 @@ def test_bad_tensor_file_fails(work, tmp_path, capsys, edit, message):
                  "--data", str(data), "--out", str(tmp_path / "x")])
     assert code == 1
     assert message.format(end=end) in capsys.readouterr().err
+
+
+def test_duplicate_tensor_file_names_both_files(work, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in work["data"].glob("*.tensor"):
+        (data / path.name).write_bytes(path.read_bytes())
+    (data / "bare_0099.tensor").write_bytes((data / "bare_0000.tensor").read_bytes())
+    code = main(["train-bare", "--system", "desk", "--body", "2",
+                 "--data", str(data), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(data / "bare_0000.tensor") in err
+    assert str(data / "bare_0099.tensor") in err
 
 
 def test_fit_tan_short_row_fails(tmp_path, capsys):

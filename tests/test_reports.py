@@ -20,7 +20,7 @@ from tanfold.reports import (
     write_tanfit_csv,
     write_tanfit_json,
 )
-from tanfold.spectral import align_eigensystems, eig_sym, eigen_differences
+from tanfold.spectral import AlignmentReport, align_eigensystems, eig_sym, eigen_differences
 from tanfold.tanmodel import TanFit, eval_tan
 from tanfold.training import FitReport, GeometryMAE, TrainConfig
 
@@ -182,3 +182,22 @@ def test_write_overlap_csv_bytes_match_write_csv(tmp_path):
               ((i + 1, j + 1, overlap[i, j]) for i in range(n) for j in range(n)))
     assert fast.read_bytes() == slow.read_bytes()
     assert b"\n1,2,-0\n" in fast.read_bytes()
+
+
+@pytest.mark.parametrize("ell", [1, 300])
+def test_write_overlap_csv_bytes_match_write_csv_at_ell(tmp_path, ell):
+    specials = [0.0, -0.0, 1.0, 5e-324, -0.75]  # +-0, one, subnormal, negative
+    if ell == 1:
+        matrices = [np.array([[v]]) for v in specials]
+    else:
+        overlap = np.random.default_rng(ell).standard_normal((ell, ell))
+        overlap.ravel()[[0, 1, ell + 7, 4321, ell * ell - 1]] = specials
+        matrices = [overlap]
+    for overlap in matrices:
+        report = AlignmentReport(np.zeros(ell), np.zeros(ell), overlap,
+                                 np.arange(ell), np.ones(ell))
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_overlap_csv(fast, report)
+        write_csv(slow, ("i", "j", "overlap"),
+                  ((i + 1, j + 1, overlap[i, j]) for i in range(ell) for j in range(ell)))
+        assert fast.read_bytes() == slow.read_bytes()

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 
 from tanfold.suzuki import (
     Generator,
@@ -30,6 +34,25 @@ def bernoulli_numbers(m):
     return b
 
 
+def polar_logm_generator(prob):
+    """Reference: principal logarithm of the polar factor of P1 R + (1-P1) Q.
+
+    P1 projects onto the model eigenvectors, chosen by R-projection norm
+    as in build_generator.
+    """
+    dim, r = prob.dim, prob.r_dim
+    _, vecs = np.linalg.eigh(prob.h)
+    proj = np.sum(np.abs(vecs[:r, :]) ** 2, axis=0)
+    v_r = vecs[:, np.argsort(-proj, kind="stable")[:r]]
+    p1 = v_r @ v_r.conj().T
+    rp = np.zeros((dim, dim), dtype=complex)
+    rp[:r, :r] = np.eye(r)
+    t = p1 @ rp + (np.eye(dim) - p1) @ (np.eye(dim) - rp)
+    s, w = np.linalg.eigh(t.conj().T @ t)
+    g = logm(t @ ((w * s**-0.5) @ w.conj().T))
+    return 0.5 * (g - g.conj().T), v_r
+
+
 def random_antihermitian(rng, n, half_spread):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = a - a.conj().T
@@ -47,14 +70,6 @@ class TestProblemTypes:
         for r in (0, 3, 5):
             with pytest.raises(ValueError):
                 SuzukiProblem(h, r)
-
-    def test_projectors(self):
-        prob = SuzukiProblem(np.diag([1.0, 2.0, 3.0]), 2)
-        r, q = prob.projector_r(), prob.projector_q()
-        assert np.array_equal(r + q, np.eye(3))
-        assert np.array_equal(r @ r, r)
-        assert np.array_equal(q @ q, q)
-        assert not (r @ q).any()
 
     def test_generator_rejects_diagonal_blocks(self):
         g = np.zeros((4, 4), dtype=complex)
@@ -205,6 +220,46 @@ class TestGeneratorConstruction:
         # eigenvectors of [[0,1],[1,0]] both project onto R with norm 1/2
         with pytest.raises(ValueError, match="ambiguous"):
             build_generator(SuzukiProblem(np.array([[0.0, 1.0], [1.0, 0.0]]), 1))
+
+    @pytest.mark.parametrize("coupling", [0.05, 0.4])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_polar_logm_reference(self, coupling, complex_):
+        rng = np.random.default_rng(5)
+        for dim in range(3, 13):
+            for r_dim in range(1, dim):
+                prob = random_coupled_problem(dim, r_dim, coupling, 100 * dim + r_dim)
+                if complex_:
+                    a = rng.standard_normal((dim, dim))
+                    prob = SuzukiProblem(prob.h + 0.3j * coupling * (a - a.T), r_dim)
+                want, _ = polar_logm_generator(prob)
+                assert np.abs(build_generator(prob).g - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("coupling", [0.05, 0.4])
+    def test_eigenphases_are_arctan_of_wave_operator_amplitude(self, coupling):
+        # the eigenphases of iG are +-theta_i, theta_i = arctan sigma_i(B A^-1),
+        # plus dim - 2 min(r, dim - r) zeros
+        for dim, r_dim in ((5, 1), (8, 3), (9, 6), (12, 4)):
+            prob = random_coupled_problem(dim, r_dim, coupling, dim + r_dim)
+            gen = build_generator(prob)
+            _, v_r = polar_logm_generator(prob)
+            amplitude = np.linalg.solve(v_r[:r_dim].T, v_r[r_dim:].T).T
+            theta = np.arctan(np.linalg.svd(amplitude, compute_uv=False))
+            zeros = np.zeros(dim - 2 * theta.size)
+            want = np.sort(np.concatenate([theta, -theta, zeros]))
+            assert np.abs(np.linalg.eigvalsh(1j * gen.g) - want).max() < 1e-13
+            assert np.array_equal(gen.eigh[0], np.linalg.eigh(1j * gen.g)[0])
+
+    def test_cli_import_leaves_scipy_linalg_unloaded(self):
+        # the generator is closed-form; no module of the package needs
+        # scipy.linalg
+        import tanfold
+
+        src = os.path.dirname(os.path.dirname(tanfold.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        code = "import sys, tanfold.cli; assert 'scipy.linalg' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_exponential_is_unitary(self):
         rng = np.random.default_rng(0)
