@@ -6,8 +6,9 @@ The planted generator hides two symmetric 300x300 kernels sharing one
 eigenbasis, with effective eigenvalues deformed by
 ``eps_eff = eps_bare * (1 + amplitude * tan(rate * (i - center)))``.
 Given the exact kernels, the analysis chain (eigendecomposition ->
-eigenvector pairing -> relative differences -> coarse grid + Gauss-Newton
-fit) recovers the planted parameters to near machine precision.
+eigenvector pairing -> relative differences -> coarse grid +
+Levenberg-Marquardt fit with the amplitude projected out) recovers the
+planted parameters to near machine precision.
 
 This is the full-size latent dimension (300); the fit sees nothing but
 the two matrices.

@@ -43,6 +43,7 @@ from .training import (
     evaluate_mae,
     finetune_effective,
     load_model,
+    load_model_kernel,
     save_model,
     train_bare,
 )
@@ -160,10 +161,12 @@ def _write_manifest(out_dir, subcommand: str, resolved: dict, *, seed, started: 
     reports.write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def _ensure_out(path) -> str:
+def _out_path(path) -> str:
+    """The ``--out`` directory; each stage creates it only once its inputs
+    have passed validation and its computation has succeeded, just before
+    the first write, so a failed run leaves no directory behind."""
     if not path:
         raise _UsageError("--out is required")
-    os.makedirs(path, exist_ok=True)
     return os.fspath(path)
 
 
@@ -204,7 +207,7 @@ def _cmd_synth(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     result = plant_series(spec)
     save_plant(result, out)
     _write_manifest(out, "synth", {"plant": args.plant, **_jsonable(dataclasses.asdict(spec))},
@@ -228,7 +231,7 @@ def _cmd_train_bare(args) -> int:
     stage = _head_for(args.body, Kind.BARE)
     cfg = _build_train_config(args, stage)
     series = load_series(args.data)
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     model, report = train_bare(series, cfg)
     save_model(model, os.path.join(out, "model"))
     reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
@@ -257,7 +260,7 @@ def _cmd_finetune(args) -> int:
     cfg = _build_train_config(args, stage)
     series = load_series(args.data)
     refs = _parse_refs(args.refs) if args.refs else None
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     model, report = finetune_effective(series, bare_model, cfg, refs=refs)
     save_model(model, os.path.join(out, "model"))
     reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
@@ -278,8 +281,9 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     series = load_series(args.data)
     refs = _parse_refs(args.refs) if args.refs else []
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     per_geometry = evaluate_mae(model, series, train_geometries=refs)
+    os.makedirs(out, exist_ok=True)
     reports.write_mae_csv(os.path.join(out, "mae.csv"), per_geometry)
     _write_manifest(out, "eval",
                     {"model": os.fspath(args.model), "data": os.fspath(args.data), "refs": refs},
@@ -294,7 +298,7 @@ def _load_kernel_matrix(path, planted: str) -> np.ndarray:
     ``planted`` array (``w_bare``/``w_eff``) of a plant's provenance.npz."""
     path = os.fspath(path)
     if os.path.isdir(path):
-        return load_model(path).kernel.matrix
+        return load_model_kernel(path).matrix
     with np.load(path) as data:
         if planted in data.files:
             return KernelMatrix(data[planted]).matrix
@@ -306,9 +310,10 @@ def _cmd_analyze_spectrum(args) -> int:
     started = time.perf_counter()
     bare = eig_sym(_load_kernel_matrix(args.bare, "w_bare"))
     eff = eig_sym(_load_kernel_matrix(args.eff, "w_eff"))
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
+    os.makedirs(out, exist_ok=True)
     reports.write_overlap_csv(os.path.join(out, "overlap.csv"), alignment)
     reports.write_difference_csv(os.path.join(out, "eigen_differences.csv"), table)
     _write_manifest(out, "analyze-spectrum",
@@ -345,8 +350,9 @@ def _read_difference_csv(path):
 def _cmd_fit_tan(args) -> int:
     started = time.perf_counter()
     pairs = _read_difference_csv(args.table)
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     fit = fit_tan(pairs)
+    os.makedirs(out, exist_ok=True)
     reports.write_tanfit_json(os.path.join(out, "tanfit.json"), fit)
     # re-emit the fitted curve against the observed relative differences
     index = np.array([i for i, _, _ in pairs], dtype=np.float64)
@@ -378,7 +384,7 @@ def _cmd_suzuki_verify(args) -> int:
     started = time.perf_counter()
     if args.rdim >= args.dim:
         raise _UsageError("--rdim must be smaller than --dim")
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
     seeds = np.random.SeedSequence(args.seed).generate_state(args.trials)
     rows = []
     curves = []
@@ -390,6 +396,7 @@ def _cmd_suzuki_verify(args) -> int:
         )
         for order, err in enumerate(report.series_errors, start=1):
             curves.append((trial, order, err))
+    os.makedirs(out, exist_ok=True)
     reports.write_csv(
         os.path.join(out, "residuals.csv"),
         ("trial", "seed", "rel_frobenius", "max_abs", "half_spread"),
@@ -427,14 +434,15 @@ def _cmd_report(args) -> int:
     stage1 = _require(os.path.join(run_dir, "stage1", "model"), "stage-1 model")
     stage2 = _require(os.path.join(run_dir, "stage2", "model"), "stage-2 model")
     stage2_mae = _require(os.path.join(run_dir, "stage2", "mae.csv"), "stage-2 MAE table")
-    out = _ensure_out(args.out)
+    out = _out_path(args.out)
 
-    bare = eig_sym(load_model(stage1).kernel.matrix)
-    eff = eig_sym(load_model(stage2).kernel.matrix)
+    bare = eig_sym(load_model_kernel(stage1).matrix)
+    eff = eig_sym(load_model_kernel(stage2).matrix)
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
     fit = fit_tan(table.pairs())
 
+    os.makedirs(out, exist_ok=True)
     with open(stage2_mae) as src, open(os.path.join(out, "mae.csv"), "w") as dst:
         dst.write(src.read())
     reports.write_overlap_csv(os.path.join(out, "overlap.csv"), alignment)

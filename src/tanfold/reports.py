@@ -57,12 +57,14 @@ def write_mae_csv(path, per_geometry) -> None:
 
 def write_overlap_csv(path, report: AlignmentReport) -> None:
     """Aligned eigenvector overlap matrix in tidy (i, j, value) form."""
-    # the bytes of write_csv, one % per row on a template holding its indices
+    # the bytes of write_csv, one % per row on a template holding its indices;
+    # one row of Python floats at a time keeps the ell-300 read-out's peak
+    # memory below the training stages'
     cells = [f"{j},%.17g" for j in range(1, report.overlap.shape[1] + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("i,j,overlap\n")
-        for i, row in enumerate(report.overlap.tolist(), start=1):
-            fh.write((f"{i}," + f"\n{i},".join(cells) + "\n") % tuple(row))
+        for i, row in enumerate(report.overlap, start=1):
+            fh.write((f"{i}," + f"\n{i},".join(cells) + "\n") % tuple(row.tolist()))
 
 
 def write_difference_csv(path, table: DifferenceTable) -> None:
@@ -81,11 +83,16 @@ def write_difference_csv(path, table: DifferenceTable) -> None:
 
 def write_tanfit_csv(path, table: DifferenceTable, fit: TanFit) -> None:
     """Relative eigenvalue differences next to the fitted tangent curve."""
-    rows = []
-    for i, rel, flagged in zip(table.index, table.rel_diff, table.flagged):
-        fitted = np.nan if fit.degenerate else eval_tan(fit, float(i))
-        rows.append((int(i), rel, fitted, bool(flagged)))
-    write_csv(path, ("index", "rel_diff", "fit", "flagged"), rows)
+    index = np.asarray(table.index, dtype=np.float64)
+    fitted = np.full(index.size, np.nan) if fit.degenerate else eval_tan(fit, index)
+    write_csv(
+        path,
+        ("index", "rel_diff", "fit", "flagged"),
+        (
+            (int(i), rel, f, bool(flagged))
+            for i, rel, f, flagged in zip(table.index, table.rel_diff, fitted, table.flagged)
+        ),
+    )
 
 
 def write_tanfit_json(path, fit: TanFit) -> None:

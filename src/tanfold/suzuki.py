@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -196,11 +196,13 @@ def _nested_commutator(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     return b
 
 
+@cache
 def tanh_coefficients(n_max: int) -> tuple[Fraction, ...]:
     """Odd Taylor coefficients of tanh(x) = sum t_n x^(2n-1), exact rationals.
 
     Tangent numbers by the integer in-place recurrence, then
-    t_n = (-1)^(n-1) T_n / (2n-1)!.
+    t_n = (-1)^(n-1) T_n / (2n-1)!.  Cached per ``n_max``: the tuple of
+    Fractions is immutable.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

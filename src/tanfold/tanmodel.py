@@ -5,11 +5,18 @@ The model relates aligned eigenvalues through
     eps_D_i = eps_B_i * (1 + amplitude * tan(rate * (i - center)))
 
 with the 1-based index ``i`` ordered by descending bare eigenvalue.  Fitting
-is least squares on the relative shifts ``(eps_D - eps_B)/eps_B``: a coarse
-deterministic grid over (rate, center) with the closed-form optimal amplitude
-at each grid point, followed by Gauss-Newton refinement of all three
-parameters.  The tan argument is kept a safe margin away from the +-pi/2
-singularities throughout.
+is least squares on the relative shifts ``y = (eps_D - eps_B)/eps_B``.  The
+amplitude enters linearly, so at every (rate, center) it is the closed-form
+projection ``t.y / t.t`` of the tangents ``t`` (variable projection: Golub &
+Pereyra, SIAM J. Numer. Anal. 10, 1973), and only (rate, center) are
+searched: first on a coarse deterministic grid, then by Levenberg-Marquardt
+with Kaufman's Jacobian (BIT 15, 1975).  The tan argument is kept a safe
+margin away from the +-pi/2 singularities throughout.
+
+Where the data do not determine the law, e.g. where the shifts are nearly
+linear in the index, the refinement follows a flat valley toward the linear
+limit: the rate falls toward zero while amplitude * rate stays fixed, at an
+almost unchanged residual.
 """
 
 from __future__ import annotations
@@ -30,6 +37,14 @@ RATIO_FLOOR = 1e-8
 _RATE_GRID_LO = 1e-4
 _N_RATE = 32
 _N_CENTER = 64
+_ARG_CAP = math.pi / 2 - SINGULARITY_MARGIN
+
+#: Levenberg-Marquardt damping: the first value, and the factor by which a
+#: rejected step raises it and an accepted step lowers it
+_LAMBDA_INIT = 1e-3
+_LAMBDA_FACTOR = 10.0
+#: an accepted step lowering the SSE by less than this share of it ends the fit
+_REL_DECREASE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,9 +90,50 @@ def _ratios_from_pairs(pairs, floor_rel):
     return idx[keep], (eps_d[keep] - eps_b[keep]) / eps_b[keep]
 
 
-def _sse(amp, tans, ratios):
-    r = amp * tans - ratios
-    return float(r @ r)
+def _project(rate, center, idx, ratios):
+    """The variable-projection state at (rate, center): the tangents, the
+    closed-form amplitude, the residual and the SSE; None where the argument
+    reaches the singularity cap or every tangent vanishes."""
+    arg = rate * (idx - center)
+    if np.abs(arg).max() >= _ARG_CAP:
+        return None
+    tans = np.tan(arg)
+    denom = tans @ tans
+    if not denom > 0.0:
+        return None
+    amp = (ratios @ tans) / denom
+    resid = amp * tans - ratios
+    return tans, amp, resid, float(resid @ resid)
+
+
+def _grid_seed(idx, ratios):
+    """The best coarse-grid cell as (sse, rate, center, amplitude), one
+    (rate x index) block per center."""
+    centers = np.linspace(1.0, idx.max(), _N_CENTER)
+    dmax = np.abs(np.subtract.outer(centers, idx)).max(axis=1)
+    rate_hi = np.divide(_ARG_CAP, dmax, out=np.full_like(dmax, _ARG_CAP), where=dmax > 0)
+    live = rate_hi > _RATE_GRID_LO
+    rate_rows = np.geomspace(_RATE_GRID_LO, rate_hi[live], _N_RATE, axis=1)
+    best = None
+    for center, d, rates in zip(centers[live], dmax[live], rate_rows):
+        # |rate * (i - center)| peaks at the farthest index; the top rate can
+        # round onto the cap, where no step is accepted
+        rates = rates[rates * d < _ARG_CAP]
+        if not rates.size:
+            continue
+        tans = np.tan(np.multiply.outer(rates, idx - center))
+        denom = np.einsum("ij,ij->i", tans, tans)
+        amps = np.divide(tans @ ratios, denom, out=np.zeros_like(denom), where=denom > 0)
+        resid = np.multiply(amps[:, None], tans, out=tans)
+        resid -= ratios
+        sses = np.einsum("ij,ij->i", resid, resid)
+        k = int(np.argmin(sses))  # the first minimum: the lowest rate on a tie
+        key = (float(sses[k]), float(rates[k]), float(center))
+        if best is None or key < best[:3]:
+            best = (*key, float(amps[k]))
+    if best is None:
+        raise ValueError("no singularity-free grid cell for the given indices")
+    return best
 
 
 def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> TanFit:
@@ -91,17 +147,26 @@ def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> Ta
     floor_rel : float
         Exclude pairs with ``|eps_B|`` below this fraction of the maximum.
     max_iter : int
-        Gauss-Newton iteration cap.
+        Levenberg-Marquardt iteration cap.
 
-    The coarse stage scans ``_N_CENTER`` centers linearly over the index
-    range and, per center, ``_N_RATE`` log-spaced rates up to the largest
-    singularity-free value, keeping only cells that pass the refinement's
-    strict argument test; the best cell (ties broken toward the lowest
-    rate, then lowest center) seeds the refinement.
+    The amplitude is the closed-form projection ``t.y / t.t`` at every
+    (rate, center).  The coarse stage scans ``_N_CENTER`` centers linearly
+    over the index range and, per center, ``_N_RATE`` log-spaced rates up to
+    the largest singularity-free value, keeping only cells whose argument
+    stays strictly below the cap; the best cell (ties broken toward the
+    lowest rate, then the lowest center) seeds Levenberg-Marquardt with
+    Kaufman's Jacobian ``a (I - t t^T / t^T t) dt``.  The refinement moves
+    (rate, center) through the tan arguments at the first and last index,
+    ``u = rate * (i_min - center)`` and ``v = rate * (i_max - center)``:
+    the argument is linear in the index, so the cap on every argument is the
+    box ``|u|, |v| < cap``, and a step that leaves the box is clipped back
+    onto it.  A step is accepted only if every argument stays below the cap
+    and the SSE falls.  The fit is ``converged`` when no damping lowers the
+    SSE or an accepted step lowers it by less than ``_REL_DECREASE`` of
+    itself, and not converged when it stops at ``max_iter``.
     """
     idx, ratios = _ratios_from_pairs(pairs, floor_rel)
     n = idx.size
-    ell = idx.max()
 
     if not ratios.any():
         return TanFit(
@@ -113,66 +178,50 @@ def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> Ta
             degenerate=True,
         )
 
-    arg_cap = math.pi / 2 - SINGULARITY_MARGIN
-
-    # -- coarse grid ----------------------------------------------------------
-    best = None  # (sse, rate, center, amp)
-    for center in np.linspace(1.0, ell, _N_CENTER):
-        dmax = np.abs(idx - center).max()
-        rate_hi = arg_cap / dmax if dmax > 0 else arg_cap
-        if rate_hi <= _RATE_GRID_LO:
-            continue
-        for rate in np.geomspace(_RATE_GRID_LO, rate_hi, _N_RATE):
-            arg = rate * (idx - center)
-            # the top rate can round onto the cap, where no step is accepted
-            if np.abs(arg).max() >= arg_cap:
-                continue
-            tans = np.tan(arg)
-            denom = tans @ tans
-            amp = (ratios @ tans) / denom if denom > 0 else 0.0
-            key = (_sse(amp, tans, ratios), rate, center)
-            if best is None or key < best[:3]:
-                best = (*key, amp)
-    if best is None:
-        raise ValueError("no singularity-free grid cell for the given indices")
-    sse, rate, center, amp = best
-
-    # -- Gauss-Newton refinement on (rate, amplitude, center) ------------------
-    converged = False
-    for _ in range(max_iter):
-        arg = rate * (idx - center)
-        tans = np.tan(arg)
-        sec2 = 1.0 + tans * tans
-        resid = amp * tans - ratios
-        jac = np.column_stack(
-            [
-                amp * (idx - center) * sec2,  # d/d rate
-                tans,                         # d/d amplitude
-                -amp * rate * sec2,           # d/d center
-            ]
-        )
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        # backtrack: keep the argument singularity-free and the SSE decreasing
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            cand = (rate + scale * step[0], amp + scale * step[1], center + scale * step[2])
-            args = cand[0] * (idx - cand[2])
-            if np.abs(args).max() < arg_cap:
-                cand_sse = _sse(cand[1], np.tan(args), ratios)
-                if cand_sse <= sse:
-                    rate, amp, center = cand
-                    moved = cand_sse < sse * (1 - 1e-15)
-                    sse = cand_sse
-                    improved = True
+    sse, rate, center, amp = _grid_seed(idx, ratios)
+    state = _project(rate, center, idx, ratios)
+    lo, hi = float(idx.min()), float(idx.max())
+    span = hi - lo
+    # nothing to refine when every tangent is zero or every index equal
+    converged = state is None or span == 0.0
+    if not converged:
+        weight = (idx - lo) / span
+        u, v = rate * (lo - center), rate * (hi - center)
+        bound = math.nextafter(_ARG_CAP, 0.0)
+        lam = _LAMBDA_INIT
+        for _ in range(max_iter):
+            tans, amp, resid, sse = state
+            sec2 = 1.0 + tans * tans
+            dtans = np.column_stack([sec2 * (1.0 - weight), sec2 * weight])
+            jac = amp * (dtans - np.outer(tans, (tans @ dtans) / (tans @ tans)))
+            # Marquardt scaling: damp each parameter in units of its column norm
+            scale = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+            scale[scale == 0.0] = 1.0
+            left, sv, right = np.linalg.svd(jac / scale, full_matrices=False)
+            grad = sv * (left.T @ resid)
+            while True:
+                step = (right.T @ (grad / (sv * sv + lam))) / scale
+                cand_u = min(max(u - step[0], -bound), bound)
+                cand_v = min(max(v - step[1], -bound), bound)
+                if cand_u == u and cand_v == v:
+                    cand = None
                     break
-            scale *= 0.5
-        if not improved or not moved:
-            converged = True
-            break
-        if np.abs(step * scale).max() < 1e-15 * max(abs(rate), abs(center), 1.0):
-            converged = True
-            break
+                if cand_u != cand_v:  # a zero rate leaves the center undefined
+                    cand_rate = (cand_v - cand_u) / span
+                    cand_center = lo - cand_u / cand_rate
+                    cand = _project(cand_rate, cand_center, idx, ratios)
+                    if cand is not None and cand[3] < sse:
+                        break
+                lam *= _LAMBDA_FACTOR
+            if cand is None:
+                converged = True
+                break
+            u, v, rate, center, state = cand_u, cand_v, cand_rate, cand_center, cand
+            lam /= _LAMBDA_FACTOR
+            if sse - cand[3] <= _REL_DECREASE * sse:
+                converged = True
+                break
+        _, amp, _, sse = state
 
     if rate < 0:  # tan is odd: fold the sign into the amplitude
         rate, amp = -rate, -amp

@@ -38,6 +38,7 @@ __all__ = [
     "evaluate_mae",
     "finetune_effective",
     "load_model",
+    "load_model_kernel",
     "save_model",
     "train_bare",
 ]
@@ -684,17 +685,29 @@ def save_model(model, directory: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def load_model(directory: str | os.PathLike):
-    """Read a directory written by :func:`save_model`."""
-    directory = os.fspath(directory)
+def _model_meta(directory: str) -> dict:
     with open(os.path.join(directory, "model.json")) as fh:
         meta = json.load(fh)
     if meta.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {meta.get('format')!r}")
+    return meta
+
+
+def load_model(directory: str | os.PathLike):
+    """Read a directory written by :func:`save_model`."""
+    directory = os.fspath(directory)
+    meta = _model_meta(directory)
     return InteractionModel(
         head=HeadKind[meta["head"]],
         nets=[load_net(os.path.join(directory, f))[0] for f in meta["nets"]],
-        kernel=KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"]))[0]),
+        kernel=load_model_kernel(directory),
         geometry_range=tuple(meta["geometry_range"]),
         system=meta.get("system", ""),
     )
+
+
+def load_model_kernel(directory: str | os.PathLike) -> KernelMatrix:
+    """The kernel of a model directory, without reading its networks."""
+    directory = os.fspath(directory)
+    meta = _model_meta(directory)
+    return KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"]))[0])

@@ -164,17 +164,19 @@ def test_refs_off_grid_fail(work, tmp_path, capsys):
     code = main(["finetune", "--system", "desk",
                  "--model", str(work["run"] / "stage1" / "model"),
                  "--data", str(work["data"]), "--refs", "9.5",
-                 "--out", str(tmp_path / "x")])
+                 "--out", str(tmp_path / "x" / "ft")])
     assert code == 1
     assert "9.5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_refs_off_grid_fail(work, tmp_path, capsys):
     code = main(["eval", "--model", str(work["run"] / "stage2" / "model"),
                  "--data", str(work["data"]), "--refs", "1.0,9.5",
-                 "--out", str(tmp_path / "x")])
+                 "--out", str(tmp_path / "x" / "ev")])
     assert code == 1
     assert "9.5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_finetune_rejects_stage2_model(work, tmp_path, capsys):

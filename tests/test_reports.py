@@ -112,6 +112,31 @@ def test_write_tanfit_csv_fit_column_matches_eval(tmp_path):
         assert float(fitted) == eval_tan(fit, float(int(idx)))
 
 
+def _tanfit_csv_per_index(path, table, fit):
+    """The per-index writer the array form replaced."""
+    rows = []
+    for i, rel, flagged in zip(table.index, table.rel_diff, table.flagged):
+        fitted = np.nan if fit.degenerate else eval_tan(fit, float(i))
+        rows.append((int(i), rel, fitted, bool(flagged)))
+    write_csv(path, ("index", "rel_diff", "fit", "flagged"), rows)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_write_tanfit_csv_bytes_match_per_index_writer(tmp_path, degenerate):
+    rng = np.random.default_rng(5)
+    ell = 300
+    bare = np.sort(rng.uniform(0.05, 1.0, ell))[::-1]
+    eff = bare * (1.0 + 1e-4 * np.tan(0.01 * (np.arange(1, ell + 1) - 149.8)))
+    table = eigen_differences(align_eigensystems(eig_sym(np.diag(bare)), eig_sym(np.diag(eff))))
+    fit = TanFit(rate=0.01, amplitude=1e-4, center=149.8, residual=0.0, n_points=ell,
+                 degenerate=degenerate)
+    write_tanfit_csv(tmp_path / "a.csv", table, fit)
+    _tanfit_csv_per_index(tmp_path / "b.csv", table, fit)
+    got = _read(tmp_path / "a.csv")
+    assert got == _read(tmp_path / "b.csv")
+    assert all(line.split(",")[2] == "nan" for line in got.splitlines()[1:]) == degenerate
+
+
 def test_write_tanfit_json_fields(tmp_path):
     fit = TanFit(rate=0.1, amplitude=0.01, center=3.0, residual=1e-14, n_points=6)
     path = tmp_path / "tanfit.json"

@@ -107,6 +107,12 @@ class TestTanhCoefficients:
         with pytest.raises(ValueError):
             tanh_coefficients(0)
 
+    def test_cached_per_order(self):
+        assert tanh_coefficients(12) is tanh_coefficients(12)
+        assert tanh_coefficients(11) == tanh_coefficients(12)[:11]
+        with pytest.raises(ValueError):
+            tanh_coefficients(0)
+
 
 class TestCommutator:
     def test_frozen_two_by_two(self):

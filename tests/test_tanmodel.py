@@ -1,9 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tanfold.tanmodel import TanFit, eval_tan, fit_tan
+from tanfold import presets
+from tanfold.spectral import align_eigensystems, eig_sym, eigen_differences
+from tanfold.synth import plant_series
+from tanfold.tanmodel import (
+    _N_CENTER,
+    _N_RATE,
+    _RATE_GRID_LO,
+    RATIO_FLOOR,
+    SINGULARITY_MARGIN,
+    TanFit,
+    _grid_seed,
+    _ratios_from_pairs,
+    eval_tan,
+    fit_tan,
+)
 
 REF_RATE, REF_AMP, REF_CENTER = 1.0e-2, 0.6e-4, 149.8
 
@@ -120,6 +135,13 @@ class TestEdgeCases:
         assert fit.n_points == 64
         assert abs(fit.rate - 2.0e-2) / 2.0e-2 < 1e-6
 
+    def test_one_repeated_index(self):
+        # every tangent is the same number: the grid already fits the mean
+        pairs = [(5.0, 1.0, 1.1), (5.0, 1.0, 1.2), (5.0, 1.0, 1.05)]
+        fit = fit_tan(pairs)
+        assert fit.converged is True
+        assert abs(fit.residual - np.std([0.1, 0.2, 0.05])) < 1e-12
+
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             fit_tan([(1.0, 1.0, 1.1), (2.0, 0.9, 0.95)])
@@ -132,8 +154,6 @@ class TestEdgeCases:
         # A law whose rate is the coarse grid's top rate at center 1: its
         # farthest argument lands on the singularity cap, which the grid must
         # not offer as a seed the refinement cannot leave.
-        from tanfold.tanmodel import SINGULARITY_MARGIN, _N_RATE, _RATE_GRID_LO
-
         cap = math.pi / 2 - SINGULARITY_MARGIN
         idx = np.arange(1, 33, dtype=np.float64)
         rate = np.geomspace(_RATE_GRID_LO, cap / 31.0, _N_RATE)[-1]
@@ -141,3 +161,211 @@ class TestEdgeCases:
         fit = fit_tan([(i, 1.0, 1.0 + 0.02 * math.tan(rate * (i - 1.0))) for i in idx])
         assert np.abs(fit.rate * (idx - fit.center)).max() < cap
         assert np.all(np.isfinite(eval_tan(fit, idx)))
+
+
+# ---------------------------------------------------------------------------
+# reference: the coarse grid evaluated cell by cell, then Gauss-Newton on
+# all three parameters (amplitude included) with a 30-halving search
+# ---------------------------------------------------------------------------
+
+def _sse(amp, tans, ratios):
+    r = amp * tans - ratios
+    return float(r @ r)
+
+
+def _reference_grid(idx, ratios):
+    arg_cap = math.pi / 2 - SINGULARITY_MARGIN
+    best = None  # (sse, rate, center, amp)
+    for center in np.linspace(1.0, idx.max(), _N_CENTER):
+        dmax = np.abs(idx - center).max()
+        rate_hi = arg_cap / dmax if dmax > 0 else arg_cap
+        if rate_hi <= _RATE_GRID_LO:
+            continue
+        for rate in np.geomspace(_RATE_GRID_LO, rate_hi, _N_RATE):
+            arg = rate * (idx - center)
+            if np.abs(arg).max() >= arg_cap:
+                continue
+            tans = np.tan(arg)
+            denom = tans @ tans
+            amp = (ratios @ tans) / denom if denom > 0 else 0.0
+            key = (_sse(amp, tans, ratios), rate, center)
+            if best is None or key < best[:3]:
+                best = (*key, amp)
+    return best
+
+
+def gauss_newton_fit_tan(pairs, *, floor_rel=RATIO_FLOOR, max_iter=200):
+    idx, ratios = _ratios_from_pairs(pairs, floor_rel)
+    arg_cap = math.pi / 2 - SINGULARITY_MARGIN
+    sse, rate, center, amp = _reference_grid(idx, ratios)
+    converged = False
+    for _ in range(max_iter):
+        arg = rate * (idx - center)
+        tans = np.tan(arg)
+        sec2 = 1.0 + tans * tans
+        resid = amp * tans - ratios
+        jac = np.column_stack(
+            [amp * (idx - center) * sec2, tans, -amp * rate * sec2]
+        )
+        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        scale = 1.0
+        improved = False
+        for _ in range(30):
+            cand = (rate + scale * step[0], amp + scale * step[1], center + scale * step[2])
+            args = cand[0] * (idx - cand[2])
+            if np.abs(args).max() < arg_cap:
+                cand_sse = _sse(cand[1], np.tan(args), ratios)
+                if cand_sse <= sse:
+                    rate, amp, center = cand
+                    moved = cand_sse < sse * (1 - 1e-15)
+                    sse = cand_sse
+                    improved = True
+                    break
+            scale *= 0.5
+        if not improved or not moved:
+            converged = True
+            break
+        if np.abs(step * scale).max() < 1e-15 * max(abs(rate), abs(center), 1.0):
+            converged = True
+            break
+    if rate < 0:
+        rate, amp = -rate, -amp
+    return TanFit(float(rate), float(amp), float(center), math.sqrt(sse / idx.size),
+                  idx.size, False, converged)
+
+
+PLANTED_LAWS = [
+    (300, REF_RATE, REF_AMP, REF_CENTER),
+    (300, REF_RATE, -REF_AMP, REF_CENTER),
+    (64, 2.0e-2, 2.0e-4, 31.9),
+    (128, 8.0e-3, 5.0e-5, 70.2),
+    (300, 4.0e-3, 1.0e-3, 120.0),
+]
+
+
+def _noisy(pairs, noise, seed):
+    idx, eps_b, eps_d = map(np.array, zip(*pairs))
+    eps_d = eps_d + np.random.default_rng(seed).normal(0.0, noise, eps_d.size) * eps_b
+    return list(zip(idx, eps_b, eps_d))
+
+
+def _linear_pairs(ell, slope, zero):
+    idx = np.arange(1, ell + 1, dtype=np.float64)
+    return list(zip(idx, np.ones(ell), 1.0 + slope * (idx - zero)))
+
+
+def _residual_not_worse(fit, ref):
+    return fit.residual <= ref.residual * (1 + 1e-9) or max(fit.residual, ref.residual) < 1e-12
+
+
+class TestMatchesGaussNewton:
+    def _assert_same_law(self, pairs):
+        fit, ref = fit_tan(pairs), gauss_newton_fit_tan(pairs)
+        assert fit.converged and ref.converged
+        for name in ("rate", "center", "amplitude"):
+            got, want = getattr(fit, name), getattr(ref, name)
+            assert abs(got - want) <= 1e-9 * abs(want), (name, got, want)
+        assert _residual_not_worse(fit, ref)
+
+    @pytest.mark.parametrize("law", PLANTED_LAWS)
+    def test_planted_laws(self, law):
+        self._assert_same_law(make_pairs(*law))
+
+    @pytest.mark.parametrize("law", PLANTED_LAWS)
+    @pytest.mark.parametrize("noise", [1e-6, 1e-4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noisy_plants(self, law, noise, seed):
+        # noise relative to the planted amplitude, on every relative shift
+        self._assert_same_law(_noisy(make_pairs(*law), noise * abs(law[2]), seed))
+
+    def test_check5_default_h4_plant(self):
+        plant = plant_series(presets.plant_preset("default-h4"))
+        alignment = align_eigensystems(eig_sym(plant.w_bare), eig_sym(plant.w_eff))
+        self._assert_same_law(eigen_differences(alignment).pairs())
+
+
+class TestGrid:
+    @pytest.mark.parametrize(
+        "pairs",
+        [make_pairs(*law) for law in PLANTED_LAWS]
+        + [_noisy(make_pairs(*PLANTED_LAWS[0]), 1e-6, 3), _linear_pairs(300, 1e-3, 120.5)],
+    )
+    def test_blocks_pick_the_reference_cell(self, pairs):
+        idx, ratios = _ratios_from_pairs(pairs, RATIO_FLOOR)
+        sse, rate, center, amp = _grid_seed(idx, ratios)
+        ref = _reference_grid(idx, ratios)
+        assert (rate, center) == (ref[1], ref[2])
+        assert abs(sse - ref[0]) <= 1e-12 * ref[0]
+        assert abs(amp - ref[3]) <= 1e-12 * abs(ref[3])
+
+
+class TestFlatValley:
+    @pytest.mark.parametrize("ell,slope,zero", [(300, 1e-3, 120.5), (300, -2e-5, 10.0), (32, 1e-2, 16.0)])
+    def test_linear_ratios_give_a_finite_law(self, ell, slope, zero):
+        pairs = _linear_pairs(ell, slope, zero)
+        fit = fit_tan(pairs)
+        assert all(map(math.isfinite, (fit.rate, fit.center, fit.amplitude, fit.residual)))
+        curve = eval_tan(fit, np.arange(1, ell + 1, dtype=np.float64))
+        assert np.all(np.isfinite(curve))
+        assert _residual_not_worse(fit, gauss_newton_fit_tan(pairs))
+
+    @pytest.mark.parametrize("ell,shift", [(300, 3e-4), (32, 0.5)])
+    def test_constant_ratios_give_a_finite_law(self, ell, shift):
+        # the constant is the limit of a center running off to infinity; no
+        # step may land on rate 0, where the center is undefined
+        idx = np.arange(1, ell + 1, dtype=np.float64)
+        pairs = [(i, 1.0, 1.0 + shift) for i in idx]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_tan(pairs)
+            curve = eval_tan(fit, idx)
+        assert fit.converged and fit.rate > 0
+        assert np.all(np.isfinite(curve))
+        assert _residual_not_worse(fit, gauss_newton_fit_tan(pairs))
+
+    def test_the_rate_falls_toward_the_linear_limit(self):
+        # amplitude * rate stays at the slope while the rate falls
+        fit = fit_tan(_linear_pairs(300, 1e-3, 120.5))
+        assert fit.rate < 1e-6
+        assert abs(fit.amplitude * fit.rate - 1e-3) < 1e-6
+
+
+class TestSingularityCap:
+    def _law_near_the_pole(self, ell, center, gap):
+        # the farthest index sits ``gap`` short of the pole at pi/2
+        rate = (math.pi / 2 - gap) / max(center - 1.0, ell - center)
+        return rate, make_pairs(ell, rate, 0.02, center)
+
+    def test_optimum_on_the_cap(self):
+        # the planted argument passes the cap, so the best feasible law sits
+        # on it: the refinement slides along the cap instead of stopping
+        _, pairs = self._law_near_the_pole(32, 20.0, 5e-4)
+        fit, ref = fit_tan(pairs), gauss_newton_fit_tan(pairs)
+        idx = np.arange(1.0, 33.0)
+        arg = np.abs(fit.rate * (idx - fit.center)).max()
+        assert math.pi / 2 - SINGULARITY_MARGIN - 1e-6 < arg < math.pi / 2 - SINGULARITY_MARGIN
+        assert np.all(np.isfinite(eval_tan(fit, idx)))
+        assert fit.converged
+        assert fit.residual < 0.9 * ref.residual
+
+    def test_law_just_inside_the_cap_is_recovered(self):
+        rate, pairs = self._law_near_the_pole(300, 149.8, 0.01)
+        fit = fit_tan(pairs)
+        assert fit.converged
+        assert abs(fit.rate - rate) < 1e-9 * rate
+        assert abs(fit.center - 149.8) < 1e-9 * 149.8
+        assert abs(fit.amplitude - 0.02) < 1e-9 * 0.02
+        assert fit.residual < 1e-12
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_cap_reports_not_converged(self, max_iter):
+        pairs = _noisy(make_pairs(*PLANTED_LAWS[2]), 1e-6, 0)
+        assert fit_tan(pairs).converged
+        assert not fit_tan(pairs, max_iter=max_iter).converged
+
+    def test_flat_valley_cap(self):
+        fit = fit_tan(_linear_pairs(300, 1e-3, 120.5), max_iter=3)
+        assert not fit.converged
+        assert np.all(np.isfinite(eval_tan(fit, np.arange(1.0, 301.0))))

@@ -39,6 +39,7 @@ from tanfold.training import (
     evaluate_mae,
     finetune_effective,
     load_model,
+    load_model_kernel,
     save_model,
     train_bare,
 )
@@ -823,3 +824,15 @@ def test_load_model_rejects_unknown_format(tmp_path, small_series):
     (tmp_path / "model.json").write_text(meta)
     with pytest.raises(ValueError, match="format"):
         load_model(tmp_path)
+    with pytest.raises(ValueError, match="unsupported model format 'other v9'"):
+        load_model_kernel(tmp_path)
+
+
+def test_load_model_kernel_reads_the_kernel_alone(tmp_path, small_series):
+    cfg = quick_config(HeadKind.BARE_TWO, epochs=2)
+    model, _ = train_bare(small_series, cfg)
+    save_model(model, tmp_path)
+    (tmp_path / "net0.npz").unlink()
+    kernel = load_model_kernel(tmp_path)
+    assert np.array_equal(kernel.matrix, model.kernel.matrix)
+    assert not kernel.matrix.flags.writeable
