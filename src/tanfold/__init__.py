@@ -41,6 +41,7 @@ from .suzuki import (  # noqa: F401
     expm_antihermitian,
     random_coupled_problem,
     tanh_coefficients,
+    verify_w_identities,
     verify_w_identity,
     z_tanh_closed,
     z_tanh_series,

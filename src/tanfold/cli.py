@@ -35,7 +35,7 @@ from . import __version__, presets, reports
 from .heads import HeadKind, KernelMatrix
 from .nn import load_kernel
 from .spectral import align_eigensystems, eig_sym, eigen_differences
-from .suzuki import random_coupled_problem, verify_w_identity
+from .suzuki import random_coupled_problem, verify_w_identities
 from .synth import PlantSpec, plant_series, save_plant
 from .tanmodel import fit_tan
 from .tensors import Kind, load_series
@@ -386,11 +386,13 @@ def _cmd_suzuki_verify(args) -> int:
         raise _UsageError("--rdim must be smaller than --dim")
     out = _out_path(args.out)
     seeds = np.random.SeedSequence(args.seed).generate_state(args.trials)
+    problems = (random_coupled_problem(args.dim, args.rdim, args.coupling, int(s))
+                for s in seeds)
     rows = []
     curves = []
-    for trial, s in enumerate(seeds):
-        problem = random_coupled_problem(args.dim, args.rdim, args.coupling, int(s))
-        report = verify_w_identity(problem, n_max=args.n_max)
+    for trial, (s, report) in enumerate(
+        zip(seeds, verify_w_identities(problems, n_max=args.n_max))
+    ):
         rows.append(
             (trial, int(s), report.rel_frobenius, report.max_abs, report.half_spread)
         )

@@ -228,6 +228,30 @@ class AdamState:
         return state
 
 
+#: Adam updates a larger parameter array in slices of this many elements,
+#: so the slices of p, g, m, v and the two scratch blocks stay in the L2 cache
+ADAM_BLOCK = 1 << 15
+
+
+def _adam_pieces(p, g, m, v, scratch):
+    """``(p, g, m, v, u, den)`` pieces of one array's update.
+
+    A C-contiguous array above ``ADAM_BLOCK`` elements is cut into flat
+    slices (views, so the update writes through them), and the two rows of
+    ``scratch`` hold its temporaries ``u`` and ``den``; any other array is
+    one piece with ``u = den = None``, and the update allocates them.
+    """
+    if p.size <= ADAM_BLOCK or not (
+        p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous
+    ):
+        yield p, g, m, v, None, None
+        return
+    flat = [a.reshape(-1) for a in (p, g, m, v)]
+    for start in range(0, p.size, ADAM_BLOCK):
+        piece = [a[start : start + ADAM_BLOCK] for a in flat]
+        yield *piece, *(b[: piece[0].size] for b in scratch)
+
+
 def adam_step(params, grads, state: AdamState) -> float:
     """One in-place Adam update; returns the learning rate that was applied.
 
@@ -245,22 +269,25 @@ def adam_step(params, grads, state: AdamState) -> float:
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), spelled out in place with
-    # the same operations in the same order, so every value is unchanged
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        u = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += u
-        np.square(g, out=u)
-        u *= 1.0 - b2
-        v *= b2
-        v += u
-        den = np.divide(v, bc2)
-        np.sqrt(den, out=den)
-        den += eps
-        np.divide(m, bc1, out=u)
-        u *= lr
-        u /= den
-        p -= u
+    # the same operations in the same order, so every value is unchanged;
+    # the operations are elementwise, so any slicing gives the same bits
+    scratch = np.empty((2, min(ADAM_BLOCK, max((p.size for p in params), default=0))))
+    for arrays in zip(params, grads, state.m, state.v):
+        for p, g, m, v, u, den in _adam_pieces(*arrays, scratch):
+            u = np.multiply(g, 1.0 - b1, out=u)
+            m *= b1
+            m += u
+            np.square(g, out=u)
+            u *= 1.0 - b2
+            v *= b2
+            v += u
+            den = np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            np.divide(m, bc1, out=u)
+            u *= lr
+            u /= den
+            p -= u
     return lr
 
 

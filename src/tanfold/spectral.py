@@ -113,21 +113,36 @@ def align_eigensystems(bare: EigenSystem, eff: EigenSystem) -> AlignmentReport:
         raise ValueError(f"dimension mismatch: {bare.dim} vs {eff.dim}")
     n = bare.dim
     overlap = bare.vectors.T @ eff.vectors
-    flat = np.abs(overlap).ravel()
-    order = np.argsort(-flat, kind="stable")
-    row_used = np.zeros(n, dtype=bool)
-    col_used = np.zeros(n, dtype=bool)
+    mag = np.abs(overlap)
+    # An entry that comes first in the visiting order among its row and its
+    # column (a mutual first argmax: argmax takes the lowest index on ties,
+    # as the row-major tie-break does) is taken whatever the pass takes
+    # before it, since nothing earlier shares its row or column.  With
+    # orthonormal eigenvectors that covers every |overlap| > 0.75, whose
+    # row and column neighbours lie below sqrt(1 - 0.75^2) ~ 0.66, so
+    # matched spectra leave the greedy pass little or nothing to sort.
     permutation = np.full(n, -1, dtype=np.intp)
+    if n:
+        best = mag.argmax(axis=1)
+        sure = mag.argmax(axis=0)[best] == np.arange(n)
+        permutation[sure] = best[sure]
+    rows = np.flatnonzero(permutation < 0)
+    cols = np.setdiff1d(np.arange(n), permutation)
+    # the greedy pass on the free rows and columns: their row-major order
+    # within the submatrix is the one they had in the full matrix
+    order = np.argsort(-mag[np.ix_(rows, cols)].ravel(), kind="stable")
+    row_used = np.zeros(rows.size, dtype=bool)
+    col_used = np.zeros(cols.size, dtype=bool)
     matched = 0
     for pos in order:
-        i, j = divmod(int(pos), n)
+        i, j = divmod(int(pos), cols.size)
         if row_used[i] or col_used[j]:
             continue
-        permutation[i] = j
+        permutation[rows[i]] = cols[j]
         row_used[i] = True
         col_used[j] = True
         matched += 1
-        if matched == n:
+        if matched == rows.size:
             break
     signs = np.sign(overlap[np.arange(n), permutation])
     signs[signs == 0] = 1.0

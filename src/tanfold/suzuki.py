@@ -16,10 +16,15 @@ and the tanh transform of the block-off-diagonal part,
 where ``t_n`` are the odd Taylor coefficients of tanh.  Everything works in
 complex arithmetic: eigenvectors of an anti-Hermitian generator are
 intrinsically complex even for real-symmetric input.
+
+The construction and the verification run on stacks of problems of one
+shape, ``(T, dim, dim)``: each arithmetic step is one NumPy call over the
+stack, and the single-problem functions are stacks of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -40,6 +45,7 @@ __all__ = [
     "random_coupled_problem",
     "tanh_coefficients",
     "transformed",
+    "verify_w_identities",
     "verify_w_identity",
     "z_tanh_closed",
     "z_tanh_series",
@@ -50,6 +56,11 @@ BLOCK_TOL = 1e-10
 ASSIGNMENT_GAP = 1e-8
 #: arguments of the closed-form tanh must stay below pi/2 by this margin
 SPREAD_LIMIT = math.pi / 2
+_SINGULAR = ("eigenphase spread of G/2 reaches pi/2: "
+             "closed-form tanh transform is singular")
+#: byte budget of one stacked complex (T, dim, dim) array: it caps the
+#: trials verified together, so memory stays bounded at any trial count
+CHUNK_BYTES = 256 * 1024
 
 
 def _as_square_complex(m, name: str) -> np.ndarray:
@@ -109,16 +120,20 @@ class Generator:
 
 def h_od(prob: SuzukiProblem) -> np.ndarray:
     """Block-off-diagonal part R H Q + Q H R."""
-    out = np.array(prob.h)
-    r = prob.r_dim
-    out[:r, :r] = 0.0
-    out[r:, r:] = 0.0
+    return _off_diagonal(prob.h, prob.r_dim)
+
+
+def _off_diagonal(h: np.ndarray, r: int) -> np.ndarray:
+    """Copy of a matrix or a stack with both diagonal blocks zeroed."""
+    out = np.array(h)
+    out[..., :r, :r] = 0.0
+    out[..., r:, r:] = 0.0
     return out
 
 
 def _expm_from_eigh(phases: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(G) from the eigensystem of iG."""
-    return (v * np.exp(-1j * phases)) @ v.conj().T
+    """exp(G) from the eigensystem of iG, for one generator or a stack."""
+    return (v * np.exp(-1j * phases)[..., None, :]) @ _ct(v)
 
 
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
@@ -128,6 +143,86 @@ def expm_antihermitian(g: np.ndarray) -> np.ndarray:
     heuristics involved.
     """
     return _expm_from_eigh(*np.linalg.eigh(1j * _as_square_complex(g, "g")))
+
+
+class _TrialFailure(Exception):
+    """A check failed; ``args`` are the index of the first failing trial of
+    the stack and the exception that trial raises when run alone."""
+
+
+def _require(bad: np.ndarray, error) -> None:
+    """Raise _TrialFailure at the first trial flagged in ``bad``;
+    ``error(k)`` builds trial k's exception."""
+    if bad.any():
+        k = int(bad.argmax())
+        raise _TrialFailure(k, error(k))
+
+
+def _first_error(fn, h: np.ndarray, *args):
+    """``fn(h, *args)`` on a stack; a failed check raises what a loop over
+    the trials would raise.
+
+    That is the lowest-index failing trial with its first failing check.
+    When check c first fails at trial k, the trials before k passed every
+    check up to c, so rerunning them alone finds any earlier trial that
+    fails a later check; if none does, trial k's error stands.
+    """
+    try:
+        return fn(h, *args)
+    except _TrialFailure as fail:
+        k, error = fail.args
+        if k:
+            _first_error(fn, h[:k], *args)
+        raise error from None
+
+
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _direct_rotation(h: np.ndarray, r: int):
+    """Direct-rotation generators of a stack ``h`` of shape (T, dim, dim).
+
+    Returns the generators G, the eigenphases and eigenvectors of iG, and
+    the transforms e^{-G} H e^{G}.  Each check is made per trial before the
+    arithmetic that depends on it, in the order of :func:`build_generator`.
+    """
+    _, vecs = np.linalg.eigh(h)
+    proj = np.sum(np.abs(vecs[:, :r, :]) ** 2, axis=1)
+    order = np.argsort(-proj, axis=-1, kind="stable")
+    edge = np.take_along_axis(proj, order[:, r - 1 : r + 1], axis=-1)
+    _require(edge[:, 0] - edge[:, 1] < ASSIGNMENT_GAP, lambda k: ValueError(
+        "ambiguous eigenvector assignment: projection norms "
+        f"{edge[k, 0]:.3e} and {edge[k, 1]:.3e} are too close"
+    ))
+    v_r = np.take_along_axis(vecs, order[:, None, :r], axis=-1)
+    u_a, s_a, vh_a = np.linalg.svd(v_r[:, :r])
+    _require(s_a[:, -1] ** 2 < 1e-12, lambda k: ValueError(
+        "assigned subspace is orthogonal to the reference block"
+    ))
+    omega = ((v_r[:, r:] @ _ct(vh_a)) / s_a[:, None, :]) @ _ct(u_a)
+    z, t, xh = np.linalg.svd(omega, full_matrices=False)
+    k = (z * np.arctan(t)[:, None, :]) @ xh
+    g = np.zeros_like(h)
+    g[:, r:, :r] = k
+    g[:, :r, r:] = -_ct(k)
+    # the checks of the Generator class, per trial
+    _require(~np.isfinite(g).all(axis=(1, 2)),
+             lambda k: ValueError("g has non-finite entries"))
+    _require(np.abs(g + _ct(g)).max(axis=(1, 2)) > HERMITIAN_TOL,
+             lambda k: ValueError("generator is not anti-Hermitian to 1e-12"))
+    blocks = np.maximum(np.abs(g[:, :r, :r]).max(axis=(1, 2)),
+                        np.abs(g[:, r:, r:]).max(axis=(1, 2)))
+    _require(blocks > BLOCK_TOL,
+             lambda k: ValueError("generator has non-zero diagonal blocks"))
+
+    phases, v = np.linalg.eigh(1j * g)
+    u = _expm_from_eigh(phases, v)
+    full = _ct(u) @ h @ u
+    _require(np.abs(full[:, r:, :r]).max(axis=(1, 2)) > BLOCK_TOL,
+             lambda k: ArithmeticError("decoupling residual above 1e-10"))
+    return g, phases, v, full
 
 
 def build_generator(prob: SuzukiProblem) -> Generator:
@@ -141,36 +236,14 @@ def build_generator(prob: SuzukiProblem) -> Generator:
     below pi/2, and G is the principal logarithm of the polar rotation.
     ``sigma_min(A)^2 < 1e-12`` and a decoupling residual above 1e-10 raise.
     """
-    r = prob.r_dim
-    _, vecs = np.linalg.eigh(prob.h)
-    proj = np.sum(np.abs(vecs[:r, :]) ** 2, axis=0)
-    order = np.argsort(-proj, kind="stable")
-    if proj[order[r - 1]] - proj[order[r]] < ASSIGNMENT_GAP:
-        raise ValueError(
-            "ambiguous eigenvector assignment: projection norms "
-            f"{proj[order[r - 1]]:.3e} and {proj[order[r]]:.3e} are too close"
-        )
-    v_r = vecs[:, order[:r]]
-    u_a, s_a, vh_a = np.linalg.svd(v_r[:r])
-    if s_a[-1] ** 2 < 1e-12:
-        raise ValueError("assigned subspace is orthogonal to the reference block")
-    omega = ((v_r[r:] @ vh_a.conj().T) / s_a) @ u_a.conj().T
-    z, t, xh = np.linalg.svd(omega, full_matrices=False)
-    k = (z * np.arctan(t)) @ xh
-    g = np.zeros((prob.dim, prob.dim), dtype=np.complex128)
-    g[r:, :r] = k
-    g[:r, r:] = -k.conj().T
-    gen = Generator(g, r)
-
-    if np.abs(transformed(prob, gen)[r:, :r]).max() > BLOCK_TOL:
-        raise ArithmeticError("decoupling residual above 1e-10")
-    return gen
+    g, *_ = _first_error(_direct_rotation, prob.h[None], prob.r_dim)
+    return Generator(g[0], prob.r_dim)
 
 
 def transformed(prob: SuzukiProblem, gen: Generator) -> np.ndarray:
     """Full similarity transform e^{-G} H e^{G}."""
     u = _expm_from_eigh(*gen.eigh)
-    return u.conj().T @ prob.h @ u
+    return _ct(u) @ prob.h @ u
 
 
 def h_eff(prob: SuzukiProblem, gen: Generator) -> np.ndarray:
@@ -219,13 +292,15 @@ def tanh_coefficients(n_max: int) -> tuple[Fraction, ...]:
     )
 
 
-def _half_spread(phases: np.ndarray) -> float:
-    """Largest eigenphase difference of G/2, from the eigenphases of iG."""
-    return float(phases.max() - phases.min()) / 2
+def _half_spread(phases: np.ndarray):
+    """Largest eigenphase difference of G/2, from the eigenphases of iG
+    (one value per generator of a stack)."""
+    return (phases.max(axis=-1) - phases.min(axis=-1)) / 2
 
 
 def _tanh_partial_sums(g: np.ndarray, h_od_mat: np.ndarray, n_max: int):
-    """Yield the truncated tanh transforms of orders 1, ..., n_max."""
+    """Yield the truncated tanh transforms of orders 1, ..., n_max
+    (of each generator, for a stack)."""
     half = g / 2
     coeffs = tanh_coefficients(n_max)
     nested = _nested_commutator(half, h_od_mat, 1)
@@ -262,18 +337,19 @@ def z_tanh_closed(g: np.ndarray, h_od_mat: np.ndarray) -> np.ndarray:
     """
     g = _as_square_complex(g, "g")
     h_od_mat = _as_square_complex(h_od_mat, "h_od")
-    return _tanh_closed(*np.linalg.eigh(1j * g), h_od_mat)
+    phases, v = np.linalg.eigh(1j * g)
+    if _half_spread(phases) >= SPREAD_LIMIT:
+        raise ValueError(_SINGULAR)
+    return _tanh_closed(phases, v, h_od_mat)
 
 
 def _tanh_closed(phases: np.ndarray, v: np.ndarray, h_od_mat: np.ndarray) -> np.ndarray:
-    """z_tanh_closed from the eigenphases and eigenvectors of iG."""
-    if _half_spread(phases) >= SPREAD_LIMIT:
-        raise ValueError("eigenphase spread of G/2 reaches pi/2: "
-                         "closed-form tanh transform is singular")
+    """z_tanh_closed from the eigenphases and eigenvectors of iG, for one
+    generator or a stack; the caller checks the spread."""
     gamma = -0.5j * phases
-    factors = np.tanh(gamma[:, None] - gamma[None, :])
-    core = factors * (v.conj().T @ h_od_mat @ v)
-    return v @ core @ v.conj().T
+    factors = np.tanh(gamma[..., :, None] - gamma[..., None, :])
+    core = factors * (_ct(v) @ h_od_mat @ v)
+    return v @ core @ _ct(v)
 
 
 @dataclass(frozen=True)
@@ -292,29 +368,67 @@ class WIdentityReport:
     series_errors: tuple[float, ...] = field(default=())
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, with the bits of the 2-D
+    ``np.linalg.norm`` (one dot product each of the real and imaginary
+    parts; the ``axis`` form of ``norm`` sums in another order)."""
+    flat = m.reshape(len(m), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _verify_stack(h: np.ndarray, r: int, n_max: int) -> list[WIdentityReport]:
+    """verify_w_identity for each problem of a stack (T, dim, dim)."""
+    g, phases, v, full = _direct_rotation(h, r)
+    spread = _half_spread(phases)
+    _require(spread >= SPREAD_LIMIT, lambda k: ValueError(_SINGULAR))
+    od = _off_diagonal(h, r)
+
+    lhs = full[:, :r, :r] - h[:, :r, :r]
+    closed = _tanh_closed(phases, v, od)
+
+    diff = lhs + closed[:, :r, :r]  # lhs - (-R Z_tanh R)
+    lhs_f = _frobenius(lhs)
+    rel = np.divide(_frobenius(diff), lhs_f, out=np.zeros_like(lhs_f), where=lhs_f > 0)
+    series = np.stack([
+        np.abs(partial - closed).max(axis=(1, 2))
+        for partial in _tanh_partial_sums(g, od, n_max)
+    ], axis=1)
+    return [
+        WIdentityReport(max_abs=m, rel_frobenius=f, lhs_frobenius=l,
+                        half_spread=s, series_errors=tuple(e))
+        for m, f, l, s, e in zip(np.abs(diff).max(axis=(1, 2)).tolist(), rel.tolist(),
+                                 lhs_f.tolist(), spread.tolist(), series.tolist())
+    ]
+
+
+def verify_w_identities(problems, *, n_max: int = 12) -> list[WIdentityReport]:
+    """Compare W = H_eff - RHR against -R Z_tanh[G/2, H_OD] R, per problem.
+
+    ``problems`` (any iterable, consumed in chunks) must share ``dim`` and
+    ``r_dim``.  Each chunk is verified as one stack whose arrays stay within
+    ``CHUNK_BYTES``; a failing check raises what the first failing problem
+    raises alone under :func:`verify_w_identity`.
+    """
+    it = iter(problems)
+    first = next(it, None)
+    if first is None:
+        return []
+    dim, r = first.dim, first.r_dim
+    size = max(1, CHUNK_BYTES // (16 * dim * dim))
+    reports = []
+    chunk = [first, *itertools.islice(it, size - 1)]
+    while chunk:
+        if any(p.dim != dim or p.r_dim != r for p in chunk):
+            raise ValueError("problems must share dim and r_dim")
+        h = np.stack([p.h for p in chunk])
+        reports += _first_error(_verify_stack, h, r, n_max)
+        chunk = list(itertools.islice(it, size))
+    return reports
+
+
 def verify_w_identity(prob: SuzukiProblem, *, n_max: int = 12) -> WIdentityReport:
     """Compare W = H_eff - RHR against -R Z_tanh[G/2, H_OD] R."""
-    gen = build_generator(prob)
-    od = h_od(prob)
-    r = prob.r_dim
-
-    lhs = h_eff(prob, gen) - prob.h[:r, :r]
-    closed = _tanh_closed(*gen.eigh, od)
-
-    diff = lhs + closed[:r, :r]  # lhs - (-R Z_tanh R)
-    lhs_f = float(np.linalg.norm(lhs))
-    rel = float(np.linalg.norm(diff)) / lhs_f if lhs_f > 0 else 0.0
-
-    return WIdentityReport(
-        max_abs=float(np.abs(diff).max()),
-        rel_frobenius=rel,
-        lhs_frobenius=lhs_f,
-        half_spread=_half_spread(gen.eigh[0]),
-        series_errors=tuple(
-            float(np.abs(partial - closed).max())
-            for partial in _tanh_partial_sums(gen.g, od, n_max)
-        ),
-    )
+    return verify_w_identities([prob], n_max=n_max)[0]
 
 
 def random_coupled_problem(

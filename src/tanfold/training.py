@@ -479,6 +479,24 @@ def _train_loop(head, nets, w, samples, cfg) -> tuple[float, float]:
     return initial, _full_loss(head, nets, w, samples)
 
 
+def _fit(cfg, nets, w, samples, polish_from) -> tuple[np.ndarray, float, float]:
+    """Train, then, with ``kernel_polish``, solve for the kernel from
+    ``polish_from``; returns the kernel and the initial and final losses.
+
+    Frozen networks with a polish skip the Adam epochs: the networks take
+    no step and the solve does not start from the kernel Adam would train,
+    so there is nothing to train.
+    """
+    if cfg.freeze_orbitals and cfg.kernel_polish:
+        initial = _full_loss(cfg.stage, nets, w, samples)
+    else:
+        initial, final = _train_loop(cfg.stage, nets, w, samples, cfg)
+    if cfg.kernel_polish:
+        w = _solve_kernel(cfg.stage, nets, samples, polish_from)
+        final = _full_loss(cfg.stage, nets, w, samples)
+    return w, initial, final
+
+
 # ---------------------------------------------------------------------------
 # public pipeline
 # ---------------------------------------------------------------------------
@@ -567,10 +585,7 @@ def train_bare(
     w = _calibrated_kernel(
         cfg.stage, net, samples, cfg.ell, int(seeds[1].generate_state(1)[0])
     )
-    initial, final = _train_loop(cfg.stage, [net], w, samples, cfg)
-    if cfg.kernel_polish:
-        w = _solve_kernel(cfg.stage, [net], samples, np.zeros_like(w))
-        final = _full_loss(cfg.stage, [net], w, samples)
+    w, initial, final = _fit(cfg, [net], w, samples, polish_from=np.zeros_like(w))
     sq = scale * scale
 
     model = InteractionModel(
@@ -630,16 +645,7 @@ def finetune_effective(
     scale = _target_scale(samples.y)
     samples.y = samples.y / scale
     w = bare_model.kernel.matrix / scale
-    w_start = w.copy()
-    if cfg.freeze_orbitals and cfg.kernel_polish:
-        # the networks take no step and the solve starts from w_start,
-        # whatever Adam does to the kernel: there is nothing to train
-        initial = _full_loss(cfg.stage, nets, w, samples)
-    else:
-        initial, final = _train_loop(cfg.stage, nets, w, samples, cfg)
-    if cfg.kernel_polish:
-        w = _solve_kernel(cfg.stage, nets, samples, w_start)
-        final = _full_loss(cfg.stage, nets, w, samples)
+    w, initial, final = _fit(cfg, nets, w, samples, polish_from=w.copy())
     sq = scale * scale
 
     model = InteractionModel(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -198,6 +199,38 @@ def test_report_requires_finished_run(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "stage-1" in capsys.readouterr().err
+
+
+def _stage_argv(command, run, work, out):
+    stage1, stage2 = str(run / "stage1" / "model"), str(run / "stage2" / "model")
+    return {
+        "finetune": ["finetune", "--system", "desk", "--model", stage1,
+                     "--data", str(work["data"]), "--config", str(work["root"] / "tune.cfg"),
+                     "--refs", "1.0,1.5,2.0", "--out", out],
+        "eval": ["eval", "--model", stage2, "--data", str(work["data"]),
+                 "--refs", "1.0,1.5,2.0", "--out", out],
+        "analyze-spectrum": ["analyze-spectrum", "--bare", stage1, "--eff", stage2, "--out", out],
+        "report": ["report", "--system", "desk", "--run", str(run), "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval", "analyze-spectrum", "report"])
+@pytest.mark.parametrize("missing", ["model.json", "kernel.npz", "net0.npz"])
+def test_partial_model_directory(work, tmp_path, capsys, command, missing):
+    # a model directory without one of its files: every reader of that file
+    # exits 1 naming it; analyze-spectrum and report read only the kernel
+    run = tmp_path / "run"
+    for stage in ("stage1", "stage2"):
+        shutil.copytree(work["run"] / stage, run / stage)
+    model = run / ("stage2" if command == "eval" else "stage1") / "model"
+    (model / missing).unlink()
+    code = main(_stage_argv(command, run, work, str(tmp_path / "out")))
+    err = capsys.readouterr().err
+    if missing == "net0.npz" and command in ("analyze-spectrum", "report"):
+        assert code == 0, err
+    else:
+        assert code == 1
+        assert str(model / missing) in err
 
 
 def test_divergent_training_exits_numerical(work, tmp_path, capsys):

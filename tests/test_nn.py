@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tanfold import nn
 from tanfold.nn import (
     AdamState,
     OrbitalNet,
@@ -227,6 +228,83 @@ def reference_adam(params, grads, m, v, t, state):
         vv *= b2
         vv += (1.0 - b2) * np.square(g)
         p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + state.eps)
+
+
+def whole_array_adam(params, grads, state):
+    """Reference: the in-place update over whole arrays, with its two
+    full-size temporaries per array (the same ufuncs in the same order)."""
+    state.t += 1
+    lr = cosine_lr(state.base_lr, state.t, state.total_steps)
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        u = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += u
+        np.square(g, out=u)
+        u *= 1.0 - b2
+        v *= b2
+        v += u
+        den = np.divide(v, bc2)
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(m, bc1, out=u)
+        u *= lr
+        u /= den
+        p -= u
+    return lr
+
+
+class TestBlockedAdam:
+    @staticmethod
+    def stage_two_arrays(rng):
+        # the data-hf stage-2 parameter count: two network vectors and the
+        # ell-300 kernel, 375 400 values
+        return [rng.standard_normal(142_700), rng.standard_normal(142_700),
+                rng.standard_normal((300, 300))]
+
+    @pytest.mark.parametrize("block", [7, 1 << 13, 1 << 15, 1 << 16, 1 << 20])
+    def test_blocks_equal_whole_array_update_bitwise(self, monkeypatch, block):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(block)
+        params = self.stage_two_arrays(rng)
+        ref = [p.copy() for p in params]
+        state = AdamState.for_params(params, base_lr=0.01, total_steps=5)
+        ref_state = AdamState.for_params(ref, base_lr=0.01, total_steps=5)
+        for _ in range(3):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2) for p in params]
+            assert adam_step(params, grads, state) == whole_array_adam(ref, grads, ref_state)
+        for got, want in zip((*params, *state.m, *state.v), (*ref, *ref_state.m, *ref_state.v)):
+            assert np.array_equal(got, want)
+
+    def test_strided_parameters_update_whole(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 5)
+        rng = np.random.default_rng(2)
+        base = rng.standard_normal((12, 20))
+        params, ref, others = [base[:, ::2]], [base[:, ::2].copy()], base[:, 1::2].copy()
+        state = AdamState.for_params(params, base_lr=0.01, total_steps=5)
+        ref_state = AdamState.for_params(ref, base_lr=0.01, total_steps=5)
+        for _ in range(3):
+            grads = [rng.standard_normal((12, 10))]
+            adam_step(params, grads, state)
+            whole_array_adam(ref, grads, ref_state)
+        assert np.array_equal(params[0], ref[0])
+        assert np.array_equal(base[:, 1::2], others)
+
+    def test_late_non_finite_block_leaves_every_block_untouched(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 1000)
+        rng = np.random.default_rng(3)
+        params = self.stage_two_arrays(rng)
+        state = AdamState.for_params(params, base_lr=0.01, total_steps=5)
+        snapshot = [p.copy() for p in params]
+        grads = [rng.standard_normal(p.shape) for p in params]
+        grads[-1][-1, -1] = np.inf
+        with pytest.raises(FloatingPointError):
+            adam_step(params, grads, state)
+        assert state.t == 0
+        assert all(np.array_equal(a, b) for a, b in zip(params, snapshot))
+        assert not any(m.any() or v.any() for m, v in zip(state.m, state.v))
 
 
 class TestFlatAdam:

@@ -5,6 +5,7 @@ import pytest
 
 from tanfold.heads import KernelMatrix
 from tanfold.spectral import (
+    EigenSystem,
     align_eigensystems,
     eig_sym,
     eigen_differences,
@@ -15,6 +16,36 @@ from tanfold.spectral import (
 def random_orthogonal(n, rng):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
+
+
+def greedy_permutation(overlap):
+    """Reference: the full greedy pass over every entry of the overlap,
+    in decreasing |overlap| with row-major position breaking ties."""
+    n = overlap.shape[0]
+    order = np.argsort(-np.abs(overlap).ravel(), kind="stable")
+    row_used = np.zeros(n, dtype=bool)
+    col_used = np.zeros(n, dtype=bool)
+    permutation = np.full(n, -1, dtype=np.intp)
+    for pos in order:
+        i, j = divmod(int(pos), n)
+        if row_used[i] or col_used[j]:
+            continue
+        permutation[i] = j
+        row_used[i] = col_used[j] = True
+    return permutation
+
+
+def assert_matches_greedy(bare_vectors, eff_vectors):
+    n = bare_vectors.shape[0]
+    values = np.arange(n, 0, -1.0)
+    report = align_eigensystems(EigenSystem(values, bare_vectors), EigenSystem(values, eff_vectors))
+    overlap = bare_vectors.T @ eff_vectors
+    want = greedy_permutation(overlap)
+    assert np.array_equal(report.permutation, want)
+    signs = np.sign(overlap[np.arange(n), want])
+    signs[signs == 0] = 1.0
+    assert np.array_equal(report.signs, signs)
+    assert np.array_equal(report.overlap, overlap[:, want] * signs)
 
 
 class TestEigSym:
@@ -47,6 +78,47 @@ class TestEigSym:
         a, b = eig_sym(k), eig_sym(k)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+
+class TestAlignmentMatchesFullGreedyPass:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+    def test_random_orthogonal_pairs(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            assert_matches_greedy(random_orthogonal(n, rng), random_orthogonal(n, rng))
+
+    @pytest.mark.parametrize("n", [2, 17, 300])
+    @pytest.mark.parametrize("tilt", [0.0, 1e-3, 0.3])
+    def test_permuted_and_sign_flipped_pairs(self, n, tilt):
+        # a rotated copy of the bare basis, columns shuffled and negated
+        rng = np.random.default_rng(n + 7)
+        q = random_orthogonal(n, rng)
+        a = tilt * rng.standard_normal((n, n))
+        rot = np.linalg.qr(np.eye(n) + a - a.T)[0]
+        eff = (q @ rot)[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+        assert_matches_greedy(q, eff)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3])
+    def test_entries_near_one_over_root_two(self, eps):
+        # 2x2 blocks rotated by pi/4 +- eps: all four overlaps near 1/sqrt 2,
+        # exact ties at eps 0, so the row-major tie-break decides
+        rng = np.random.default_rng(11)
+        n = 12
+        q = random_orthogonal(n, rng)
+        rot = np.eye(n)
+        for k, angle in enumerate(np.pi / 4 + eps * rng.choice([-1.0, 1.0], n // 2)):
+            c, s = np.cos(angle), np.sin(angle)
+            rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+        assert_matches_greedy(q, q @ rot)
+        assert_matches_greedy(np.eye(n), rot[:, rng.permutation(n)])
+
+    def test_ties_in_arbitrary_matrices(self):
+        # vectors that are not orthonormal, with coarse values full of ties:
+        # the pre-picked pairs do not rely on orthonormality
+        rng = np.random.default_rng(12)
+        for n in (3, 8, 30):
+            for _ in range(20):
+                assert_matches_greedy(np.eye(n), rng.integers(-3, 4, (n, n)).astype(float))
 
 
 class TestAlignment:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from tanfold import suzuki
 from tanfold.suzuki import (
     Generator,
     SuzukiProblem,
@@ -19,6 +21,7 @@ from tanfold.suzuki import (
     random_coupled_problem,
     tanh_coefficients,
     transformed,
+    verify_w_identities,
     verify_w_identity,
     z_tanh_closed,
     z_tanh_series,
@@ -51,6 +54,78 @@ def polar_logm_generator(prob):
     s, w = np.linalg.eigh(t.conj().T @ t)
     g = logm(t @ ((w * s**-0.5) @ w.conj().T))
     return 0.5 * (g - g.conj().T), v_r
+
+
+def reference_generator(prob):
+    """Reference: the per-problem direct-rotation construction, one problem
+    at a time (the stacked code must reproduce it bit for bit)."""
+    r = prob.r_dim
+    _, vecs = np.linalg.eigh(prob.h)
+    proj = np.sum(np.abs(vecs[:r, :]) ** 2, axis=0)
+    order = np.argsort(-proj, kind="stable")
+    if proj[order[r - 1]] - proj[order[r]] < suzuki.ASSIGNMENT_GAP:
+        raise ValueError(
+            "ambiguous eigenvector assignment: projection norms "
+            f"{proj[order[r - 1]]:.3e} and {proj[order[r]]:.3e} are too close"
+        )
+    v_r = vecs[:, order[:r]]
+    u_a, s_a, vh_a = np.linalg.svd(v_r[:r])
+    if s_a[-1] ** 2 < 1e-12:
+        raise ValueError("assigned subspace is orthogonal to the reference block")
+    omega = ((v_r[r:] @ vh_a.conj().T) / s_a) @ u_a.conj().T
+    z, t, xh = np.linalg.svd(omega, full_matrices=False)
+    k = (z * np.arctan(t)) @ xh
+    g = np.zeros((prob.dim, prob.dim), dtype=np.complex128)
+    g[r:, :r] = k
+    g[:r, r:] = -k.conj().T
+    gen = Generator(g, r)
+
+    if np.abs(transformed(prob, gen)[r:, :r]).max() > suzuki.BLOCK_TOL:
+        raise ArithmeticError("decoupling residual above 1e-10")
+    return gen
+
+
+def reference_report(prob, n_max=12):
+    """Reference: verify_w_identity of one problem, per problem."""
+    gen = reference_generator(prob)
+    od = h_od(prob)
+    r = prob.r_dim
+
+    lhs = h_eff(prob, gen) - prob.h[:r, :r]
+    closed = z_tanh_closed(gen.g, od)
+
+    diff = lhs + closed[:r, :r]
+    lhs_f = float(np.linalg.norm(lhs))
+    rel = float(np.linalg.norm(diff)) / lhs_f if lhs_f > 0 else 0.0
+    phases = gen.eigh[0]
+    return suzuki.WIdentityReport(
+        max_abs=float(np.abs(diff).max()),
+        rel_frobenius=rel,
+        lhs_frobenius=lhs_f,
+        half_spread=float(phases.max() - phases.min()) / 2,
+        series_errors=tuple(
+            float(np.abs(z_tanh_series(gen.g, od, n) - closed).max())
+            for n in range(1, n_max + 1)
+        ),
+    )
+
+
+def first_error(fn, problems):
+    """Type and message of the first exception a loop over ``problems`` raises."""
+    for prob in problems:
+        try:
+            fn(prob)
+        except Exception as exc:  # noqa: BLE001 - the loop's error is the subject
+            return type(exc), str(exc)
+    return None
+
+
+def stack_error(problems, **kw):
+    try:
+        verify_w_identities(problems, **kw)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+    return None
 
 
 def random_antihermitian(rng, n, half_spread):
@@ -330,3 +405,124 @@ class TestWIdentity:
         # just at leading order: push the coupling well past perturbative
         rep = verify_w_identity(random_coupled_problem(8, 3, 0.4, 2))
         assert rep.rel_frobenius < 1e-8
+
+
+def ambiguous_problem(dim=6, r_dim=2):
+    """After the r_dim - 1 eigenvectors e_1, ..., e_{r-1} of R-projection 1,
+    the eigenvectors (e_0 +- e_r)/sqrt 2 tie at projection 1/2."""
+    h = np.diag(np.arange(dim) + 2.0)
+    h[0, 0] = h[r_dim, r_dim] = 0.0
+    h[0, r_dim] = h[r_dim, 0] = 1.0
+    return SuzukiProblem(h, r_dim)
+
+
+def orthogonal_assignment_problem():
+    """dim 6, r_dim 2: the R-parts of the two assigned eigenvectors
+    (R-projections 0.5 and 0.45, the rest 0.2625) both lie along e_0, so A
+    is singular although the assignment is clear."""
+    a = np.array([0.5, 0.45, 0.0125, 0.0125, 0.0125, 0.0125]) ** 0.5
+    b = np.array([0.0, 0.0, 0.5, -0.5, 0.5, -0.5])
+    rows = np.vstack([a, b, np.random.default_rng(0).standard_normal((4, 6))])
+    q, _ = np.linalg.qr(rows.T)
+    return SuzukiProblem((q.T * np.arange(1.0, 7.0)) @ q, 2)
+
+
+def coupled_problems(dim, r_dim, coupling, complex_, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        prob = random_coupled_problem(dim, r_dim, coupling, 1000 * seed + k)
+        if complex_:
+            a = rng.standard_normal((dim, dim))
+            prob = SuzukiProblem(prob.h + 0.3j * coupling * (a - a.T), r_dim)
+        out.append(prob)
+    return out
+
+
+class TestStackedLab:
+    @pytest.mark.parametrize("coupling", [0.05, 0.4])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_per_problem_reference_bit_for_bit(self, coupling, complex_):
+        for dim in range(3, 13):
+            for r_dim in range(1, dim):
+                probs = coupled_problems(dim, r_dim, coupling, complex_, 3, 10 * dim + r_dim)
+                got = verify_w_identities(probs)
+                for prob, rep in zip(probs, got):
+                    assert dataclasses.astuple(rep) == dataclasses.astuple(reference_report(prob))
+                    assert np.array_equal(build_generator(prob).g, reference_generator(prob).g)
+                assert verify_w_identity(probs[0]) == got[0]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunking_leaves_reports_unchanged(self, monkeypatch, chunk):
+        # 7 trials in chunks of 1, 3 (not a divisor) and 7 (one stack)
+        probs = coupled_problems(9, 4, 0.4, True, 7, 3)
+        want = [reference_report(p) for p in probs]
+        monkeypatch.setattr(suzuki, "CHUNK_BYTES", 16 * 9 * 9 * chunk)
+        assert verify_w_identities(iter(probs)) == want
+
+    def test_chunks_are_drawn_lazily_within_the_byte_budget(self):
+        # chunks of CHUNK_BYTES // (16 dim^2) problems, each verified before
+        # the next is drawn: a failure in the second chunk stops the draw
+        dim = 64
+        size = suzuki.CHUNK_BYTES // (16 * dim * dim)
+        seen = []
+
+        def draw():
+            for k in range(10 * size):
+                seen.append(k)
+                yield ambiguous_problem(dim, 2) if k == size + 1 else random_coupled_problem(dim, 2, 0.05, k)
+
+        with pytest.raises(ValueError, match="ambiguous"):
+            verify_w_identities(draw())
+        assert len(seen) == 2 * size
+
+    def test_empty_and_mixed_input(self):
+        assert verify_w_identities([]) == []
+        for other in (random_coupled_problem(7, 3, 0.05, 1), random_coupled_problem(6, 3, 0.05, 1)):
+            with pytest.raises(ValueError, match="share dim and r_dim"):
+                verify_w_identities([random_coupled_problem(6, 2, 0.05, 0), other])
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_degenerate_two_by_two_fails_like_the_loop(self, k):
+        bad = SuzukiProblem(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+        probs = [random_coupled_problem(2, 1, 0.05, s) for s in range(7)]
+        probs[k] = bad
+        with pytest.raises(ValueError, match="ambiguous") as alone:
+            verify_w_identity(bad)
+        assert stack_error(probs) == (ValueError, str(alone.value))
+        assert stack_error(probs) == first_error(reference_report, probs)
+
+    def test_earlier_problem_fails_first_whatever_its_check(self):
+        # the orthogonal-assignment check comes after the ambiguity check,
+        # yet the earlier problem's error wins either way round
+        ortho, ambiguous = orthogonal_assignment_problem(), ambiguous_problem()
+        ortho_err, amb_err = stack_error([ortho]), stack_error([ambiguous])
+        assert ortho_err == (ValueError, "assigned subspace is orthogonal to the reference block")
+        assert amb_err[0] is ValueError and "ambiguous" in amb_err[1]
+        good = random_coupled_problem(6, 2, 0.05, 0)
+        for first, second, want in ((ortho, ambiguous, ortho_err), (ambiguous, ortho, amb_err)):
+            probs = [good, first, good, second, good]
+            assert stack_error(probs) == want == first_error(reference_report, probs)
+
+    def test_failing_tolerances_raise_the_loops_error(self, monkeypatch):
+        # tighten the spread and decoupling limits to values inside the
+        # spread of the trials, so trials fail at several checks and indices
+        probs = coupled_problems(8, 3, 0.4, False, 6, 7)
+        spreads, residuals = [], []
+        for prob in probs:
+            gen = reference_generator(prob)
+            spreads.append(reference_report(prob).half_spread)
+            residuals.append(np.abs(transformed(prob, gen)[3:, :3]).max())
+        for spread in sorted(spreads)[1:]:
+            for residual in sorted(residuals)[1:]:
+                monkeypatch.setattr(suzuki, "SPREAD_LIMIT", spread)
+                monkeypatch.setattr(suzuki, "BLOCK_TOL", residual)
+                want = first_error(reference_report, probs)
+                assert want is not None
+                assert stack_error(probs) == want
+
+    def test_bad_order_fails_like_the_loop(self):
+        probs = [random_coupled_problem(5, 2, 0.05, s) for s in range(3)]
+        assert stack_error(probs, n_max=0) == (ValueError, "n_max must be >= 1")
+        probs[1] = SuzukiProblem(np.diag([0.0, 0.0, 1.0, 2.0, 3.0]), 2)
+        assert stack_error(probs, n_max=0) == (ValueError, "n_max must be >= 1")

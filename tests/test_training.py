@@ -597,6 +597,35 @@ def test_frozen_polished_finetune_is_the_solve_alone(stage, small_series, monkey
         assert np.array_equal(net.flat, bare_model.nets[0].flat)
 
 
+def _train_then_polish(cfg, nets, w, samples, polish_from):
+    """The stage sequence before frozen, polished stages skipped Adam: every
+    epoch runs, then the solve from ``polish_from`` replaces the kernel."""
+    initial, final = tr._train_loop(cfg.stage, nets, w, samples, cfg)
+    if cfg.kernel_polish:
+        w = tr._solve_kernel(cfg.stage, nets, samples, polish_from)
+        final = tr._full_loss(cfg.stage, nets, w, samples)
+    return w, initial, final
+
+
+@pytest.mark.parametrize("stage", [HeadKind.BARE_TWO, HeadKind.BARE_ONE])
+def test_frozen_polished_train_bare_skips_adam(stage, small_series, monkeypatch, tmp_path):
+    cfg = quick_config(stage, epochs=6, batch_size=16, freeze_orbitals=True, kernel_polish=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(tr, "_fit", _train_then_polish)
+        want_model, want_report = train_bare(small_series, cfg)
+
+    def no_adam(*args, **kwargs):
+        raise AssertionError("a frozen, polished stage ran an Adam step")
+
+    monkeypatch.setattr(tr, "adam_step", no_adam)
+    model, report = train_bare(small_series, cfg)
+    assert report == want_report
+    save_model(want_model, tmp_path / "want")
+    save_model(model, tmp_path / "got")
+    for name in sorted(os.listdir(tmp_path / "want")):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
 def test_diverging_run_aborts(small_series):
     # a step of size ~1e40 sends the quartic loss past float range, which
     # must surface as an error instead of a silent garbage model
