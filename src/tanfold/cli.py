@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, presets, reports
 from .heads import HeadKind, KernelMatrix
 from .nn import load_kernel
-from .spectral import align_eigensystems, eig_sym, eigen_differences
+from .spectral import DifferenceTable, align_eigensystems, eig_sym, eigen_differences
 from .suzuki import random_coupled_problem, verify_w_identities
 from .synth import PlantSpec, plant_series, save_plant
 from .tanmodel import fit_tan
@@ -355,21 +355,11 @@ def _cmd_fit_tan(args) -> int:
     os.makedirs(out, exist_ok=True)
     reports.write_tanfit_json(os.path.join(out, "tanfit.json"), fit)
     # re-emit the fitted curve against the observed relative differences
-    index = np.array([i for i, _, _ in pairs], dtype=np.float64)
-    bare = np.array([b for _, b, _ in pairs])
-    eff = np.array([e for _, _, e in pairs])
-    from .spectral import DifferenceTable
-
+    index, bare, eff = (np.array(column) for column in zip(*pairs))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = (eff - bare) / bare
-    table = DifferenceTable(
-        index=index.astype(int),
-        bare=bare,
-        eff=eff,
-        diff=eff - bare,
-        rel_diff=rel,
-        flagged=np.zeros(index.size, dtype=bool),
-    )
+    table = DifferenceTable(index=index, bare=bare, eff=eff, diff=eff - bare, rel_diff=rel,
+                            flagged=np.zeros(index.size, dtype=bool))
     reports.write_tanfit_csv(os.path.join(out, "tanfit.csv"), table, fit)
     _write_manifest(out, "fit-tan", {"table": os.fspath(args.table)},
                     seed=None, started=started)
@@ -384,6 +374,8 @@ def _cmd_suzuki_verify(args) -> int:
     started = time.perf_counter()
     if args.rdim >= args.dim:
         raise _UsageError("--rdim must be smaller than --dim")
+    if args.trials < 1:
+        raise _UsageError("--trials must be at least 1")
     out = _out_path(args.out)
     seeds = np.random.SeedSequence(args.seed).generate_state(args.trials)
     problems = (random_coupled_problem(args.dim, args.rdim, args.coupling, int(s))
@@ -418,46 +410,32 @@ def _cmd_suzuki_verify(args) -> int:
     return _EXIT_OK
 
 
-def _require(path, what):
+def _require(path, stage):
     if not os.path.exists(path):
-        raise _UsageError(f"missing {what}: {path} (run the earlier pipeline stages first)")
+        raise _UsageError(f"missing {path}: it is written by {stage}; run that stage first")
     return path
 
 
 def _cmd_report(args) -> int:
-    """Collect the four plot-ready tables from a finished pipeline layout.
-
-    Expects ``--run`` to contain ``stage1/`` and ``stage2/`` directories as
-    written by train-bare and finetune.  Emits mae.csv, overlap.csv,
-    eigen_differences.csv, tanfit.csv (+ tanfit.json) into ``--out``.
-    """
+    """Copy the outputs of finetune, analyze-spectrum and fit-tan from
+    ``--run`` into ``--out``, byte for byte.  Every input is checked, and
+    ``tanfit.json`` read, before ``--out`` is made."""
     started = time.perf_counter()
     run_dir = os.fspath(args.run)
-    stage1 = _require(os.path.join(run_dir, "stage1", "model"), "stage-1 model")
-    stage2 = _require(os.path.join(run_dir, "stage2", "model"), "stage-2 model")
-    stage2_mae = _require(os.path.join(run_dir, "stage2", "mae.csv"), "stage-2 MAE table")
+    sources = [_require(os.path.join(run_dir, rel), stage) for rel, stage in (
+        ("stage2/mae.csv", "finetune"), ("spectrum/overlap.csv", "analyze-spectrum"),
+        ("spectrum/eigen_differences.csv", "analyze-spectrum"),
+        ("fit/tanfit.csv", "fit-tan"), ("fit/tanfit.json", "fit-tan"))]
+    with open(sources[-1]) as fh:
+        fit = json.load(fh)
+    rate, center = fit["rate"], fit["center"]
     out = _out_path(args.out)
-
-    bare = eig_sym(load_model_kernel(stage1).matrix)
-    eff = eig_sym(load_model_kernel(stage2).matrix)
-    alignment = align_eigensystems(bare, eff)
-    table = eigen_differences(alignment)
-    fit = fit_tan(table.pairs())
-
     os.makedirs(out, exist_ok=True)
-    with open(stage2_mae) as src, open(os.path.join(out, "mae.csv"), "w") as dst:
-        dst.write(src.read())
-    reports.write_overlap_csv(os.path.join(out, "overlap.csv"), alignment)
-    reports.write_difference_csv(os.path.join(out, "eigen_differences.csv"), table)
-    reports.write_tanfit_csv(os.path.join(out, "tanfit.csv"), table, fit)
-    reports.write_tanfit_json(os.path.join(out, "tanfit.json"), fit)
+    for src in sources:
+        reports.copy_file(src, os.path.join(out, os.path.basename(src)))
     _write_manifest(out, "report", {"system": args.system, "run": run_dir},
                     seed=None, started=started)
-    print(
-        f"report for {args.system}: max off-diagonal overlap "
-        f"{alignment.max_off_diagonal:.4f}; tan rate {fit.rate:.4g}, "
-        f"center {fit.center:.4g}"
-    )
+    print(f"report for {args.system}: tan rate {rate:.4g}, center {center:.4g}")
     return _EXIT_OK
 
 

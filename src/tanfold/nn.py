@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "OrbitalNet",
@@ -42,11 +41,13 @@ def silu(x: np.ndarray) -> np.ndarray:
     :meth:`~OrbitalNet.backward`; this and :func:`silu_prime` are the
     reference it is tested against.
     """
+    from scipy.special import expit
     return x * expit(x)
 
 
 def silu_prime(x: np.ndarray) -> np.ndarray:
     """Derivative of SiLU: ``sigmoid(x) * (1 + x * (1 - sigmoid(x)))``."""
+    from scipy.special import expit
     s = expit(x)
     return s * (1.0 + x * (1.0 - s))
 
@@ -142,6 +143,7 @@ class OrbitalNet:
         needs: every layer's input and each hidden layer's pre-activation
         ``z`` and sigmoid ``expit(z)``.
         """
+        from scipy.special import expit  # at first use: `import tanfold.cli` loads no scipy
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with {self.sizes[0]} features")

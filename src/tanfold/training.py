@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps, pair_head
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net
@@ -300,6 +299,7 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads, kernel_only):
     if not with_grads:
         return loss, None, None, None
     dv = (2.0 * half * inv) * resid
+    from scipy.sparse import csr_matrix  # at first use: `import tanfold.cli` loads no scipy
     s = csr_matrix(
         (np.tile(dv, len(ends)), (ends[:, 0].ravel(), ends[:, 1].ravel())),
         shape=(uniq.size, uniq.size),

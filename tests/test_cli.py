@@ -65,6 +65,11 @@ def work(tmp_path_factory):
                  "--data", str(data), "--config", str(tune_cfg),
                  "--refs", "1.0,1.5,2.0", "--seed", "1",
                  "--out", str(run / "stage2")]) == 0
+    assert main(["analyze-spectrum", "--bare", str(run / "stage1" / "model"),
+                 "--eff", str(run / "stage2" / "model"),
+                 "--out", str(run / "spectrum")]) == 0
+    assert main(["fit-tan", "--table", str(run / "spectrum" / "eigen_differences.csv"),
+                 "--out", str(run / "fit")]) == 0
     return {"root": root, "data": data, "run": run,
             "plant_cfg": plant_cfg, "train_cfg": train_cfg}
 
@@ -194,11 +199,40 @@ def test_suzuki_rdim_validation(tmp_path, capsys):
     assert code == 1
 
 
+def test_suzuki_trials_validation(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["suzuki-verify", "--trials", "0", "--out", str(out)])
+    assert code == 1
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_requires_finished_run(tmp_path, capsys):
     code = main(["report", "--system", "desk", "--run", str(tmp_path),
                  "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "stage-1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(tmp_path / "stage2" / "mae.csv") in err and "finetune" in err
+    assert not (tmp_path / "out").exists()
+
+
+#: the files report collects, relative to the run directory
+REPORT_SOURCES = ("stage2/mae.csv", "spectrum/overlap.csv", "spectrum/eigen_differences.csv",
+                  "fit/tanfit.csv", "fit/tanfit.json")
+
+
+@pytest.mark.parametrize("missing", REPORT_SOURCES)
+def test_report_missing_input(work, tmp_path, capsys, missing):
+    # every input is checked before the first write: no --out is left
+    run = tmp_path / "run"
+    for stage in ("stage2", "spectrum", "fit"):
+        shutil.copytree(work["run"] / stage, run / stage)
+    (run / missing).unlink()
+    out = tmp_path / "out"
+    code = main(["report", "--system", "desk", "--run", str(run), "--out", str(out)])
+    assert code == 1
+    assert str(run / missing) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _stage_argv(command, run, work, out):
@@ -210,15 +244,14 @@ def _stage_argv(command, run, work, out):
         "eval": ["eval", "--model", stage2, "--data", str(work["data"]),
                  "--refs", "1.0,1.5,2.0", "--out", out],
         "analyze-spectrum": ["analyze-spectrum", "--bare", stage1, "--eff", stage2, "--out", out],
-        "report": ["report", "--system", "desk", "--run", str(run), "--out", out],
     }[command]
 
 
-@pytest.mark.parametrize("command", ["finetune", "eval", "analyze-spectrum", "report"])
+@pytest.mark.parametrize("command", ["finetune", "eval", "analyze-spectrum"])
 @pytest.mark.parametrize("missing", ["model.json", "kernel.npz", "net0.npz"])
 def test_partial_model_directory(work, tmp_path, capsys, command, missing):
     # a model directory without one of its files: every reader of that file
-    # exits 1 naming it; analyze-spectrum and report read only the kernel
+    # exits 1 naming it; analyze-spectrum reads only the kernel
     run = tmp_path / "run"
     for stage in ("stage1", "stage2"):
         shutil.copytree(work["run"] / stage, run / stage)
@@ -226,7 +259,7 @@ def test_partial_model_directory(work, tmp_path, capsys, command, missing):
     (model / missing).unlink()
     code = main(_stage_argv(command, run, work, str(tmp_path / "out")))
     err = capsys.readouterr().err
-    if missing == "net0.npz" and command in ("analyze-spectrum", "report"):
+    if missing == "net0.npz" and command == "analyze-spectrum":
         assert code == 0, err
     else:
         assert code == 1
@@ -446,12 +479,14 @@ def test_report_collects_tables(work, tmp_path, capsys):
     code = main(["report", "--system", "desk", "--run", str(work["run"]),
                  "--out", str(out)])
     assert code == 0
-    for name in ("mae.csv", "overlap.csv", "eigen_differences.csv",
-                 "tanfit.csv", "tanfit.json", "manifest.json"):
-        assert (out / name).exists(), name
-    assert (out / "mae.csv").read_text() == (
-        work["run"] / "stage2" / "mae.csv"
-    ).read_text()
+    for source in REPORT_SOURCES:
+        name = os.path.basename(source)
+        assert (out / name).read_bytes() == (work["run"] / source).read_bytes(), name
+    assert json.loads((out / "manifest.json").read_text())["subcommand"] == "report"
+    fit = json.loads((work["run"] / "fit" / "tanfit.json").read_text())
+    assert f"tan rate {fit['rate']:.4g}, center {fit['center']:.4g}" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == sorted(
+        ["manifest.json", *(os.path.basename(s) for s in REPORT_SOURCES)])
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,19 @@ def test_write_csv_header_and_rows(tmp_path):
     assert _read(path) == "a,b\n1,0.5\n2,0.25\n"
 
 
+def test_write_csv_interrupted_leaves_no_file(tmp_path):
+    # a table is written whole or not at all: a reader never finds a
+    # truncated file, nor the temp file it was being written to
+    def rows():
+        yield (1, 0.5)
+        raise RuntimeError("interrupted")
+
+    path = tmp_path / "t.csv"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(path, ("a", "b"), rows())
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_mae_csv_schema(tmp_path):
     rows = (
         GeometryMAE(geometry=1.8, unit_mae=1e-5, full_mae=2e-5, split="train"),
