@@ -31,14 +31,12 @@ from .spectral import (  # noqa: F401
     align_eigensystems,
     eig_sym,
     eigen_differences,
-    project_kernel,
 )
 from .suzuki import (  # noqa: F401
     Generator,
     SuzukiProblem,
     WIdentityReport,
     build_generator,
-    expm_antihermitian,
     random_coupled_problem,
     tanh_coefficients,
     verify_w_identities,

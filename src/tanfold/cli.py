@@ -161,15 +161,6 @@ def _write_manifest(out_dir, subcommand: str, resolved: dict, *, seed, started: 
     reports.write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
-def _out_path(path) -> str:
-    """The ``--out`` directory; each stage creates it only once its inputs
-    have passed validation and its computation has succeeded, just before
-    the first write, so a failed run leaves no directory behind."""
-    if not path:
-        raise _UsageError("--out is required")
-    return os.fspath(path)
-
-
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
@@ -207,7 +198,7 @@ def _cmd_synth(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    out = _out_path(args.out)
+    out = args.out
     result = plant_series(spec)
     save_plant(result, out)
     _write_manifest(out, "synth", {"plant": args.plant, **_jsonable(dataclasses.asdict(spec))},
@@ -226,23 +217,31 @@ def _head_for(body: int, kind: Kind) -> HeadKind:
     return table[(body, kind)]
 
 
+def _write_fit(out, subcommand: str, model, report, inputs: dict, started: float) -> int:
+    """The outputs of a training stage: the model directory, ``mae.csv``,
+    ``fit_report.txt`` and the manifest; the report also goes to stdout."""
+    cfg = report.config
+    text = reports.fit_report_text(report)
+    save_model(model, os.path.join(out, "model"))
+    reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
+    with reports._replacing(os.path.join(out, "fit_report.txt")) as tmp, open(tmp, "w") as fh:
+        fh.write(text)
+    _write_manifest(out, subcommand, {**inputs, **_jsonable(dataclasses.asdict(cfg))},
+                    seed=cfg.seed, started=started)
+    print(text, end="")
+    print(f"wall_time_s: {report.wall_time:.3f}")
+    return _EXIT_OK
+
+
 def _cmd_train_bare(args) -> int:
     started = time.perf_counter()
     stage = _head_for(args.body, Kind.BARE)
     cfg = _build_train_config(args, stage)
     series = load_series(args.data)
-    out = _out_path(args.out)
+    out = args.out
     model, report = train_bare(series, cfg)
-    save_model(model, os.path.join(out, "model"))
-    reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
-    with open(os.path.join(out, "fit_report.txt"), "w") as fh:
-        fh.write(reports.fit_report_text(report))
-    _write_manifest(out, "train-bare",
-                    {"system": args.system, "data": os.fspath(args.data), **_jsonable(dataclasses.asdict(cfg))},
-                    seed=cfg.seed, started=started)
-    print(reports.fit_report_text(report), end="")
-    print(f"wall_time_s: {report.wall_time:.3f}")
-    return _EXIT_OK
+    return _write_fit(out, "train-bare", model, report,
+                      {"system": args.system, "data": os.fspath(args.data)}, started)
 
 
 def _parse_refs(text: str) -> list[float]:
@@ -260,20 +259,11 @@ def _cmd_finetune(args) -> int:
     cfg = _build_train_config(args, stage)
     series = load_series(args.data)
     refs = _parse_refs(args.refs) if args.refs else None
-    out = _out_path(args.out)
+    out = args.out
     model, report = finetune_effective(series, bare_model, cfg, refs=refs)
-    save_model(model, os.path.join(out, "model"))
-    reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
-    with open(os.path.join(out, "fit_report.txt"), "w") as fh:
-        fh.write(reports.fit_report_text(report))
-    _write_manifest(out, "finetune",
-                    {"system": args.system, "data": os.fspath(args.data),
-                     "model": os.fspath(args.model), "refs": refs,
-                     **_jsonable(dataclasses.asdict(cfg))},
-                    seed=cfg.seed, started=started)
-    print(reports.fit_report_text(report), end="")
-    print(f"wall_time_s: {report.wall_time:.3f}")
-    return _EXIT_OK
+    return _write_fit(out, "finetune", model, report,
+                      {"system": args.system, "data": os.fspath(args.data),
+                       "model": os.fspath(args.model), "refs": refs}, started)
 
 
 def _cmd_eval(args) -> int:
@@ -281,7 +271,7 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     series = load_series(args.data)
     refs = _parse_refs(args.refs) if args.refs else []
-    out = _out_path(args.out)
+    out = args.out
     per_geometry = evaluate_mae(model, series, train_geometries=refs)
     os.makedirs(out, exist_ok=True)
     reports.write_mae_csv(os.path.join(out, "mae.csv"), per_geometry)
@@ -310,7 +300,7 @@ def _cmd_analyze_spectrum(args) -> int:
     started = time.perf_counter()
     bare = eig_sym(_load_kernel_matrix(args.bare, "w_bare"))
     eff = eig_sym(_load_kernel_matrix(args.eff, "w_eff"))
-    out = _out_path(args.out)
+    out = args.out
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
     os.makedirs(out, exist_ok=True)
@@ -350,7 +340,7 @@ def _read_difference_csv(path):
 def _cmd_fit_tan(args) -> int:
     started = time.perf_counter()
     pairs = _read_difference_csv(args.table)
-    out = _out_path(args.out)
+    out = args.out
     fit = fit_tan(pairs)
     os.makedirs(out, exist_ok=True)
     reports.write_tanfit_json(os.path.join(out, "tanfit.json"), fit)
@@ -376,7 +366,7 @@ def _cmd_suzuki_verify(args) -> int:
         raise _UsageError("--rdim must be smaller than --dim")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
-    out = _out_path(args.out)
+    out = args.out
     seeds = np.random.SeedSequence(args.seed).generate_state(args.trials)
     problems = (random_coupled_problem(args.dim, args.rdim, args.coupling, int(s))
                 for s in seeds)
@@ -429,7 +419,7 @@ def _cmd_report(args) -> int:
     with open(sources[-1]) as fh:
         fit = json.load(fh)
     rate, center = fit["rate"], fit["center"]
-    out = _out_path(args.out)
+    out = args.out
     os.makedirs(out, exist_ok=True)
     for src in sources:
         reports.copy_file(src, os.path.join(out, os.path.basename(src)))
@@ -448,44 +438,51 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p, *, seeded=True):
-        if seeded:
+    def common(p, *, seed=False, config=False, profile=False):
+        """``--out`` and those of ``--seed``, ``--config`` and ``--profile``
+        that the subcommand's handler reads.  Each handler creates ``--out``
+        only once its inputs have passed validation and its computation has
+        succeeded, just before the first write, so a failed run leaves no
+        directory behind."""
+        if seed:
             p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--out", required=False)
-        p.add_argument("--profile", choices=sorted(presets.PROFILES), default=None)
+        if config:
+            p.add_argument("--config", default=None)
+        p.add_argument("--out", required=True)
+        if profile:
+            p.add_argument("--profile", choices=sorted(presets.PROFILES), default=None)
 
     p = sub.add_parser("synth", help="write a planted dataset")
     p.add_argument("--plant", required=True)
-    common(p)
+    common(p, seed=True, config=True)
 
     p = sub.add_parser("train-bare", help="stage 1: fit bare tensors")
     p.add_argument("--system", required=True)
     p.add_argument("--body", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
-    common(p)
+    common(p, seed=True, config=True, profile=True)
 
     p = sub.add_parser("finetune", help="stage 2: fine-tune on effective tensors")
     p.add_argument("--system", required=True)
     p.add_argument("--model", required=True, help="stage-1 model directory")
     p.add_argument("--data", required=True)
     p.add_argument("--refs", default=None, help="comma-separated reference geometries")
-    common(p)
+    common(p, seed=True, config=True, profile=True)
 
     p = sub.add_parser("eval", help="per-geometry MAE of a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--refs", default=None)
-    common(p, seeded=False)
+    common(p)
 
     p = sub.add_parser("analyze-spectrum", help="align two kernel spectra")
     p.add_argument("--bare", required=True, help="model directory, kernel .npz or provenance.npz")
     p.add_argument("--eff", required=True)
-    common(p, seeded=False)
+    common(p)
 
     p = sub.add_parser("fit-tan", help="fit the tangent law to eigen differences")
     p.add_argument("--table", required=True, help="eigen_differences.csv")
-    common(p, seeded=False)
+    common(p)
 
     p = sub.add_parser("suzuki-verify", help="random block-decoupling trials")
     p.add_argument("--dim", type=int, default=10)
@@ -493,12 +490,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--coupling", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n-max", type=int, default=12)
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("report", help="collect plot-ready CSVs from a run")
     p.add_argument("--system", required=True)
     p.add_argument("--run", required=True, help="pipeline run directory")
-    common(p, seeded=False)
+    common(p)
 
     return parser
 

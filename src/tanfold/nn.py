@@ -166,10 +166,6 @@ class OrbitalNet:
             return a, (activations, pre, sig)
         return a
 
-    def predict(self, orbital: int, r_norm: float) -> np.ndarray:
-        """Latent vector of a single orbital at a single scaled geometry."""
-        return self.forward(self.embed([orbital], [r_norm]))[0]
-
     def backward(self, cache, grad_out: np.ndarray, out: np.ndarray | None = None):
         """Gradients of ``sum(grad_out * forward(x))`` w.r.t. parameters.
 

@@ -64,6 +64,7 @@ class StageSettings:
     stage may enable: freezing the orbital networks during fine-tuning and
     solving the kernel least-squares problem exactly once the networks are
     trained (feasible at desk scale, where the design matrix is small).
+    Freezing requires the solve, which is then the whole stage.
     """
 
     epochs: int

@@ -17,7 +17,6 @@ import numpy as np
 
 from .spectral import AlignmentReport, DifferenceTable
 from .tanmodel import TanFit, eval_tan
-from .training import FitReport
 
 __all__ = [
     "format_value",
@@ -139,8 +138,9 @@ def copy_file(src, dst) -> None:
         shutil.copyfile(src, tmp)
 
 
-def fit_report_text(report: FitReport) -> str:
-    """Human-readable fit summary (config, losses, aggregate MAE).
+def fit_report_text(report) -> str:
+    """Human-readable summary of a :class:`~tanfold.training.FitReport`
+    (config, losses, aggregate MAE).
 
     Wall time is deliberately omitted so the text is identical across
     reruns with the same seed and config; timing lives in the run manifest.

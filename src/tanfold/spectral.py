@@ -20,7 +20,6 @@ __all__ = [
     "DifferenceTable",
     "eig_sym",
     "align_eigensystems",
-    "project_kernel",
     "eigen_differences",
 ]
 
@@ -39,9 +38,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.values.size
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
 
 
 def eig_sym(kernel, *, tol: float = 1e-12) -> EigenSystem:
@@ -154,12 +150,6 @@ def align_eigensystems(bare: EigenSystem, eff: EigenSystem) -> AlignmentReport:
         permutation=permutation,
         signs=signs,
     )
-
-
-def project_kernel(kernel_eff, bare_vectors: np.ndarray) -> np.ndarray:
-    """Effective kernel expressed in the bare eigenbasis: ``Z_B^T K_D Z_B``."""
-    k = getattr(kernel_eff, "matrix", kernel_eff)
-    return bare_vectors.T @ np.asarray(k, dtype=np.float64) @ bare_vectors
 
 
 @dataclass(frozen=True)

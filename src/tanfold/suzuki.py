@@ -38,7 +38,6 @@ __all__ = [
     "SuzukiProblem",
     "WIdentityReport",
     "build_generator",
-    "expm_antihermitian",
     "h_eff",
     "h_od",
     "ituple_commutator",
@@ -134,15 +133,6 @@ def _off_diagonal(h: np.ndarray, r: int) -> np.ndarray:
 def _expm_from_eigh(phases: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(G) from the eigensystem of iG, for one generator or a stack."""
     return (v * np.exp(-1j * phases)[..., None, :]) @ _ct(v)
-
-
-def expm_antihermitian(g: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G via the Hermitian eigenproblem of iG.
-
-    Exactly unitary to working precision, with no scaling-and-squaring
-    heuristics involved.
-    """
-    return _expm_from_eigh(*np.linalg.eigh(1j * _as_square_complex(g, "g")))
 
 
 class _TrialFailure(Exception):

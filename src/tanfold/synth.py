@@ -14,7 +14,6 @@ Two generators live here:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
@@ -22,6 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import reports
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
 from .tensors import (
     GeometrySeries,
@@ -267,9 +267,7 @@ def save_plant(result: PlantResult, directory: str | os.PathLike) -> None:
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     save_series(result.series, directory)
-    with open(os.path.join(directory, "plant.json"), "w") as fh:
-        json.dump(asdict(result.spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    reports.write_json(os.path.join(directory, "plant.json"), asdict(result.spec))
     np.savez(
         os.path.join(directory, "provenance.npz"),
         w_bare=result.w_bare.matrix,

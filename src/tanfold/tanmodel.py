@@ -77,11 +77,12 @@ def eval_tan(fit: TanFit, index) -> np.ndarray | float:
 
 
 def _ratios_from_pairs(pairs, floor_rel):
-    arr = np.asarray(list(pairs), dtype=np.float64)
+    pairs = list(pairs)
+    if len(pairs) < 3:
+        raise ValueError("need at least 3 eigenvalue pairs to fit")
+    arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("pairs must be (index, eps_B, eps_D) triples")
-    if arr.shape[0] < 3:
-        raise ValueError("need at least 3 eigenvalue pairs to fit")
     idx, eps_b, eps_d = arr.T
     floor = floor_rel * np.abs(eps_b).max()
     keep = np.abs(eps_b) >= floor

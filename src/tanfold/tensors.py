@@ -342,9 +342,6 @@ class GeometrySeries:
                 return t
         raise KeyError(f"no {kind.value} tensor set at geometry {geometry!r}")
 
-    def has(self, geometry: float, kind: Kind) -> bool:
-        return any(t.kind is kind and t.geometry == geometry for t in self.tensor_sets)
-
     def of_kind(self, kind: Kind) -> list[TensorSet]:
         return [t for t in self.tensor_sets if t.kind is kind]
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import reports
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps, pair_head
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net
 from .tensors import GeometrySeries, Kind
@@ -71,6 +72,9 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
+        if self.freeze_orbitals and not self.kernel_polish:
+            raise ValueError("freeze_orbitals needs kernel_polish: with frozen networks "
+                             "the loss is linear in the kernel, so the exact solve is the fit")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
@@ -185,38 +189,25 @@ def _orbit_tables(head, samples):
     Each sample's target fills its whole orbit under the head's symmetry,
     weighted by 1/orbit size.  The head's predictions share that symmetry,
     so the weighted squared error over the blocks is the squared error
-    summed over the samples.  Returns ``(target, weight)`` shaped
-    ``(n_geo, m, m)`` with ``m = n_orb**body``, or None when a row offset is
-    not a block start or two samples share an orbit.
+    summed over the samples.  :func:`_collect_samples` holds one sample per
+    orbit representative, in order, block by block.  Returns the target
+    shaped ``(n_geo, m, m)`` with ``m = n_orb**body`` and the weight shaped
+    ``(m, m)``, the same for every block.
     """
     n = samples.n_orb
     table = entry_table(head.kind, head.body, n)
-    n_rep = table.sizes.size
-    block, offset = np.divmod(samples.base, n)
-    orbit_id = table.orbit_of[tuple(samples.idx.T)]
-    if np.any(offset) or np.unique(block * n_rep + orbit_id).size != orbit_id.size:
-        return None
     n_geo = samples.x_all.shape[0] // n
-    target = np.zeros((n_geo, n_rep))
-    weight = np.zeros((n_geo, n_rep))
-    target[block, orbit_id] = samples.y
-    weight[block, orbit_id] = 1.0 / table.sizes[orbit_id]
     m = n ** head.body
-    return (
-        target[:, table.orbit_of.ravel()].reshape(n_geo, m, m),
-        weight[:, table.orbit_of.ravel()].reshape(n_geo, m, m),
-    )
+    target = samples.y.reshape(n_geo, -1)[:, table.orbit_of].reshape(n_geo, m, m)
+    return target, table.expand(1.0 / table.sizes).reshape(m, m)
 
 
 def _feature_grads(head, dw, drows, f, ft):
     """``(dW, dPhi, dPhit)`` from the kernel gradient ``dw`` and the
     gradient ``drows`` of every row of the pair-product matrices, shaped
-    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`.
-    ``drows`` None (frozen features) gives ``(dW, None, None)``."""
+    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`."""
     n_geo, n, ell = f.shape
     dw = 0.5 * (dw + dw.T)
-    if drows is None:
-        return dw, None, None
     if head.body == 1:
         return dw, drows.reshape(-1, ell), None
     drows = drows.reshape(n_geo, n, n, ell)
@@ -227,7 +218,7 @@ def _feature_grads(head, dw, drows, f, ft):
     return dw, dphi, dphit
 
 
-def _dense_loss(head, phi, phit, w, tables, inv, with_grads, kernel_only):
+def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     """Full-batch loss and gradients through :func:`pair_head`."""
     target, weight = tables
     pred, (f, ft, rows, rows_w) = pair_head(head, phi, phit, w, target.shape[0])
@@ -241,7 +232,7 @@ def _dense_loss(head, phi, phit, w, tables, inv, with_grads, kernel_only):
     # pair swap, so the swap average passes dpred through unchanged.
     dpred = (2.0 * inv) * wdiff
     dw = rows.reshape(-1, ell).T @ (dpred @ rows).reshape(-1, ell)
-    drows = None if kernel_only else (dpred + dpred.transpose(0, 2, 1)) @ rows_w
+    drows = (dpred + dpred.transpose(0, 2, 1)) @ rows_w
     return (loss, *_feature_grads(head, dw, drows, f, ft))
 
 
@@ -279,7 +270,7 @@ def _pair_rows(head, phi, phit, samples, sel):
     return uniq, ends.reshape(len(cols) // 2, 2, -1), rows, f, ft
 
 
-def _row_loss(head, phi, phit, w, samples, sel, with_grads, kernel_only):
+def _row_loss(head, phi, phit, w, samples, sel, with_grads):
     """Loss and gradients over ``sel`` from the distinct pair rows it touches
     (:func:`_pair_rows`), computing each ``R_u W`` once.
 
@@ -304,15 +295,13 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads, kernel_only):
         (np.tile(dv, len(ends)), (ends[:, 0].ravel(), ends[:, 1].ravel())),
         shape=(uniq.size, uniq.size),
     )
-    drows = None
-    if not kernel_only:
-        n_geo, n, ell = f.shape
-        drows = np.zeros((n_geo * n ** head.body, ell))
-        drows[uniq] = (s + s.T) @ rows_w
+    n_geo, n, ell = f.shape
+    drows = np.zeros((n_geo * n ** head.body, ell))
+    drows[uniq] = (s + s.T) @ rows_w
     return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft))
 
 
-def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, kernel_only=False):
+def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None):
     """Loss over ``sel`` plus (dW, dPhi, dPhit) when ``with_grads``.
 
     With ``tables`` (:func:`_orbit_tables` of ``samples``, for a ``sel``
@@ -320,12 +309,11 @@ def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, kerne
     form over every entry of every geometry, whatever the order of ``sel``;
     otherwise it builds only the pair rows the samples of ``sel`` touch,
     which is cheaper when the subset is small against the dense blocks.
-    ``kernel_only`` leaves out the feature gradients (dPhi, dPhit are None).
     """
     if tables is not None:
         inv = 1.0 / samples.y.size
-        return _dense_loss(head, phi, phit, w, tables, inv, with_grads, kernel_only)
-    return _row_loss(head, phi, phit, w, samples, sel, with_grads, kernel_only)
+        return _dense_loss(head, phi, phit, w, tables, inv, with_grads)
+    return _row_loss(head, phi, phit, w, samples, sel, with_grads)
 
 
 def _target_scale(y: np.ndarray) -> float:
@@ -437,44 +425,37 @@ def _full_loss(head, nets, w, samples) -> float:
 def _train_loop(head, nets, w, samples, cfg) -> tuple[float, float]:
     """Adam/cosine minimization; mutates ``nets`` and ``w`` in place.
 
-    What is the same at every step is settled once, before the first: when
-    one batch holds every sample, the dense tables are built once and no
-    permutation is drawn (the dense loss does not depend on the order, and
-    the generator serves nothing else); frozen networks are evaluated once
-    and only the kernel gradient is formed.
+    When one batch holds every sample, the dense tables are built once,
+    before the first step, and no permutation is drawn (the dense loss does
+    not depend on the order, and the generator serves nothing else).
     """
     n = samples.y.size
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    frozen = cfg.freeze_orbitals
 
-    net_grads = [] if frozen else [np.empty_like(net.flat) for net in nets]
-    params = [net.flat for net in nets if not frozen] + [w]
+    net_grads = [np.empty_like(net.flat) for net in nets]
+    params = [net.flat for net in nets] + [w]
     state = AdamState.for_params(params, cfg.base_lr, total_steps)
     tables = _orbit_tables(head, samples) if steps_per_epoch == 1 else None
     rng = np.random.default_rng(cfg.seed)
     every = np.arange(n)
-    feats = [net.forward(samples.x_all) for net in nets] if frozen else None
 
     initial = _full_loss(head, nets, w, samples)
     for epoch in range(cfg.epochs):
         order = every if tables is not None else rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            if not frozen:
-                caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
-                feats = [c[0] for c in caches]
+            caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
             loss, dw, dphi, dphit = _batch_loss(
-                head, feats[0], feats[1] if len(feats) > 1 else None, w, samples, sel, True,
-                tables=tables, kernel_only=frozen,
+                head, caches[0][0], caches[1][0] if len(caches) > 1 else None, w, samples, sel,
+                True, tables=tables,
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, step {state.t}"
                 )
-            if not frozen:
-                for net, cache, dout, out in zip(nets, caches, (dphi, dphit), net_grads):
-                    net.backward(cache[1], dout, out)
+            for net, cache, dout, out in zip(nets, caches, (dphi, dphit), net_grads):
+                net.backward(cache[1], dout, out)
             adam_step(params, net_grads + [dw], state)
     return initial, _full_loss(head, nets, w, samples)
 
@@ -483,11 +464,11 @@ def _fit(cfg, nets, w, samples, polish_from) -> tuple[np.ndarray, float, float]:
     """Train, then, with ``kernel_polish``, solve for the kernel from
     ``polish_from``; returns the kernel and the initial and final losses.
 
-    Frozen networks with a polish skip the Adam epochs: the networks take
-    no step and the solve does not start from the kernel Adam would train,
-    so there is nothing to train.
+    Frozen networks (which :class:`TrainConfig` allows only with the polish)
+    skip the Adam epochs: the networks take no step and the solve does not
+    start from the kernel Adam would train, so there is nothing to train.
     """
-    if cfg.freeze_orbitals and cfg.kernel_polish:
+    if cfg.freeze_orbitals:
         initial = _full_loss(cfg.stage, nets, w, samples)
     else:
         initial, final = _train_loop(cfg.stage, nets, w, samples, cfg)
@@ -686,9 +667,7 @@ def save_model(model, directory: str | os.PathLike) -> None:
         "nets": net_files,
         "kernel": "kernel.npz",
     }
-    with open(os.path.join(directory, "model.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    reports.write_json(os.path.join(directory, "model.json"), meta)
 
 
 def _model_meta(directory: str) -> dict:

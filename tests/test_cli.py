@@ -132,6 +132,47 @@ def test_config_line_without_equals_fails(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+def test_config_freeze_without_polish_fails(work, tmp_path, capsys):
+    cfg = tmp_path / "frozen.cfg"
+    cfg.write_text(TINY_TRAIN + "freeze_orbitals = true\nkernel_polish = false\n")
+    out = tmp_path / "x"
+    code = main(["train-bare", "--system", "desk", "--body", "2",
+                 "--data", str(work["data"]), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "freeze_orbitals" in err and "kernel_polish" in err
+    assert not out.exists()
+
+
+#: arguments each subcommand requires besides --out, and the shared flags
+#: its handler reads
+_SUBCOMMAND_ARGS = {
+    "synth": (["--plant", "desk"], {"--seed", "--config"}),
+    "train-bare": (["--system", "desk", "--body", "2", "--data", "d"],
+                   {"--seed", "--config", "--profile"}),
+    "finetune": (["--system", "desk", "--model", "m", "--data", "d"],
+                 {"--seed", "--config", "--profile"}),
+    "eval": (["--model", "m", "--data", "d"], set()),
+    "analyze-spectrum": (["--bare", "b", "--eff", "e"], set()),
+    "fit-tan": (["--table", "t"], set()),
+    "suzuki-verify": ([], {"--seed"}),
+    "report": (["--system", "desk", "--run", "r"], set()),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, reads) in _SUBCOMMAND_ARGS.items()
+    for flag in ("--config", "--profile", "--seed") if flag not in reads
+])
+def test_subcommand_rejects_shared_flag_it_does_not_read(command, flag, tmp_path, capsys):
+    required, _ = _SUBCOMMAND_ARGS[command]
+    value = "desk" if flag == "--profile" else "1"
+    out = tmp_path / "x"
+    assert main([command, *required, flag, value, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_unknown_system(work, tmp_path, capsys):
     code = main(["train-bare", "--system", "XYZ", "--body", "2",
                  "--data", str(work["data"]), "--out", str(tmp_path / "x")])
@@ -457,6 +498,19 @@ def test_fit_tan_short_row_fails(tmp_path, capsys):
                      "1,0.5\n")
     assert main(["fit-tan", "--table", str(table), "--out", str(tmp_path / "fit")]) == 1
     assert f"{table}:3: bad row '1,0.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [
+    "",
+    "1,1.5,1.25,-0.25,-0.1666,true\n2,0.5,0.5,0,0,true\n3,0.25,0.3,0.05,0.2,true\n",
+], ids=["header-only", "all-flagged"])
+def test_fit_tan_without_pairs_fails(tmp_path, capsys, rows):
+    table = tmp_path / "eigen_differences.csv"
+    table.write_text("index,bare,eff,diff,rel_diff,flagged\n" + rows)
+    out = tmp_path / "fit"
+    assert main(["fit-tan", "--table", str(table), "--out", str(out)]) == 1
+    assert "need at least 3 eigenvalue pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_suzuki_verify_artifacts(tmp_path, capsys):

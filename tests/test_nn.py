@@ -74,7 +74,8 @@ class TestOrbitalNet:
         # batched and single-row evaluation agree to roundoff (BLAS may pick
         # different kernels per shape); identical shapes are bit-identical
         for row, (orb, r) in zip(batch, [(0, 0.1), (2, 0.2), (3, 0.9)]):
-            np.testing.assert_allclose(row, net.predict(orb, r), rtol=1e-13, atol=1e-15)
+            single = net.forward(net.embed([orb], [r]))[0]
+            np.testing.assert_allclose(row, single, rtol=1e-13, atol=1e-15)
         assert np.array_equal(batch, net.forward(x))
 
     def test_backward_matches_fd(self):

@@ -550,8 +550,9 @@ class TestGeometrySeries:
         series = self.build([2.0, 1.0, 3.0], kinds=(Kind.BARE, Kind.EFFECTIVE))
         assert list(series.geometries()) == [1.0, 2.0, 3.0]
         assert series.get(2.0, Kind.EFFECTIVE).kind is Kind.EFFECTIVE
-        assert series.has(1.0, Kind.BARE)
-        assert not series.has(1.5, Kind.BARE)
+        assert series.get(1.0, Kind.BARE).geometry == 1.0
+        with pytest.raises(KeyError):
+            series.get(1.5, Kind.BARE)
         assert len(series.of_kind(Kind.BARE)) == 3
 
     def test_duplicate_geometry_kind_rejected(self):
