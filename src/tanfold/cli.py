@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from . import __version__, presets, reports
+from .atomic import replacing
 from .heads import HeadKind, KernelMatrix
 from .nn import load_kernel
 from .spectral import DifferenceTable, align_eigensystems, eig_sym, eigen_differences
@@ -224,7 +225,7 @@ def _write_fit(out, subcommand: str, model, report, inputs: dict, started: float
     text = reports.fit_report_text(report)
     save_model(model, os.path.join(out, "model"))
     reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
-    with reports._replacing(os.path.join(out, "fit_report.txt")) as tmp, open(tmp, "w") as fh:
+    with replacing(os.path.join(out, "fit_report.txt")) as tmp, open(tmp, "w") as fh:
         fh.write(text)
     _write_manifest(out, subcommand, {**inputs, **_jsonable(dataclasses.asdict(cfg))},
                     seed=cfg.seed, started=started)
@@ -237,7 +238,7 @@ def _cmd_train_bare(args) -> int:
     started = time.perf_counter()
     stage = _head_for(args.body, Kind.BARE)
     cfg = _build_train_config(args, stage)
-    series = load_series(args.data)
+    series = load_series(args.data, kind=Kind.BARE)
     out = args.out
     model, report = train_bare(series, cfg)
     return _write_fit(out, "train-bare", model, report,
@@ -257,7 +258,7 @@ def _cmd_finetune(args) -> int:
     bare_model = load_model(args.model)
     stage = _head_for(bare_model.head.body, Kind.EFFECTIVE)
     cfg = _build_train_config(args, stage)
-    series = load_series(args.data)
+    series = load_series(args.data, kind=Kind.EFFECTIVE)
     refs = _parse_refs(args.refs) if args.refs else None
     out = args.out
     model, report = finetune_effective(series, bare_model, cfg, refs=refs)
@@ -269,7 +270,7 @@ def _cmd_finetune(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
-    series = load_series(args.data)
+    series = load_series(args.data, kind=model.head.kind)
     refs = _parse_refs(args.refs) if args.refs else []
     out = args.out
     per_geometry = evaluate_mae(model, series, train_geometries=refs)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import savez
+
 __all__ = [
     "OrbitalNet",
     "AdamState",
@@ -306,7 +308,7 @@ def save_net(path, net: OrbitalNet, step: int = 0) -> None:
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{i}"] = w
         payload[f"b{i}"] = b
-    np.savez(path, **payload)
+    savez(path, **payload)
 
 
 def _check_header(data, layout: str, path) -> None:
@@ -339,7 +341,7 @@ def save_kernel(path, matrix, step: int = 0) -> None:
     matrix = np.asarray(getattr(matrix, "matrix", matrix), dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"kernel must be square, got shape {matrix.shape}")
-    np.savez(
+    savez(
         path,
         version=np.int64(CHECKPOINT_VERSION),
         layout=np.str_("symmetric-matrix"),

@@ -7,14 +7,13 @@ produce bit-identical files.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import shutil
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import replacing
 from .spectral import AlignmentReport, DifferenceTable
 from .tanmodel import TanFit, eval_tan
 
@@ -41,21 +40,8 @@ def format_value(value) -> str:
     return str(value)
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Yield ``path.tmp`` for the block to write, then rename it to ``path``,
-    so no reader sees a half-written file; remove it if the block raises."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(cell) for cell in row) + "\n")
@@ -76,7 +62,7 @@ def write_overlap_csv(path, report: AlignmentReport) -> None:
     # one row of Python floats at a time keeps the ell-300 read-out's peak
     # memory below the training stages'
     cells = [f"{j},%.17g" for j in range(1, report.overlap.shape[1] + 1)]
-    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("i,j,overlap\n")
         for i, row in enumerate(report.overlap, start=1):
             fh.write((f"{i}," + f"\n{i},".join(cells) + "\n") % tuple(row.tolist()))
@@ -127,14 +113,14 @@ def write_tanfit_json(path, fit: TanFit) -> None:
 
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, trailing newline, atomic replace."""
-    with _replacing(path) as tmp, open(tmp, "w") as fh:
+    with replacing(path) as tmp, open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def copy_file(src, dst) -> None:
     """Copy the bytes of ``src`` to ``dst``, replacing ``dst`` atomically."""
-    with _replacing(dst) as tmp:
+    with replacing(dst) as tmp:
         shutil.copyfile(src, tmp)
 
 

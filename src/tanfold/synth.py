@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import reports
+from .atomic import savez
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
 from .tensors import (
     GeometrySeries,
@@ -268,7 +269,7 @@ def save_plant(result: PlantResult, directory: str | os.PathLike) -> None:
     os.makedirs(directory, exist_ok=True)
     save_series(result.series, directory)
     reports.write_json(os.path.join(directory, "plant.json"), asdict(result.spec))
-    np.savez(
+    savez(
         os.path.join(directory, "provenance.npz"),
         w_bare=result.w_bare.matrix,
         w_eff=result.w_eff.matrix,

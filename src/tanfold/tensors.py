@@ -22,9 +22,12 @@ import functools
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .atomic import replacing
 
 __all__ = [
     "Kind",
@@ -350,6 +353,32 @@ class GeometrySeries:
 # Body lines, shared by both text formats
 # ----------------------------------------------------------------------------
 
+#: one body line, ``value p q r s``
+_ROW = np.dtype([("v", "f8"), ("i", "i8", (4,))])
+
+#: what :func:`_loadtxt` raises on a line it cannot read
+_UNREADABLE = (ValueError, DeprecationWarning)
+
+
+@dataclass(frozen=True, eq=False)
+class _Body:
+    """The body ``lines[start:]`` of one tensor file and the rules it obeys:
+    ``scalar`` is the header's scalar term (None for FCIDUMP files), and a
+    ``complete`` body has a line for every orbit.  ``fields`` are the
+    geometry, kind, n_orb and system of the :class:`TensorSet` it makes."""
+
+    path: str | os.PathLike
+    lines: list[str]
+    start: int
+    scalar: float | None
+    complete: bool
+    fields: dict
+
+    @property
+    def tables(self) -> tuple[OrbitTable, OrbitTable]:
+        n = self.fields["n_orb"]
+        return orbit_table(n, None), orbit_table(n, symmetry_for(self.fields["kind"]))
+
 
 def _rep(table: OrbitTable, key: int) -> tuple[int, ...]:
     """The 0-based representative of orbit ``key``."""
@@ -369,61 +398,154 @@ def _bad_index(n_orb: int, index: tuple[int, ...]) -> str:
     return "invalid index pattern ({} {} {} {})".format(*index)
 
 
-def _read_body(
-    path, lines: list[str], start: int, tables: tuple[OrbitTable, OrbitTable], scalar: float | None
-) -> tuple[float | None, tuple[dict[int, float], dict[int, float]]]:
-    """Parse the ``value p q r s`` lines ``lines[start:]`` of a tensor file.
+def _loadtxt(rows: list[str]) -> np.ndarray:
+    """``rows`` as one structured array of ``_ROW``."""
+    if not rows:
+        return np.zeros(0, _ROW)
+    with warnings.catch_warnings():
+        # older numpy read an index written as "1.0" with this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(rows, dtype=_ROW, comments=None, ndmin=1)
 
-    Blank and ``#`` lines are skipped.  Indices are 1-based: ``0 0 0 0`` is
-    the scalar term, ``p q 0 0`` a one-body entry and ``p q r s`` a two-body
-    entry, orbit-reduced through ``tables`` (one-body, two-body).  Values
-    must be finite.  Lines of one orbit, and scalar lines together with the
-    starting ``scalar``, must agree to ``DUPLICATE_TOL``; the first value is
-    kept.  Returns the scalar (None if there is none) and the
-    ``{orbit id: value}`` maps of both ranks.
-    """
-    n = tables[0].orbit_of.shape[0]
-    # one-body, two-body and scalar entries; the scalar is entry 0 of its own
-    entries: tuple[dict[int, float], ...] = ({}, {}, {} if scalar is None else {0: scalar})
-    for ln in range(start, len(lines)):
-        tokens = lines[ln].split()
-        if not tokens or tokens[0][0] == "#":
-            continue
+
+def _first_unreadable(rows: list[str]) -> int:
+    """The index of the first row :func:`_loadtxt` rejects, by bisection."""
+    lo, hi = 0, len(rows)  # rows[:lo] read; some row of rows[lo:hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            value = float(tokens[0])
-            p, q, r, s = map(int, tokens[1:])
-        except ValueError as exc:
-            why = exc if len(tokens) == 5 else f"expected 'value p q r s', got {lines[ln].strip()!r}"
-            raise TensorFormatError(f"{path}:{ln + 1}: {why}") from exc
-        if not math.isfinite(value):
-            raise TensorFormatError(f"{path}:{ln + 1}: non-finite value {tokens[0]!r}")
-        if 0 < r <= n and 0 < s <= n and 0 < p <= n and 0 < q <= n:
-            body, key = 1, tables[1].orbit_of.item(p - 1, q - 1, r - 1, s - 1)
-        elif r == s == 0 and 0 < p <= n and 0 < q <= n:
-            body, key = 0, tables[0].orbit_of.item(p - 1, q - 1)
-        elif p == q == r == s == 0:
-            body, key = 2, 0
-        else:
-            raise TensorFormatError(f"{path}:{ln + 1}: {_bad_index(n, (p, q, r, s))}")
-        seen = entries[body]
-        if abs(seen.setdefault(key, value) - value) > DUPLICATE_TOL:
-            what = "scalar term" if body == 2 else f"orbit of ({_file_index(tables[body], key)})"
-            raise TensorFormatError(
-                f"{path}:{ln + 1}: conflicting duplicate for the {what}: {seen[key]!r} vs {value!r}"
-            )
-    return entries[2].get(0), entries[:2]
+            _loadtxt(rows[lo:mid])
+            lo = mid
+        except _UNREADABLE:
+            hi = mid
+    return lo
 
 
-def _tensor_set(tables, scalar, entries, **fields) -> TensorSet:
-    """The :class:`TensorSet` of parsed body entries; absent orbits are zero."""
-    arrays = []
-    for table, seen in zip(tables, entries):
-        values = np.zeros(table.sizes.size)
-        values[list(seen)] = list(seen.values())
-        arrays.append(table.expand(values))
-    return TensorSet(
-        scalar_term=0.0 if scalar is None else scalar, one_body=arrays[0], two_body=arrays[1], **fields
-    )
+def _unreadable(line: str, n_orb: int) -> str:
+    """Why :func:`_loadtxt` rejects ``line``: Python's own parsers' reason
+    where they reject it too, else the check it fails once read."""
+    tokens = line.split()
+    if len(tokens) != 5:
+        return f"expected 'value p q r s', got {line.strip()!r}"
+    try:
+        value = float(tokens[0])
+        index = tuple(int(token) for token in tokens[1:])
+    except ValueError as exc:
+        return str(exc)
+    if not math.isfinite(value):
+        return f"non-finite value {tokens[0]!r}"
+    if max(map(abs, index)) >= 2**63:  # past int64, so out of range
+        return _bad_index(n_orb, index)
+    return f"expected an ASCII decimal value and four integers, got {line.strip()!r}"
+
+
+def _body_rows(bodies: list[_Body]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ``value p q r s`` lines of all bodies, blank and ``#`` lines
+    skipped, with the 1-based line number and the body of each."""
+    rows, numbers = [], []
+    for b in bodies:
+        body = b.lines[b.start:]
+        kept = [s for s in body if (t := s.lstrip()) and t[0] != "#"]
+        number = np.arange(b.start + 1, len(b.lines) + 1)
+        if len(kept) < len(body):
+            number = number[[bool((t := s.lstrip()) and t[0] != "#") for s in body]]
+        rows += kept
+        numbers.append(number)
+    owner = np.repeat(np.arange(len(bodies)), [x.size for x in numbers])
+    return rows, np.concatenate(numbers) if bodies else np.zeros(0, np.int64), owner
+
+
+def _read_bodies(bodies: list[_Body]) -> list[TensorSet]:
+    """The tensor sets of several file bodies, parsed by one ``loadtxt`` call.
+
+    Indices are 1-based: ``0 0 0 0`` is the scalar term, ``p q 0 0`` a
+    one-body entry and ``p q r s`` a two-body entry, orbit-reduced under the
+    file's kind.  Values must be finite.  Lines of one orbit, and scalar
+    lines together with the header's scalar, must agree to
+    ``DUPLICATE_TOL``; the first value is kept.  A complete body needs every
+    orbit; elsewhere absent orbits are zero.  Of several faults, the one at
+    the earliest (file, line) is raised; a file's truncation ranks after its
+    lines.
+    """
+    rows, line, owner = _body_rows(bodies)
+    try:
+        data, unread = _loadtxt(rows), None
+    except _UNREADABLE:
+        unread = _first_unreadable(rows)
+        data = _loadtxt(rows[:unread])
+    value, idx = data["v"], data["i"]
+    at = owner[: value.size]
+
+    # rank 0: one-body, 1: two-body, 2: scalar, 3: no valid pattern
+    tables = [b.tables for b in bodies]
+    n_orb = np.array([t[0].orbit_of.shape[0] for t in tables], dtype=np.int64)
+    n = n_orb[at]
+    inside = (idx >= 1) & (idx <= n[:, None])
+    one = inside[:, 0] & inside[:, 1] & (idx[:, 2] == 0) & (idx[:, 3] == 0)
+    rank = np.select([inside.all(axis=1), one, ~idx.any(axis=1)], [1, 0, 2], 3)
+    key = np.zeros(value.size, dtype=np.int64)
+    pairs = list(dict.fromkeys(tables))
+    pair = np.array([pairs.index(t) for t in tables], dtype=np.int64)[at]
+    for p, both in enumerate(pairs):
+        for r, table in enumerate(both):
+            sel = np.flatnonzero((pair == p) & (rank == r))
+            key[sel] = table.orbit_of[tuple((idx[sel, : table.orbit_of.ndim] - 1).T)]
+
+    # runs of one orbit of one file, in line order; each leads with its first line
+    group = (at * 4 + rank) * (1 + max((t[1].sizes.size for t in tables), default=0)) + key
+    order = np.argsort(group, kind="stable")
+    run = np.ones(value.size, dtype=bool)
+    run[1:] = group[order[1:]] != group[order[:-1]]
+    leads = order[run]
+    first = np.empty(value.size)
+    first[order] = value[leads[np.cumsum(run) - 1]]
+    header = np.array([np.nan if b.scalar is None else b.scalar for b in bodies])[at]
+    from_header = (rank == 2) & ~np.isnan(header)
+    first[from_header] = header[from_header]
+    # the runs of file i and rank r are leads[bounds[4 * i + r]:bounds[4 * i + r + 1]]
+    bounds = np.searchsorted((at * 4 + rank)[leads], np.arange(4 * len(bodies) + 1))
+
+    with np.errstate(invalid="ignore"):  # inf - inf on rows that fail as non-finite
+        conflict = np.abs(first - value) > DUPLICATE_TOL
+    fault = np.select([~np.isfinite(value), rank == 3, conflict], [1, 2, 3], 0)
+    bad = np.flatnonzero(fault)
+    row = bad[0] if bad.size else unread
+    for i, b in enumerate(bodies[: len(bodies) if row is None else owner[row]]):
+        for r, table in enumerate(tables[i] if b.complete else ()):
+            seen = key[leads[bounds[4 * i + r]:bounds[4 * i + r + 1]]]
+            if seen.size < table.sizes.size:
+                gaps = np.flatnonzero(seen != np.arange(seen.size))
+                missing = int(gaps[0]) if gaps.size else seen.size
+                raise TensorFormatError(
+                    f"{b.path}: truncated file, {seen.size} of {table.sizes.size} {r + 1}-body "
+                    f"orbits present; first missing: ({_file_index(table, missing)})"
+                )
+    if row is not None:
+        where = f"{bodies[owner[row]].path}:{line[row]}"
+        if row == unread:
+            raise TensorFormatError(f"{where}: {_unreadable(rows[row], n_orb[owner[row]])}")
+        if fault[row] == 1:
+            raise TensorFormatError(f"{where}: non-finite value {rows[row].split()[0]!r}")
+        if fault[row] == 2:
+            raise TensorFormatError(f"{where}: {_bad_index(n[row], tuple(idx[row].tolist()))}")
+        r = rank[row]
+        what = "scalar term" if r == 2 else f"orbit of ({_file_index(tables[owner[row]][r], key[row])})"
+        raise TensorFormatError(
+            f"{where}: conflicting duplicate for the {what}: {first[row].item()!r} vs {value[row].item()!r}"
+        )
+
+    sets = []
+    for i, b in enumerate(bodies):
+        arrays = []
+        for r, table in enumerate(tables[i]):
+            lead = leads[bounds[4 * i + r]:bounds[4 * i + r + 1]]
+            values = np.zeros(table.sizes.size)
+            values[key[lead]] = value[lead]
+            arrays.append(table.expand(values))
+        scalars = value[leads[bounds[4 * i + 2]:bounds[4 * i + 3]]].tolist() + [0.0]
+        scalar = scalars[0] if b.scalar is None else b.scalar
+        sets.append(TensorSet(scalar_term=scalar, one_body=arrays[0], two_body=arrays[1], **b.fields))
+    return sets
 
 
 # ----------------------------------------------------------------------------
@@ -470,9 +592,8 @@ def load_fcidump(
     if expected_n_orb is not None and n_orb != expected_n_orb:
         raise TensorFormatError(f"{path}: NORB={n_orb} does not match expected {expected_n_orb}")
 
-    tables = (orbit_table(n_orb, None), orbit_table(n_orb, symmetry_for(kind)))
-    scalar, entries = _read_body(path, lines, data_start, tables, None)
-    return _tensor_set(tables, scalar, entries, geometry=geometry, kind=kind, n_orb=n_orb, system=system)
+    fields = dict(geometry=geometry, kind=kind, n_orb=n_orb, system=system)
+    return _read_bodies([_Body(path, lines, data_start, None, False, fields)])[0]
 
 
 # ----------------------------------------------------------------------------
@@ -506,32 +627,30 @@ def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
     two = orbit_table(tset.n_orb, tset.symmetry)
     for (p, q, r, s), v in zip((two.reps + 1).tolist(), tset.two_body.ravel()[two.rep_flat].tolist()):
         lines.append(f"{v:.17g} {p} {q} {r} {s}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_canonical(path: str | os.PathLike) -> TensorSet:
-    """Read a file written by :func:`save_canonical`.
+#: the header fields of a canonical file, each allowed once
+_HEADER_FIELDS = ("system", "geometry", "kind", "n_orb", "scalar_term")
 
-    The ``#`` header lines come first; the body follows the rules of
-    :func:`load_fcidump`, with the header's ``scalar_term`` as the scalar a
-    ``0 0 0 0`` line must agree with.  Every orbit must be present.
-    """
+
+def _canonical_body(path: str | os.PathLike) -> _Body:
+    """Read a canonical file and check its header; the body is left unparsed."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != f"# {FORMAT_TAG}":
         raise TensorFormatError(f"{path}: missing or mismatched format tag (expected '{FORMAT_TAG}')")
 
     header: dict[str, str] = {}
-    body_start = 1
-    for ln in range(1, len(lines)):
-        stripped = lines[ln].strip()
-        if stripped.startswith("#"):
-            key, _, value = stripped[1:].partition(":")
-            header[key.strip()] = value.strip()
-            body_start = ln + 1
-        else:
-            break
+    start = 1
+    while start < len(lines) and lines[start].strip().startswith("#"):
+        key, _, value = lines[start].strip()[1:].partition(":")
+        key = key.strip()
+        if key in header and key in _HEADER_FIELDS:
+            raise TensorFormatError(f"{path}:{start + 1}: repeated header field {key!r}")
+        header[key] = value.strip()
+        start += 1
 
     try:
         system = header["system"]
@@ -543,18 +662,18 @@ def load_canonical(path: str | os.PathLike) -> TensorSet:
             raise ValueError("n_orb must be positive, geometry and scalar_term finite")
     except (KeyError, ValueError) as exc:
         raise TensorFormatError(f"{path}: bad or missing header field ({exc})") from exc
+    fields = dict(geometry=geometry, kind=kind, n_orb=n_orb, system=system)
+    return _Body(path, lines, start, scalar, True, fields)
 
-    tables = (orbit_table(n_orb, None), orbit_table(n_orb, symmetry_for(kind)))
-    scalar, entries = _read_body(path, lines, body_start, tables, scalar)
-    # the writer emits every orbit, zeros included
-    for body, table, seen in zip((1, 2), tables, entries):
-        if len(seen) < table.sizes.size:
-            first = next(i for i in range(table.sizes.size) if i not in seen)
-            raise TensorFormatError(
-                f"{path}: truncated file, {len(seen)} of {table.sizes.size} {body}-body "
-                f"orbits present; first missing: ({_file_index(table, first)})"
-            )
-    return _tensor_set(tables, scalar, entries, geometry=geometry, kind=kind, n_orb=n_orb, system=system)
+
+def load_canonical(path: str | os.PathLike) -> TensorSet:
+    """Read a file written by :func:`save_canonical`.
+
+    The ``#`` header lines come first, each field once; the body follows the
+    rules of :func:`load_fcidump`, with the header's ``scalar_term`` as the
+    scalar a ``0 0 0 0`` line must agree with.  Every orbit must be present.
+    """
+    return _read_bodies([_canonical_body(path)])[0]
 
 
 def save_series(series: GeometrySeries, directory: str | os.PathLike) -> list[str]:
@@ -573,21 +692,40 @@ def save_series(series: GeometrySeries, directory: str | os.PathLike) -> list[st
     return paths
 
 
-def load_series(directory: str | os.PathLike) -> GeometrySeries:
-    """Rebuild a series from a directory written by :func:`save_series`."""
+def load_series(directory: str | os.PathLike, kind: Kind | None = None) -> GeometrySeries:
+    """Rebuild a series from a directory written by :func:`save_series`.
+
+    Every file's header is checked; with ``kind`` given, only the bodies of
+    that kind are parsed and the series holds only them.  The bodies go
+    through one batched parse; of several faults, the one of the first file
+    in name order is raised, at its first faulty line.
+    """
     names = sorted(n for n in os.listdir(directory) if n.endswith(".tensor"))
     if not names:
         raise TensorFormatError(f"{directory}: no .tensor files found")
-    paths = [os.path.join(directory, n) for n in names]
-    sets = [load_canonical(p) for p in paths]
+    headers, bodies, failure = [], [], None
+    for name in names:
+        try:
+            b = _canonical_body(os.path.join(directory, name))
+        except (OSError, ValueError) as exc:
+            # the bodies of the files before it come first
+            failure = exc
+            break
+        headers.append((b.path, b.fields))
+        if kind in (None, b.fields["kind"]):
+            bodies.append(b)
+    sets = _read_bodies(bodies)
+    if failure is not None:
+        raise failure
     first = {}
-    for path, t in zip(paths, sets):
-        other = first.setdefault((t.geometry, t.kind), path)
+    for path, fields in headers:
+        key = (fields["geometry"], fields["kind"])
+        other = first.setdefault(key, path)
         if other != path:
-            raise TensorFormatError(
-                f"{other} and {path} both hold geometry {t.geometry}, kind {t.kind.value}"
-            )
-    systems = {t.system for t in sets}
+            raise TensorFormatError(f"{other} and {path} both hold geometry {key[0]}, kind {key[1].value}")
+    systems = {fields["system"] for _, fields in headers}
     if len(systems) != 1:
         raise TensorFormatError(f"{directory}: inconsistent system labels {sorted(systems)}")
+    if not sets:
+        raise TensorFormatError(f"{directory}: no {kind.value} .tensor files found")
     return GeometrySeries(system=systems.pop(), tensor_sets=tuple(sets))

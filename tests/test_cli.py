@@ -491,6 +491,57 @@ def test_duplicate_tensor_file_names_both_files(work, tmp_path, capsys):
     assert str(data / "bare_0099.tensor") in err
 
 
+def _data_copy(work, tmp_path, keep=lambda name: True, edits=None):
+    """A copy of the shared data directory: the ``*.tensor`` files ``keep``
+    accepts, each passed through ``edits[name]`` (a function of its lines)."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in work["data"].glob("*.tensor"):
+        if keep(path.name):
+            lines = path.read_text().splitlines(keepends=True)
+            if path.name in (edits or {}):
+                lines = edits[path.name](lines)
+            (data / path.name).write_text("".join(lines))
+    return data
+
+
+def _stage(name, work, data, out):
+    if name == "train-bare":
+        return main(["train-bare", "--system", "desk", "--body", "2", "--config", str(work["train_cfg"]),
+                     "--data", str(data), "--out", str(out)])
+    return main(["finetune", "--system", "desk", "--model", str(work["run"] / "stage1" / "model"),
+                 "--data", str(data), "--out", str(out)])
+
+
+@pytest.mark.parametrize("stage, kind", [("train-bare", "bare"), ("finetune", "effective")])
+def test_stage_without_its_kind_fails(work, tmp_path, capsys, stage, kind):
+    data = _data_copy(work, tmp_path, keep=lambda name: not name.startswith(kind))
+    out = tmp_path / "out"
+    assert _stage(stage, work, data, out) == 1
+    assert f"{data}: no {kind} .tensor files found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_stage_reads_only_its_kind(work, tmp_path, capsys):
+    nan = lambda ls: ls[:6] + ["nan" + ls[6][ls[6].index(" "):]] + ls[7:]  # noqa: E731
+    data = _data_copy(work, tmp_path, edits={"effective_0001.tensor": nan})
+    assert _stage("train-bare", work, data, tmp_path / "stage1") == 0
+    out = tmp_path / "stage2"
+    capsys.readouterr()
+    assert _stage("finetune", work, data, out) == 1
+    assert f"{data / 'effective_0001.tensor'}:7: non-finite value 'nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_effective_header_fails_train_bare(work, tmp_path, capsys):
+    three = lambda ls: [line.replace("# n_orb: 3", "# n_orb: three") for line in ls]  # noqa: E731
+    data = _data_copy(work, tmp_path, edits={"effective_0000.tensor": three})
+    out = tmp_path / "out"
+    assert _stage("train-bare", work, data, out) == 1
+    assert f"{data / 'effective_0000.tensor'}: bad or missing header field" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_tan_short_row_fails(tmp_path, capsys):
     table = tmp_path / "eigen_differences.csv"
     table.write_text("index,bare,eff,diff,rel_diff,flagged\n"

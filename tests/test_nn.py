@@ -438,3 +438,29 @@ class TestCheckpoints:
         save_net(path, net)
         with pytest.raises(ValueError):
             load_kernel(path)
+
+    def test_bytes_are_those_of_savez_on_the_path(self, tmp_path):
+        k = np.arange(9.0).reshape(3, 3)
+        save_kernel(tmp_path / "kernel.npz", k, step=2)
+        np.savez(tmp_path / "direct.npz", version=np.int64(nn.CHECKPOINT_VERSION),
+                 layout=np.str_("symmetric-matrix"), step=np.int64(2), matrix=k)
+        assert (tmp_path / "kernel.npz").read_bytes() == (tmp_path / "direct.npz").read_bytes()
+
+    def test_path_without_suffix_is_kept(self, tmp_path):
+        save_kernel(tmp_path / "kernel", np.eye(2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel"]
+        assert np.array_equal(load_kernel(tmp_path / "kernel")[0], np.eye(2))
+
+    @pytest.mark.parametrize("save", [
+        lambda path: save_net(path, OrbitalNet(2, 4, hidden=(4,), seed=0)),
+        lambda path: save_kernel(path, np.eye(3)),
+    ], ids=["net", "kernel"])
+    def test_interrupted_save_leaves_no_file(self, tmp_path, monkeypatch, save):
+        def interrupted(file, **arrays):
+            file.write(b"PK partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save(tmp_path / "ckpt.npz")
+        assert list(tmp_path.iterdir()) == []

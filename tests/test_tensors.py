@@ -1,12 +1,17 @@
 """Tensor containers, symmetry orbits, and file round-trips."""
 
+import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from tanfold import atomic
+from tanfold.presets import plant_preset
+from tanfold.synth import plant_series
 from tanfold.tensors import (
     DUPLICATE_TOL,
     FORMAT_TAG,
@@ -170,6 +175,116 @@ def fsum_symmetrize(a, symmetry):
         for m in members:
             out[m] = mean
     return out
+
+
+# ----------------------------------------------------------------------------
+# Reference reader: the per-line parser the batched one replaced, line for line.
+# ----------------------------------------------------------------------------
+
+
+def _ref_symmetry(kind):
+    return Symmetry.EIGHT_FOLD if kind is Kind.BARE else Symmetry.FOUR_FOLD
+
+
+def _ref_file_index(table, key):
+    rep = [i + 1 for i in table.reps[key].tolist()]
+    return " ".join(map(str, rep + [0, 0] * (len(rep) == 2)))
+
+
+def _ref_bad_index(n_orb, index):
+    for i in index:
+        if i > n_orb:
+            return f"index {i} out of range for n_orb={n_orb}"
+    return "invalid index pattern ({} {} {} {})".format(*index)
+
+
+def reference_body(path, lines, start, tables, scalar):
+    """``(scalar, ({one-body orbit: value}, {two-body orbit: value}))``."""
+    n = tables[0].orbit_of.shape[0]
+    entries = ({}, {}, {} if scalar is None else {0: scalar})
+    for ln in range(start, len(lines)):
+        tokens = lines[ln].split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        try:
+            value = float(tokens[0])
+            p, q, r, s = map(int, tokens[1:])
+        except ValueError as exc:
+            why = exc if len(tokens) == 5 else f"expected 'value p q r s', got {lines[ln].strip()!r}"
+            raise TensorFormatError(f"{path}:{ln + 1}: {why}") from exc
+        if not math.isfinite(value):
+            raise TensorFormatError(f"{path}:{ln + 1}: non-finite value {tokens[0]!r}")
+        if 0 < r <= n and 0 < s <= n and 0 < p <= n and 0 < q <= n:
+            body, key = 1, tables[1].orbit_of.item(p - 1, q - 1, r - 1, s - 1)
+        elif r == s == 0 and 0 < p <= n and 0 < q <= n:
+            body, key = 0, tables[0].orbit_of.item(p - 1, q - 1)
+        elif p == q == r == s == 0:
+            body, key = 2, 0
+        else:
+            raise TensorFormatError(f"{path}:{ln + 1}: {_ref_bad_index(n, (p, q, r, s))}")
+        seen = entries[body]
+        if abs(seen.setdefault(key, value) - value) > DUPLICATE_TOL:
+            what = "scalar term" if body == 2 else f"orbit of ({_ref_file_index(tables[body], key)})"
+            raise TensorFormatError(
+                f"{path}:{ln + 1}: conflicting duplicate for the {what}: {seen[key]!r} vs {value!r}"
+            )
+    return entries[2].get(0), entries[:2]
+
+
+def _ref_tensor_set(tables, scalar, entries, **fields):
+    arrays = []
+    for table, seen in zip(tables, entries):
+        values = np.zeros(table.sizes.size)
+        values[list(seen)] = list(seen.values())
+        arrays.append(table.expand(values))
+    return TensorSet(scalar_term=0.0 if scalar is None else scalar,
+                     one_body=arrays[0], two_body=arrays[1], **fields)
+
+
+def reference_canonical(path):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    if not lines or lines[0].strip() != f"# {FORMAT_TAG}":
+        raise TensorFormatError(f"{path}: missing or mismatched format tag (expected '{FORMAT_TAG}')")
+    header, start = {}, 1
+    while start < len(lines) and lines[start].strip().startswith("#"):
+        key, _, value = lines[start].strip()[1:].partition(":")
+        header[key.strip()] = value.strip()
+        start += 1
+    kind, n_orb = Kind(header["kind"]), int(header["n_orb"])
+    tables = (orbit_table(n_orb, None), orbit_table(n_orb, _ref_symmetry(kind)))
+    scalar, entries = reference_body(path, lines, start, tables, float(header["scalar_term"]))
+    for body, table, seen in zip((1, 2), tables, entries):
+        if len(seen) < table.sizes.size:
+            first = next(i for i in range(table.sizes.size) if i not in seen)
+            raise TensorFormatError(
+                f"{path}: truncated file, {len(seen)} of {table.sizes.size} {body}-body "
+                f"orbits present; first missing: ({_ref_file_index(table, first)})"
+            )
+    return _ref_tensor_set(tables, scalar, entries, geometry=float(header["geometry"]), kind=kind,
+                           n_orb=n_orb, system=header["system"])
+
+
+def reference_fcidump(path, kind):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    n_orb = int(re.search(r"NORB\s*=\s*(\d+)", lines[0], re.IGNORECASE).group(1))
+    start = next(ln for ln, line in enumerate(lines) if "&END" in line.upper()) + 1
+    tables = (orbit_table(n_orb, None), orbit_table(n_orb, _ref_symmetry(kind)))
+    scalar, entries = reference_body(path, lines, start, tables, None)
+    return _ref_tensor_set(tables, scalar, entries, geometry=0.0, kind=kind, n_orb=n_orb)
+
+
+def assert_same_bits(got, want):
+    assert (got.geometry, got.kind, got.n_orb, got.system) == (want.geometry, want.kind, want.n_orb, want.system)
+    assert np.float64(got.scalar_term).tobytes() == np.float64(want.scalar_term).tobytes()
+    assert got.one_body.tobytes() == want.one_body.tobytes()
+    assert got.two_body.tobytes() == want.two_body.tobytes()
+
+
+def raised(fn, *args):
+    """The message ``fn(*args)`` raises as a TensorFormatError."""
+    with pytest.raises(TensorFormatError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestTensorSet:
@@ -581,3 +696,185 @@ class TestGeometrySeries:
             b = back.get(t.geometry, t.kind)
             assert np.array_equal(b.two_body, t.two_body)
             assert np.array_equal(b.one_body, t.one_body)
+
+    def test_series_of_one_kind(self, tmp_path):
+        sets = tuple(TensorSet.zeros(g, Kind.BARE, 2, system="toy") for g in (1.0, 2.0))
+        save_series(GeometrySeries(system="toy", tensor_sets=sets), tmp_path)
+        assert len(load_series(tmp_path, kind=Kind.BARE).tensor_sets) == 2
+        with pytest.raises(TensorFormatError, match=re.escape(f"{tmp_path}: no effective .tensor files")):
+            load_series(tmp_path, kind=Kind.EFFECTIVE)
+
+    def test_interrupted_save_leaves_no_file(self, tmp_path, monkeypatch):
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(atomic.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_canonical(tmp_path / "set.tensor", TensorSet.zeros(1.0, Kind.BARE, 2))
+        assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------------
+# The batched reader against the reference reader
+# ----------------------------------------------------------------------------
+
+#: the HF-like plant of the data-hf benchmark: n_orb 8, ell 300, six geometries
+HF8 = dataclasses.replace(
+    plant_preset("desk"), n_orb=8, ell=300, geometries=(0.85, 0.95, 1.35, 1.65, 1.95, 2.0),
+    rate=1.0e-2, amplitude=2.0e-4, center=149.4, spectrum_lo=0.05, eta=0.01, target_rms=0.5,
+    fourier_scale=1.0, system="planted-hf",
+)
+
+
+@pytest.fixture(scope="module", params=["desk", "hf8"])
+def plant_dir(request, tmp_path_factory):
+    spec = plant_preset("desk") if request.param == "desk" else HF8
+    directory = tmp_path_factory.mktemp(request.param)
+    save_series(plant_series(spec).series, directory)
+    return directory
+
+
+def _small_series(directory, n_sets=3):
+    """Bare sets of n_orb 2 at geometries 1, 2, ...: bodies of 3 + 6 lines."""
+    rng = np.random.default_rng(1)
+    sets = []
+    for g in range(1, n_sets + 1):
+        one, two = random_symmetric_tensors(2, Symmetry.EIGHT_FOLD, rng)
+        sets.append(TensorSet(float(g), Kind.BARE, 2, 0.5, one, two, system="toy"))
+    save_series(GeometrySeries(system="toy", tensor_sets=tuple(sets)), directory)
+    return sorted(directory.glob("*.tensor"))
+
+
+def _edit(path, change):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(change(lines)) + "\n", encoding="utf-8")
+
+
+class TestBatchedReader:
+    def test_series_matches_reference_bitwise(self, plant_dir):
+        series = load_series(plant_dir)
+        paths = sorted(plant_dir.glob("*.tensor"))
+        assert len(series.tensor_sets) == len(paths)
+        for path in paths:
+            want = reference_canonical(path)
+            assert_same_bits(series.get(want.geometry, want.kind), want)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_kind_reads_the_subset_of_that_kind(self, plant_dir, kind):
+        full = load_series(plant_dir)
+        part = load_series(plant_dir, kind=kind)
+        assert part.system == full.system
+        assert len(part.tensor_sets) == len(full.of_kind(kind))
+        for got, want in zip(part.tensor_sets, full.of_kind(kind)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("change", [
+        lambda body: ["nan 1 1 0 0"] + body,
+        lambda body: body + ["2 1 1 0 0"],
+        lambda body: body + ["1 1 3 0 0"],
+        lambda body: body + ["1 1 0 1 0"],
+        lambda body: body + ["1 -1 1 0 0"],
+        lambda body: ["1 1 1 0"] + body,
+        lambda body: body[:3] + ["1 1 1 0 0 0"] + body[3:],
+        lambda body: body + ["abc 1 1 0 0"],
+        lambda body: body + ["1 1 1.0 0 0"],
+        lambda body: body + ["1 1 x 0 0"],
+        lambda body: body + ["-0.5 0 0 0 0"],
+        lambda body: body + ["0.75 0 0 0 0", "0.5 0 0 0 0"],
+        lambda body: body[:2] + ["", "# note", "inf 1 1 0 0"] + body[2:],
+        lambda body: body[:-1],
+        lambda body: body[1:],
+        lambda body: body[:-1] + ["1 1 x 0 0"],
+        lambda body: body[:-1] + ["nan 1 1 0 0", "1 1 x 0 0"],
+        lambda body: ["2 1 2 0 0", "1 1 9 0 0"] + body,
+        lambda body: body + ["1 1 99999999999999999999 0 0"],
+        lambda body: body + ["1 -99999999999999999999 1 0 0"],
+        lambda body: body + ["nan 1_0 1 0 0"],
+        lambda body: body + ["1e999 1 1 0 0"],
+        lambda body: body + ["1 1 1 0 0\x00"],
+    ])
+    def test_same_message_as_reference(self, tmp_path, change):
+        path = tmp_path / "set.tensor"
+        save_canonical(path, TensorSet(1.0, Kind.BARE, 2, 0.75, np.eye(2), np.ones((2,) * 4)))
+        _edit(path, lambda lines: lines[:6] + change(lines[6:]))
+        assert raised(load_canonical, path) == raised(reference_canonical, path)
+        assert raised(load_series, tmp_path) == raised(reference_canonical, path)
+
+    @pytest.mark.parametrize("body", [
+        "0.5 1 1 1 2\n0.6 2 1 1 1\n",
+        "0.3 1 2 1 2\n0.4 1 2 2 1\n",
+        "-1.5 0 0 0 0\n-1.25 0 0 0 0\n",
+        "0.5 1 1 1\n",
+        "0.5 1 3 0 0\n",
+        "0.5 1 1 1 2\n-inf 1 2 0 0\n",
+    ])
+    def test_fcidump_message_as_reference(self, tmp_path, body):
+        path = tmp_path / "dump.txt"
+        path.write_text(f"&FCI NORB=2,NELEC=2\n&END\n{body}", encoding="utf-8")
+        assert raised(load_fcidump, path, Kind.BARE) == raised(reference_fcidump, path, Kind.BARE)
+
+    def test_fcidump_matches_reference_bitwise(self, tmp_path):
+        rng = np.random.default_rng(4)
+        lines = ["&FCI NORB=3", "&END", "# c", ""]
+        lines += [f"{v!r} {p} {q} {r} {s}" for v, (p, q, r, s) in
+                  zip(rng.normal(size=60), rng.integers(1, 4, size=(60, 4)).tolist())]
+        lines += ["0.25 1 2 0 0", "0.25 2 1 0 0", "-3.5 0 0 0 0"]
+        path = tmp_path / "dump.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for kind in Kind:
+            try:
+                want = reference_fcidump(path, kind)
+            except TensorFormatError as exc:
+                assert raised(load_fcidump, path, kind) == str(exc)
+            else:
+                assert_same_bits(load_fcidump(path, kind), want)
+
+    def test_earliest_file_and_line_wins(self, tmp_path):
+        paths = _small_series(tmp_path)
+        clean = [path.read_text(encoding="utf-8") for path in paths]
+        first, second, third = paths
+        _edit(first, lambda lines: lines + ["1 1 9 0 0"])
+        _edit(second, lambda lines: lines[:6] + ["nan 1 1 0 0"] + lines[6:])
+        _edit(third, lambda lines: lines[:1] + ["# n_orb: two"] + lines[1:])
+        assert raised(load_series, tmp_path) == f"{first}:16: index 9 out of range for n_orb=2"
+        first.write_text(clean[0], encoding="utf-8")
+        _edit(first, lambda lines: lines[:-1])
+        assert raised(load_series, tmp_path).startswith(f"{first}: truncated file")
+        first.write_text(clean[0], encoding="utf-8")
+        assert raised(load_series, tmp_path) == f"{second}:7: non-finite value 'nan'"
+        second.write_text(clean[1], encoding="utf-8")
+        assert raised(load_series, tmp_path) == f"{third}:6: repeated header field 'n_orb'"
+
+    @pytest.mark.parametrize("field", ["system", "geometry", "kind", "n_orb", "scalar_term"])
+    def test_repeated_header_field_rejected(self, tmp_path, field):
+        path = tmp_path / "set.tensor"
+        save_canonical(path, TensorSet.zeros(1.0, Kind.BARE, 2))
+        _edit(path, lambda lines: lines[:6] + [next(ln for ln in lines if ln.startswith(f"# {field}:"))] + lines[6:])
+        assert raised(load_canonical, path) == f"{path}:7: repeated header field {field!r}"
+
+    def test_index_written_as_float_rejected(self, tmp_path):
+        path = tmp_path / "set.tensor"
+        save_canonical(path, TensorSet.zeros(1.0, Kind.BARE, 2))
+        _edit(path, lambda lines: lines + ["1 1.0 1 0 0"])
+        assert raised(load_canonical, path) == f"{path}:16: invalid literal for int() with base 10: '1.0'"
+
+    def test_index_written_as_float_rejected_by_warning_numpy(self, tmp_path, monkeypatch):
+        # numpy releases that read "1.0" as an integer warned instead of raising
+        real = np.loadtxt
+
+        def warning_loadtxt(rows, **kwargs):
+            if any(" 1.0 " in row for row in rows):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return real([row.replace(" 1.0 ", " 1 ") for row in rows], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        self.test_index_written_as_float_rejected(tmp_path)
+
+    @pytest.mark.parametrize("line", ["1_0 1 1 0 0", "1 1_0 1 0 0", "\uff11 1 1 0 0"])
+    def test_non_ascii_decimal_rejected(self, tmp_path, line):
+        # Python's float and int read these; the body grammar does not
+        path = tmp_path / "set.tensor"
+        save_canonical(path, TensorSet.zeros(1.0, Kind.BARE, 2))
+        _edit(path, lambda lines: lines + [line])
+        assert raised(load_canonical, path) == (
+            f"{path}:16: expected an ASCII decimal value and four integers, got {line!r}")
