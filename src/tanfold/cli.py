@@ -371,32 +371,27 @@ def _cmd_suzuki_verify(args) -> int:
     seeds = np.random.SeedSequence(args.seed).generate_state(args.trials)
     problems = (random_coupled_problem(args.dim, args.rdim, args.coupling, int(s))
                 for s in seeds)
-    rows = []
-    curves = []
-    for trial, (s, report) in enumerate(
-        zip(seeds, verify_w_identities(problems, n_max=args.n_max))
-    ):
-        rows.append(
-            (trial, int(s), report.rel_frobenius, report.max_abs, report.half_spread)
-        )
-        for order, err in enumerate(report.series_errors, start=1):
-            curves.append((trial, order, err))
+    results = verify_w_identities(problems, n_max=args.n_max)
+    trials = np.arange(args.trials)
+    errors = np.array([r.series_errors for r in results])
     os.makedirs(out, exist_ok=True)
     reports.write_csv(
         os.path.join(out, "residuals.csv"),
         ("trial", "seed", "rel_frobenius", "max_abs", "half_spread"),
-        rows,
+        (trials, seeds, [r.rel_frobenius for r in results], [r.max_abs for r in results],
+         [r.half_spread for r in results]),
     )
     reports.write_csv(
         os.path.join(out, "series_convergence.csv"),
         ("trial", "order", "rel_error"),
-        curves,
+        (trials.repeat(errors.shape[1]), np.tile(np.arange(1, errors.shape[1] + 1), args.trials),
+         errors.ravel()),
     )
     _write_manifest(out, "suzuki-verify",
                     {"dim": args.dim, "rdim": args.rdim, "coupling": args.coupling,
                      "trials": args.trials, "n_max": args.n_max},
                     seed=args.seed, started=started)
-    worst = max(r[2] for r in rows)
+    worst = max(r.rel_frobenius for r in results)
     print(f"{args.trials} trials: worst relative residual {worst:.3e}")
     return _EXIT_OK
 

@@ -78,12 +78,9 @@ class OrbitalNet:
     def __init__(self, n_orb: int, output_dim: int, hidden=(200, 200, 200), seed: int = 0):
         if n_orb < 1 or output_dim < 1 or any(h < 1 for h in hidden):
             raise ValueError("network dimensions must be positive")
-        self.n_orb = int(n_orb)
-        self.output_dim = int(output_dim)
-        self.sizes = [self.n_orb + 1, *map(int, hidden), self.output_dim]
-        self.seed = int(seed)
+        sizes = [int(n_orb) + 1, *map(int, hidden), int(output_dim)]
+        self._bind(sizes, seed, np.zeros(sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))))
         rng = np.random.default_rng(self.seed)
-        self._bind(np.zeros(sum((a + 1) * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))))
         for w in self.weights:
             fan_in, fan_out = w.shape
             limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -102,8 +99,13 @@ class OrbitalNet:
             start += fan_out
         return out
 
-    def _bind(self, flat: np.ndarray) -> None:
-        """Make ``flat`` the parameter vector; weights and biases view it."""
+    def _bind(self, sizes, seed: int, flat: np.ndarray) -> None:
+        """Set the layer widths ``sizes`` and the init ``seed``, and make
+        ``flat`` the parameter vector; weights and biases view it."""
+        self.sizes = list(sizes)
+        self.n_orb = self.sizes[0] - 1
+        self.output_dim = self.sizes[-1]
+        self.seed = int(seed)
         self.flat = flat
         views = self.views(flat)
         self.weights: list[np.ndarray] = views[0::2]
@@ -115,14 +117,16 @@ class OrbitalNet:
         :attr:`flat`."""
         return self.views(self.flat)
 
+    @classmethod
+    def _bound(cls, sizes, seed: int, flat: np.ndarray) -> "OrbitalNet":
+        """The network of layer widths ``sizes`` whose parameters are
+        ``flat``, bound as they are: no initialization is drawn."""
+        net = cls.__new__(cls)
+        net._bind(sizes, seed, flat)
+        return net
+
     def copy(self) -> "OrbitalNet":
-        other = OrbitalNet.__new__(OrbitalNet)
-        other.n_orb = self.n_orb
-        other.output_dim = self.output_dim
-        other.sizes = list(self.sizes)
-        other.seed = self.seed
-        other._bind(self.flat.copy())
-        return other
+        return OrbitalNet._bound(self.sizes, self.seed, self.flat.copy())
 
     # -- evaluation -----------------------------------------------------------
 
@@ -323,14 +327,17 @@ def load_net(path) -> tuple[OrbitalNet, int]:
     with np.load(path) as data:
         _check_header(data, "orbital-net", path)
         sizes = data["sizes"].tolist()
-        net = OrbitalNet(sizes[0] - 1, sizes[-1], hidden=sizes[1:-1], seed=int(data["seed"]))
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            for key, view in ((f"w{i}", w), (f"b{i}", b)):
+        if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
+            raise ValueError(f"{path}: bad layer widths {sizes}")
+        parts = []
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
                 stored = data[key]
-                if stored.shape != view.shape:
-                    raise ValueError(f"{path}: {key} has shape {stored.shape}, expected {view.shape}")
-                view[...] = stored
-        return net, int(data["step"])
+                if stored.shape != shape:
+                    raise ValueError(f"{path}: {key} has shape {stored.shape}, expected {shape}")
+                parts.append(stored.ravel())
+        flat = np.concatenate(parts).astype(np.float64, copy=False)
+        return OrbitalNet._bound(sizes, int(data["seed"]), flat), int(data["step"])
 
 
 def save_kernel(path, matrix, step: int = 0) -> None:

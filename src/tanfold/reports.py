@@ -7,9 +7,10 @@ produce bit-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,11 +41,39 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _column(values) -> tuple[str, list]:
+    """A column's row-template field and its cells as Python objects."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"a column must be one-dimensional, got shape {a.shape}")
+    if a.dtype.kind == "f":
+        return "%.17g", a.tolist()
+    if a.dtype.kind == "b":
+        return "%s", np.where(a, "true", "false").tolist()
+    if a.dtype.kind in "iuU":
+        return "%s", a.tolist()
+    raise TypeError(f"a column holds floats, bools, ints or strings, not {a.dtype}")
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a table given as ``columns``, one per ``header`` name.
+
+    Each column is an array or sequence of one type: floats are written as
+    ``%.17g`` (NaN and infinities as ``nan``, ``inf`` and ``-inf``), bools
+    as ``true``/``false``, ints and strings through ``str``.  The whole
+    table is formatted from one row template, and the file replaced
+    atomically: a column that fails to convert leaves no file.
+    """
+    if not header or len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        fields, cells = zip(*map(_column, columns))
+        n_rows = {len(c) for c in cells}
+        if len(n_rows) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(n_rows)}")
+        row = ",".join(fields) + "\n"
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(cell) for cell in row) + "\n")
+        fh.write((row * n_rows.pop()) % tuple(itertools.chain.from_iterable(zip(*cells))))
 
 
 def write_mae_csv(path, per_geometry) -> None:
@@ -52,7 +81,11 @@ def write_mae_csv(path, per_geometry) -> None:
     write_csv(
         path,
         ("R", "mae", "split"),
-        ((g.geometry, g.unit_mae, g.split) for g in per_geometry),
+        (
+            [g.geometry for g in per_geometry],
+            [g.unit_mae for g in per_geometry],
+            [g.split for g in per_geometry],
+        ),
     )
 
 
@@ -72,13 +105,7 @@ def write_difference_csv(path, table: DifferenceTable) -> None:
     write_csv(
         path,
         ("index", "bare", "eff", "diff", "rel_diff", "flagged"),
-        (
-            (int(i), b, e, d, r, bool(f))
-            for i, b, e, d, r, f in zip(
-                table.index, table.bare, table.eff, table.diff,
-                table.rel_diff, table.flagged,
-            )
-        ),
+        (table.index, table.bare, table.eff, table.diff, table.rel_diff, table.flagged),
     )
 
 
@@ -86,14 +113,8 @@ def write_tanfit_csv(path, table: DifferenceTable, fit: TanFit) -> None:
     """Relative eigenvalue differences next to the fitted tangent curve."""
     index = np.asarray(table.index, dtype=np.float64)
     fitted = np.full(index.size, np.nan) if fit.degenerate else eval_tan(fit, index)
-    write_csv(
-        path,
-        ("index", "rel_diff", "fit", "flagged"),
-        (
-            (int(i), rel, f, bool(flagged))
-            for i, rel, f, flagged in zip(table.index, table.rel_diff, fitted, table.flagged)
-        ),
-    )
+    write_csv(path, ("index", "rel_diff", "fit", "flagged"),
+              (table.index, table.rel_diff, fitted, table.flagged))
 
 
 def write_tanfit_json(path, fit: TanFit) -> None:

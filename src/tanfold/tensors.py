@@ -606,6 +606,16 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+@functools.lru_cache(maxsize=None)
+def _body_template(n_orb: int, symmetry: Symmetry) -> str:
+    """The body of a canonical file with a ``%.17g`` slot for each orbit's
+    value: one-body lines first, then two-body, each in representative order."""
+    lines = [f"%.17g {_file_index(table, key)}"
+             for table in (orbit_table(n_orb, None), orbit_table(n_orb, symmetry))
+             for key in range(len(table.reps))]
+    return "\n".join(lines) + "\n"
+
+
 def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
     """Write a tensor set as self-describing text, one orbit entry per line.
 
@@ -613,7 +623,7 @@ def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
     bit.  Entries are 1-based ``value p q r s`` lines (one-body as
     ``value p q 0 0``), sorted by canonical index.
     """
-    lines = [
+    header = [
         f"# {FORMAT_TAG}",
         f"# system: {tset.system}",
         f"# geometry: {_fmt(tset.geometry)}",
@@ -622,13 +632,11 @@ def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
         f"# scalar_term: {_fmt(tset.scalar_term)}",
     ]
     one = orbit_table(tset.n_orb, None)
-    for (p, q), v in zip((one.reps + 1).tolist(), tset.one_body.ravel()[one.rep_flat].tolist()):
-        lines.append(f"{v:.17g} {p} {q} 0 0")
     two = orbit_table(tset.n_orb, tset.symmetry)
-    for (p, q, r, s), v in zip((two.reps + 1).tolist(), tset.two_body.ravel()[two.rep_flat].tolist()):
-        lines.append(f"{v:.17g} {p} {q} {r} {s}")
+    values = tset.one_body.ravel()[one.rep_flat].tolist() + tset.two_body.ravel()[two.rep_flat].tolist()
+    body = _body_template(tset.n_orb, tset.symmetry) % tuple(values)
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n" + body)
 
 
 #: the header fields of a canonical file, each allowed once

@@ -422,6 +422,39 @@ class TestCheckpoints:
         for a, b in zip(net.params, back.params):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sizes", [(3, 1, ()), (8, 300, (200, 200, 200))])
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch, sizes):
+        n_orb, output_dim, hidden = sizes
+        net = OrbitalNet(n_orb, output_dim, hidden=hidden, seed=5)
+        net.flat[-4:] = [-0.0, 5e-324, np.nan, -np.inf]
+        path = tmp_path / "net.npz"
+        save_net(path, net, step=3)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_net drew an initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back, step = load_net(path)
+        twin = back.copy()
+        assert step == 3
+        for other in (back, twin):
+            assert (other.n_orb, other.output_dim, other.sizes, other.seed) == (
+                net.n_orb, net.output_dim, net.sizes, net.seed)
+            assert other.flat.dtype == np.float64 and other.flat.tobytes() == net.flat.tobytes()
+            assert all(np.shares_memory(p, other.flat) for p in other.params)
+        assert not np.shares_memory(back.flat, twin.flat)
+
+    @pytest.mark.parametrize("sizes", [[4], [1, 3], [3, 0, 2]])
+    def test_load_rejects_bad_layer_widths(self, tmp_path, sizes):
+        path = tmp_path / "net.npz"
+        save_net(path, OrbitalNet(2, 4, hidden=(4,), seed=0))
+        with np.load(path) as data:
+            payload = dict(data)
+        payload["sizes"] = np.asarray(sizes, dtype=np.int64)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="bad layer widths"):
+            load_net(path)
+
     def test_kernel_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         k = rng.normal(size=(8, 8))

@@ -45,22 +45,92 @@ def test_format_value_types():
     assert format_value(np.float64(2.0)) == "2"
 
 
+def reference_write_csv(path, header, rows):
+    """The per-cell writer the column form replaced: one format_value call
+    per cell, one line per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(cell) for cell in row) + "\n")
+
+
 def test_write_csv_header_and_rows(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)])
+    write_csv(path, ("a", "b"), ([1, 2], [0.5, 0.25]))
     assert _read(path) == "a,b\n1,0.5\n2,0.25\n"
+
+
+#: doubles whose text is easy to get wrong: signed zero, the smallest
+#: subnormal, the extremes, an integral value, a non-terminating binary
+#: fraction, and the non-finite values
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               2.0, 0.1, 1.0 / 3.0, np.nan, np.inf, -np.inf]
+
+
+def _edge_columns():
+    n = len(EDGE_FLOATS)
+    rng = np.random.default_rng(8)
+    return {
+        "f": np.array(EDGE_FLOATS),
+        "g": [float(x) for x in rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)],
+        "b": np.arange(n) % 3 == 0,
+        "bl": [bool(x) for x in np.arange(n) % 2],
+        "i": np.arange(-5, n - 5, dtype=np.int64),
+        "u": np.random.SeedSequence(3).generate_state(n),
+        "il": [10**15 * k for k in range(n)],
+        "s": [f"s{k}" if k % 2 else "train" for k in range(n)],
+    }
+
+
+def test_write_csv_bytes_match_per_cell_writer(tmp_path):
+    cols = _edge_columns()
+    write_csv(tmp_path / "a.csv", tuple(cols), tuple(cols.values()))
+    reference_write_csv(tmp_path / "b.csv", tuple(cols), zip(*cols.values()))
+    got = (tmp_path / "a.csv").read_bytes()
+    assert got == (tmp_path / "b.csv").read_bytes()
+    first = [line.split(",")[0] for line in got.decode().splitlines()[1:]]
+    assert first[:3] == ["-0", "0", "4.9406564584124654e-324"]
+    assert first[-3:] == ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("name", list(_edge_columns()))
+def test_write_csv_one_column_matches_per_cell_writer(tmp_path, name):
+    col = _edge_columns()[name]
+    write_csv(tmp_path / "a.csv", (name,), (col,))
+    reference_write_csv(tmp_path / "b.csv", (name,), ((v,) for v in col))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_write_csv_no_rows(tmp_path):
+    write_csv(tmp_path / "t.csv", ("a", "b"), ([], np.zeros(0)))
+    assert _read(tmp_path / "t.csv") == "a,b\n"
 
 
 def test_write_csv_interrupted_leaves_no_file(tmp_path):
     # a table is written whole or not at all: a reader never finds a
     # truncated file, nor the temp file it was being written to
-    def rows():
-        yield (1, 0.5)
-        raise RuntimeError("interrupted")
+    class Interrupted:
+        def __len__(self):
+            return 2
+
+        def __array__(self, dtype=None, copy=None):
+            raise RuntimeError("interrupted")
 
     path = tmp_path / "t.csv"
     with pytest.raises(RuntimeError, match="interrupted"):
-        write_csv(path, ("a", "b"), rows())
+        write_csv(path, ("a", "b"), ([1, 2], Interrupted()))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("columns, error, message", [
+    (([1, 2], [None, 0.5]), TypeError, "not object"),
+    (([1, 2], [[0.5], [0.25]]), ValueError, "one-dimensional"),
+    (([1, 2], [0.5]), ValueError, "unequal lengths"),
+    (([1, 2],), ValueError, "2 header names for 1 columns"),
+])
+def test_write_csv_rejects_bad_columns_and_leaves_no_file(tmp_path, columns, error, message):
+    with pytest.raises(error, match=message):
+        write_csv(tmp_path / "t.csv", ("a", "b"), columns)
     assert os.listdir(tmp_path) == []
 
 
@@ -131,7 +201,7 @@ def _tanfit_csv_per_index(path, table, fit):
     for i, rel, flagged in zip(table.index, table.rel_diff, table.flagged):
         fitted = np.nan if fit.degenerate else eval_tan(fit, float(i))
         rows.append((int(i), rel, fitted, bool(flagged)))
-    write_csv(path, ("index", "rel_diff", "fit", "flagged"), rows)
+    reference_write_csv(path, ("index", "rel_diff", "fit", "flagged"), rows)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -216,8 +286,8 @@ def test_write_overlap_csv_bytes_match_write_csv(tmp_path):
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     write_overlap_csv(fast, report)
     n = report.dim
-    write_csv(slow, ("i", "j", "overlap"),
-              ((i + 1, j + 1, overlap[i, j]) for i in range(n) for j in range(n)))
+    reference_write_csv(slow, ("i", "j", "overlap"),
+                        ((i + 1, j + 1, overlap[i, j]) for i in range(n) for j in range(n)))
     assert fast.read_bytes() == slow.read_bytes()
     assert b"\n1,2,-0\n" in fast.read_bytes()
 
@@ -236,6 +306,57 @@ def test_write_overlap_csv_bytes_match_write_csv_at_ell(tmp_path, ell):
                                  np.arange(ell), np.ones(ell))
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         write_overlap_csv(fast, report)
-        write_csv(slow, ("i", "j", "overlap"),
-                  ((i + 1, j + 1, overlap[i, j]) for i in range(ell) for j in range(ell)))
+        reference_write_csv(slow, ("i", "j", "overlap"),
+                            ((i + 1, j + 1, overlap[i, j]) for i in range(ell) for j in range(ell)))
         assert fast.read_bytes() == slow.read_bytes()
+
+
+def _ell300_table(flag=()):
+    rng = np.random.default_rng(300)
+    bare = np.sort(rng.uniform(0.05, 1.0, 300))[::-1]
+    bare[list(flag)] = 1e-18  # below the eigenvalue floor
+    eff = bare * (1.0 + 1e-4 * rng.standard_normal(300))
+    return eigen_differences(align_eigensystems(eig_sym(np.diag(bare)), eig_sym(np.diag(eff))))
+
+
+@pytest.mark.parametrize("flag", [(), (298, 299)])
+def test_write_difference_csv_bytes_match_per_row_writer(tmp_path, flag):
+    table = _ell300_table(flag)
+    assert table.flagged.sum() == len(flag)
+    write_difference_csv(tmp_path / "a.csv", table)
+    reference_write_csv(
+        tmp_path / "b.csv", ("index", "bare", "eff", "diff", "rel_diff", "flagged"),
+        ((int(i), b, e, d, r, bool(f)) for i, b, e, d, r, f in zip(
+            table.index, table.bare, table.eff, table.diff, table.rel_diff, table.flagged)),
+    )
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_write_mae_csv_bytes_match_per_row_writer(tmp_path):
+    rows = [GeometryMAE(geometry=g, unit_mae=m, full_mae=2 * m, split=s)
+            for g, m, s in ((1.8, 1e-5, "train"), (2.0 / 3.0, 5e-324, "test"),
+                            (2.0, 0.1, "train"), (np.float64(2.5), np.float64(np.nan), "test"))]
+    write_mae_csv(tmp_path / "a.csv", rows)
+    reference_write_csv(tmp_path / "b.csv", ("R", "mae", "split"),
+                        ((g.geometry, g.unit_mae, g.split) for g in rows))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_suzuki_tables_match_per_row_writer(tmp_path):
+    """suzuki-verify's two tables against the per-trial rows they replaced."""
+    from tanfold.cli import main
+    from tanfold.suzuki import random_coupled_problem, verify_w_identity
+
+    argv = ["--dim", "6", "--rdim", "2", "--coupling", "0.05", "--trials", "5", "--n-max", "7"]
+    assert main(["suzuki-verify", *argv, "--seed", "4", "--out", str(tmp_path / "cli")]) == 0
+    rows, curves = [], []
+    for trial, s in enumerate(np.random.SeedSequence(4).generate_state(5)):
+        report = verify_w_identity(random_coupled_problem(6, 2, 0.05, int(s)), n_max=7)
+        rows.append((trial, int(s), report.rel_frobenius, report.max_abs, report.half_spread))
+        curves += [(trial, order, err) for order, err in enumerate(report.series_errors, start=1)]
+    reference_write_csv(tmp_path / "residuals.csv",
+                        ("trial", "seed", "rel_frobenius", "max_abs", "half_spread"), rows)
+    reference_write_csv(tmp_path / "series_convergence.csv", ("trial", "order", "rel_error"), curves)
+    for name in ("residuals.csv", "series_convergence.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert len(curves) == 35

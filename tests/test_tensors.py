@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tanfold import atomic
-from tanfold.presets import plant_preset
+from tanfold.presets import PLANT_PRESETS, plant_preset
 from tanfold.synth import plant_series
 from tanfold.tensors import (
     DUPLICATE_TOL,
@@ -748,6 +748,73 @@ def _small_series(directory, n_sets=3):
 def _edit(path, change):
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(change(lines)) + "\n", encoding="utf-8")
+
+
+def reference_save_canonical(path, tset):
+    """The per-line writer the body template replaced: one f-string per
+    orbit line."""
+    lines = [
+        f"# {FORMAT_TAG}",
+        f"# system: {tset.system}",
+        f"# geometry: {format(tset.geometry, '.17g')}",
+        f"# kind: {tset.kind.value}",
+        f"# n_orb: {tset.n_orb}",
+        f"# scalar_term: {format(tset.scalar_term, '.17g')}",
+    ]
+    one = orbit_table(tset.n_orb, None)
+    for (p, q), v in zip((one.reps + 1).tolist(), tset.one_body.ravel()[one.rep_flat].tolist()):
+        lines.append(f"{v:.17g} {p} {q} 0 0")
+    two = orbit_table(tset.n_orb, tset.symmetry)
+    for (p, q, r, s), v in zip((two.reps + 1).tolist(), tset.two_body.ravel()[two.rep_flat].tolist()):
+        lines.append(f"{v:.17g} {p} {q} {r} {s}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module", params=[*sorted(PLANT_PRESETS), "hf8"])
+def planted_series(request):
+    return plant_series(HF8 if request.param == "hf8" else plant_preset(request.param)).series
+
+
+#: finite doubles whose text is easy to get wrong: signed zero, the smallest
+#: subnormal, the extremes, an integral value and a non-terminating fraction
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0, 0.1]
+
+
+class TestTemplateWriter:
+    def test_plant_bytes_match_per_line_writer(self, planted_series, tmp_path):
+        kinds = {t.kind for t in planted_series.tensor_sets}
+        assert kinds == set(Kind)
+        for tset in planted_series.tensor_sets:
+            got, want = tmp_path / "got.tensor", tmp_path / "want.tensor"
+            save_canonical(got, tset)
+            reference_save_canonical(want, tset)
+            assert got.read_bytes() == want.read_bytes(), (tset.geometry, tset.kind)
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 5])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_edge_values_match_per_line_writer_and_roundtrip(self, kind, n_orb, tmp_path):
+        # a TensorSet stores -0.0 entries as +0.0, so the signed zero is
+        # the scalar term's
+        tables = orbit_table(n_orb, None), orbit_table(n_orb, _ref_symmetry(kind))
+        one, two = (t.expand(np.resize(EDGE_FLOATS, len(t.reps))) for t in tables)
+        tset = TensorSet(EDGE_FLOATS[1], kind, n_orb, -0.0, one, two, system="edge")
+        got, want = tmp_path / "got.tensor", tmp_path / "want.tensor"
+        save_canonical(got, tset)
+        reference_save_canonical(want, tset)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"\n# scalar_term: -0\n" in got.read_bytes()
+        back = load_canonical(got)
+        assert_same_bits(back, tset)
+        assert back.geometry == tset.geometry and back.scalar_term == tset.scalar_term
+
+    def test_template_is_cached_per_shape(self):
+        from tanfold.tensors import _body_template
+
+        a = _body_template(3, Symmetry.EIGHT_FOLD)
+        assert _body_template(3, Symmetry.EIGHT_FOLD) is a
+        assert _body_template(3, Symmetry.FOUR_FOLD) != a
+        assert a.count("%.17g") == 6 + len(orbit_table(3, Symmetry.EIGHT_FOLD).reps)
 
 
 class TestBatchedReader:
