@@ -28,6 +28,8 @@ import json
 import os
 import sys
 import time
+import typing
+import zipfile
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .synth import PlantSpec, plant_series, save_plant
 from .tanmodel import fit_tan
 from .tensors import Kind, load_series
 from .training import (
+    TrainConfig,
     evaluate_mae,
     finetune_effective,
     load_model,
@@ -87,6 +90,7 @@ def _read_config(path) -> dict[str, str]:
 
 
 def _coerce(key: str, text: str, py_type):
+    """``text`` read as a value of the field type ``py_type``."""
     try:
         if py_type is bool:
             lowered = text.lower()
@@ -95,51 +99,21 @@ def _coerce(key: str, text: str, py_type):
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if py_type is int:
-            return int(text)
-        if py_type is float:
-            return float(text)
-        if py_type is tuple:
-            return tuple(int(part) for part in text.split(",") if part.strip())
-        if py_type == "floats":
-            return tuple(float(part) for part in text.split(",") if part.strip())
-        return text
+        if typing.get_origin(py_type) is tuple:  # tuple[int, ...] or tuple[float, ...]
+            item = typing.get_args(py_type)[0]
+            return tuple(item(part) for part in text.split(",") if part.strip())
+        return py_type(text)
     except ValueError as exc:
         raise _UsageError(f"config key {key}: {exc}") from None
 
 
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "base_lr": float,
-    "seed": int,
-    "ell": int,
-    "hidden": tuple,
-    "freeze_orbitals": bool,
-    "kernel_polish": bool,
-}
-
-_PLANT_KEYS = {
-    "n_orb": int,
-    "ell": int,
-    "geometries": "floats",
-    "rate": float,
-    "amplitude": float,
-    "center": float,
-    "spectrum_lo": float,
-    "eta": float,
-    "noise": float,
-    "target_rms": float,
-    "fourier_scale": float,
-    "seed": int,
-    "system": str,
-}
-
-
-def _config_overrides(config_path, keys: dict) -> dict:
-    """The settings of a config file, each coerced to its type in ``keys``."""
+def _config_overrides(config_path, fields_of) -> dict:
+    """The settings of a config file, each coerced to the type of its field
+    of the dataclass ``fields_of`` (every field but ``stage``)."""
     if not config_path:
         return {}
+    keys = typing.get_type_hints(fields_of)
+    keys.pop("stage", None)
     raw = _read_config(config_path)
     unknown = sorted(set(raw) - set(keys))
     if unknown:
@@ -163,10 +137,8 @@ def _write_manifest(out_dir, subcommand: str, resolved: dict, *, seed, started: 
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
+    """``dataclasses.asdict`` output with its enums as their values and its
+    tuples as lists."""
     if isinstance(value, HeadKind):
         return value.value
     if isinstance(value, (list, tuple)):
@@ -180,8 +152,8 @@ def _jsonable(value):
 # stage resolution
 # ---------------------------------------------------------------------------
 
-def _build_train_config(args, stage: HeadKind) -> "presets.TrainConfig":
-    overrides = _config_overrides(args.config, _TRAIN_KEYS)
+def _build_train_config(args, stage: HeadKind) -> TrainConfig:
+    overrides = _config_overrides(args.config, TrainConfig)
     if args.seed is not None:
         overrides["seed"] = args.seed
     return presets.training_config(args.system, stage, profile=args.profile, **overrides)
@@ -194,7 +166,7 @@ def _build_train_config(args, stage: HeadKind) -> "presets.TrainConfig":
 def _cmd_synth(args) -> int:
     started = time.perf_counter()
     spec = presets.plant_preset(args.plant)
-    overrides = _config_overrides(args.config, _PLANT_KEYS)
+    overrides = _config_overrides(args.config, PlantSpec)
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
@@ -209,13 +181,7 @@ def _cmd_synth(args) -> int:
 
 
 def _head_for(body: int, kind: Kind) -> HeadKind:
-    table = {
-        (1, Kind.BARE): HeadKind.BARE_ONE,
-        (2, Kind.BARE): HeadKind.BARE_TWO,
-        (1, Kind.EFFECTIVE): HeadKind.EFF_ONE,
-        (2, Kind.EFFECTIVE): HeadKind.EFF_TWO,
-    }
-    return table[(body, kind)]
+    return next(h for h in HeadKind if h.body == body and h.kind is kind)
 
 
 def _write_fit(out, subcommand: str, model, report, inputs: dict, started: float) -> int:
@@ -290,6 +256,8 @@ def _load_kernel_matrix(path, planted: str) -> np.ndarray:
     path = os.fspath(path)
     if os.path.isdir(path):
         return load_model_kernel(path).matrix
+    if os.path.exists(path) and not zipfile.is_zipfile(path):
+        raise _UsageError(f"{path}: neither a model directory nor an .npz archive")
     with np.load(path) as data:
         if planted in data.files:
             return KernelMatrix(data[planted]).matrix
@@ -525,13 +493,8 @@ def main(argv=None) -> int:
             sys.stderr.write(_usage_text(parser))
             return _EXIT_USAGE
         return _HANDLERS[args.subcommand](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"tanfold: error: {exc}\n")
-        return _EXIT_USAGE
-    except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
-        sys.stderr.write(f"tanfold: error: {exc}\n")
-        return _EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (_UsageError, FileNotFoundError, NotADirectoryError, PermissionError,
+            ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"tanfold: error: {exc}\n")
         return _EXIT_USAGE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

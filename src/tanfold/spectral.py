@@ -40,11 +40,11 @@ class EigenSystem:
         return self.values.size
 
 
-def eig_sym(kernel, *, tol: float = 1e-12) -> EigenSystem:
+def eig_sym(kernel) -> EigenSystem:
     """Eigendecomposition of a real symmetric matrix, descending order.
 
     ``kernel`` may be a :class:`~tanfold.heads.KernelMatrix` or a plain
-    array symmetric to ``tol``.  Eigenvector signs are fixed so that the
+    array symmetric to 1e-12.  Eigenvector signs are fixed so that the
     largest-magnitude component of each vector is positive (first such
     component on ties), which makes the output reproducible.
     """
@@ -55,7 +55,7 @@ def eig_sym(kernel, *, tol: float = 1e-12) -> EigenSystem:
     if not np.isfinite(m).all():
         raise ValueError("kernel contains non-finite entries")
     sym_defect = np.abs(m - m.T).max() if m.size else 0.0
-    if sym_defect > tol:
+    if sym_defect > 1e-12:
         raise ValueError(f"kernel is not symmetric: max |K - K^T| = {sym_defect:.3e}")
     m = (m + m.T) / 2.0
     values, vectors = np.linalg.eigh(m)
@@ -177,11 +177,12 @@ class DifferenceTable:
         ]
 
 
-def eigen_differences(report: AlignmentReport, *, floor_rel: float = EIGENVALUE_FLOOR) -> DifferenceTable:
-    """Differences and relative differences of aligned eigenvalues."""
+def eigen_differences(report: AlignmentReport) -> DifferenceTable:
+    """Differences and relative differences of aligned eigenvalues; bare
+    eigenvalues below ``EIGENVALUE_FLOOR`` of the largest magnitude are flagged."""
     bare = report.bare_values
     eff = report.eff_values
-    floor = floor_rel * np.abs(bare).max() if bare.size else 0.0
+    floor = EIGENVALUE_FLOOR * np.abs(bare).max() if bare.size else 0.0
     flagged = np.abs(bare) < floor
     diff = eff - bare
     with np.errstate(divide="ignore", invalid="ignore"):

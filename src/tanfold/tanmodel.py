@@ -137,16 +137,15 @@ def _grid_seed(idx, ratios):
     return best
 
 
-def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> TanFit:
+def fit_tan(pairs, *, max_iter: int = 200) -> TanFit:
     """Fit the tangent law to aligned eigenvalue pairs.
 
     Parameters
     ----------
     pairs : iterable of (index, eps_B, eps_D)
         1-based indices with the matched bare/effective eigenvalues, e.g.
-        ``DifferenceTable.pairs()``.
-    floor_rel : float
-        Exclude pairs with ``|eps_B|`` below this fraction of the maximum.
+        ``DifferenceTable.pairs()``.  Pairs with ``|eps_B|`` below
+        ``RATIO_FLOOR`` of the maximum are excluded.
     max_iter : int
         Levenberg-Marquardt iteration cap.
 
@@ -166,7 +165,7 @@ def fit_tan(pairs, *, floor_rel: float = RATIO_FLOOR, max_iter: int = 200) -> Ta
     SSE or an accepted step lowers it by less than ``_REL_DECREASE`` of
     itself, and not converged when it stops at ``max_iter``.
     """
-    idx, ratios = _ratios_from_pairs(pairs, floor_rel)
+    idx, ratios = _ratios_from_pairs(pairs, RATIO_FLOOR)
     n = idx.size
 
     if not ratios.any():

@@ -340,13 +340,8 @@ def _calibrated_kernel(head, net, samples, ell, seed) -> np.ndarray:
     is not taken as a difference of losses, which would cancel most of its
     digits when the random predictions are small against the targets.
     """
-    w1 = KernelMatrix.random(ell, scale=1.0, seed=seed).matrix.copy()
-    unlabelled = replace(samples, y=np.zeros_like(samples.y))
-    sel = np.arange(samples.y.size)
-    phi = net.forward(samples.x_all)
-    mean_pred_sq, *_ = _batch_loss(
-        head, phi, None, w1, unlabelled, sel, False, tables=_orbit_tables(head, unlabelled)
-    )
+    w1 = KernelMatrix.random(ell, scale=1.0, seed=seed).matrix
+    mean_pred_sq = _full_loss(head, [net], w1, replace(samples, y=np.zeros_like(samples.y)))
     mean_y_sq = float(np.mean(np.square(samples.y)))
     if mean_y_sq <= 0.0 or mean_pred_sq <= 0.0:
         return 0.2 * w1
@@ -422,7 +417,7 @@ def _full_loss(head, nets, w, samples) -> float:
     return loss
 
 
-def _train_loop(head, nets, w, samples, cfg) -> tuple[float, float]:
+def _train_loop(head, nets, w, samples, cfg) -> None:
     """Adam/cosine minimization; mutates ``nets`` and ``w`` in place.
 
     When one batch holds every sample, the dense tables are built once,
@@ -440,7 +435,6 @@ def _train_loop(head, nets, w, samples, cfg) -> tuple[float, float]:
     rng = np.random.default_rng(cfg.seed)
     every = np.arange(n)
 
-    initial = _full_loss(head, nets, w, samples)
     for epoch in range(cfg.epochs):
         order = every if tables is not None else rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -457,37 +451,66 @@ def _train_loop(head, nets, w, samples, cfg) -> tuple[float, float]:
             for net, cache, dout, out in zip(nets, caches, (dphi, dphit), net_grads):
                 net.backward(cache[1], dout, out)
             adam_step(params, net_grads + [dw], state)
-    return initial, _full_loss(head, nets, w, samples)
 
 
-def _fit(cfg, nets, w, samples, polish_from) -> tuple[np.ndarray, float, float]:
-    """Train, then, with ``kernel_polish``, solve for the kernel from
-    ``polish_from``; returns the kernel and the initial and final losses.
+def _fit_stage(series, cfg, nets, geometries, geometry_range, start_kernel, started):
+    """The steps both training stages share, on the tensors of
+    ``cfg.stage``'s kind at ``geometries``.
 
-    Frozen networks (which :class:`TrainConfig` allows only with the polish)
-    skip the Adam epochs: the networks take no step and the solve does not
-    start from the kernel Adam would train, so there is nothing to train.
+    The targets are divided by :func:`_target_scale`;
+    ``start_kernel(samples, scale)`` returns the start kernel and the polish
+    origin in those units.  Adam trains the networks (in place) and the
+    kernel unless the networks are frozen, which :class:`TrainConfig`
+    allows only with ``kernel_polish``: the networks would take no step,
+    and the solve does not start from Adam's kernel.  With
+    ``kernel_polish`` the kernel is then solved for from the polish origin.
     """
-    if cfg.freeze_orbitals:
-        initial = _full_loss(cfg.stage, nets, w, samples)
-    else:
-        initial, final = _train_loop(cfg.stage, nets, w, samples, cfg)
+    head = cfg.stage
+    samples = _collect_samples(series, head.kind, geometries, head.body, nets[0], geometry_range)
+    scale = _target_scale(samples.y)
+    samples.y = samples.y / scale
+    w, polish_from = start_kernel(samples, scale)
+    initial = _full_loss(head, nets, w, samples)
+    if not cfg.freeze_orbitals:
+        _train_loop(head, nets, w, samples, cfg)
     if cfg.kernel_polish:
-        w = _solve_kernel(cfg.stage, nets, samples, polish_from)
-        final = _full_loss(cfg.stage, nets, w, samples)
-    return w, initial, final
+        w = _solve_kernel(head, nets, samples, polish_from)
+    final = _full_loss(head, nets, w, samples)
+    sq = scale * scale
+
+    model = InteractionModel(
+        head=head,
+        nets=nets,
+        kernel=KernelMatrix(scale * w, symmetrize=True),
+        geometry_range=geometry_range,
+        system=series.system,
+    )
+    report = FitReport(
+        config=cfg,
+        initial_loss=sq * initial,
+        final_loss=sq * final,
+        per_geometry=evaluate_mae(model, series, train_geometries=geometries),
+        wall_time=time.perf_counter() - started,
+    )
+    return model, report
 
 
 # ---------------------------------------------------------------------------
 # public pipeline
 # ---------------------------------------------------------------------------
 
-def _match_geometries(requested, available, *, rel_tol: float = 1e-9):
+#: relative tolerance within which a requested geometry snaps onto a stored one
+_GEOMETRY_REL_TOL = 1e-9
+
+
+def _match_geometries(requested, available, kind: Kind, what: str) -> list[float]:
     """Snap requested geometries onto the exact stored values.
 
     Stored geometries and user-typed ones (CLI flags, presets) can differ
     in the last bits, so each request maps to the nearest stored value
-    within ``rel_tol``.  Returns ``(matched, missing)``.
+    within ``_GEOMETRY_REL_TOL``.  A request that matches no stored value,
+    or a stored value requested twice, raises ``ValueError`` naming the
+    ``what`` geometries.
     """
     avail = np.asarray(sorted(set(float(g) for g in available)), dtype=np.float64)
     matched, missing = [], []
@@ -495,11 +518,16 @@ def _match_geometries(requested, available, *, rel_tol: float = 1e-9):
         r = float(r)
         if avail.size:
             nearest = float(avail[np.argmin(np.abs(avail - r))])
-            if abs(nearest - r) <= rel_tol * max(1.0, abs(r)):
+            if abs(nearest - r) <= _GEOMETRY_REL_TOL * max(1.0, abs(r)):
                 matched.append(nearest)
                 continue
         missing.append(r)
-    return matched, missing
+    if missing:
+        raise ValueError(f"no {kind.value} tensors at {what} geometries {missing}")
+    repeated = sorted(g for g in set(matched) if matched.count(g) > 1)
+    if repeated:
+        raise ValueError(f"repeated {what} geometries {repeated}")
+    return matched
 
 
 def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[GeometryMAE, ...]:
@@ -508,13 +536,11 @@ def evaluate_mae(model, series: GeometrySeries, train_geometries=()) -> tuple[Ge
     ``unit_mae`` averages over the nonsymmetric unit (each representative
     once); ``full_mae`` weights by orbit size, i.e. averages over the full
     expanded tensor.  Geometries in ``train_geometries`` are labeled
-    "train", all others "test"; each must match a geometry of the series.
+    "train", all others "test"; each must match a distinct geometry of the
+    series.
     """
     kind = model.head.kind
-    matched, missing = _match_geometries(train_geometries, series.geometries(kind))
-    if missing:
-        raise ValueError(f"no {kind.value} tensors at train geometries {missing}")
-    train_set = set(matched)
+    train_set = set(_match_geometries(train_geometries, series.geometries(kind), kind, "train"))
     table = entry_table(kind, model.head.body, model.n_orb)
     out = []
     for g in series.geometries(kind):
@@ -541,49 +567,29 @@ def train_bare(
     """Stage 1: fit network and kernel to the bare tensors.
 
     All bare geometries in ``series`` are used for training except those
-    listed in ``holdout``, which are only evaluated.
+    listed in ``holdout``, which are only evaluated; each must match a
+    distinct bare geometry.
     """
     if cfg.stage not in (HeadKind.BARE_ONE, HeadKind.BARE_TWO):
         raise ValueError(f"train_bare needs a bare stage, got {cfg.stage.name}")
-    start = time.perf_counter()
+    started = time.perf_counter()
     all_geos = [float(g) for g in series.geometries(Kind.BARE)]
-    held, _ = _match_geometries(holdout, all_geos)
-    train_geos = [g for g in all_geos if g not in set(held)]
+    held = set(_match_geometries(holdout, all_geos, Kind.BARE, "holdout"))
+    train_geos = [g for g in all_geos if g not in held]
     if not train_geos:
         raise ValueError("series contains no bare training geometries")
-    geometry_range = (min(all_geos), max(all_geos))
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    net = OrbitalNet(
-        series.n_orb, cfg.ell, hidden=cfg.hidden,
-        seed=int(seeds[0].generate_state(1)[0]),
+    net_seed, kernel_seed = (
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(2)
     )
-    samples = _collect_samples(
-        series, Kind.BARE, train_geos, cfg.stage.body, net, geometry_range
-    )
-    scale = _target_scale(samples.y)
-    samples.y = samples.y / scale
-    w = _calibrated_kernel(
-        cfg.stage, net, samples, cfg.ell, int(seeds[1].generate_state(1)[0])
-    )
-    w, initial, final = _fit(cfg, [net], w, samples, polish_from=np.zeros_like(w))
-    sq = scale * scale
+    net = OrbitalNet(series.n_orb, cfg.ell, hidden=cfg.hidden, seed=net_seed)
 
-    model = InteractionModel(
-        head=cfg.stage,
-        nets=(net,),
-        kernel=KernelMatrix(scale * w, symmetrize=True),
-        geometry_range=geometry_range,
-        system=series.system,
-    )
-    report = FitReport(
-        config=cfg,
-        initial_loss=sq * initial,
-        final_loss=sq * final,
-        per_geometry=evaluate_mae(model, series, train_geometries=train_geos),
-        wall_time=time.perf_counter() - start,
-    )
-    return model, report
+    def start_kernel(samples, scale):
+        w = _calibrated_kernel(cfg.stage, net, samples, cfg.ell, kernel_seed)
+        return w, np.zeros_like(w)
+
+    return _fit_stage(series, cfg, [net], train_geos, (min(all_geos), max(all_geos)),
+                      start_kernel, started)
 
 
 def finetune_effective(
@@ -597,8 +603,8 @@ def finetune_effective(
     The network parameters are copied from the stage-1 model (twice for
     the two-body head) and the kernel starts from the bare kernel, so the
     initial predictions coincide with the stage-1 ones.  ``refs`` defaults
-    to every geometry with effective tensors; other effective geometries
-    are evaluated as the test split.
+    to every geometry with effective tensors; each must match a distinct
+    one.  Other effective geometries are evaluated as the test split.
     """
     if cfg.stage not in (HeadKind.EFF_ONE, HeadKind.EFF_TWO):
         raise ValueError(f"finetune_effective needs an effective stage, got {cfg.stage.name}")
@@ -608,42 +614,20 @@ def finetune_effective(
         )
     if cfg.stage.body != bare_model.head.body:
         raise ValueError("stage-1 and stage-2 body ranks disagree")
-    start = time.perf_counter()
+    started = time.perf_counter()
     available = [float(g) for g in series.geometries(Kind.EFFECTIVE)]
-    if refs is None:
-        refs = available
-    refs, missing = _match_geometries(refs, available)
-    if missing:
-        raise ValueError(f"no effective tensors at reference geometries {missing}")
+    refs = _match_geometries(available if refs is None else refs, available,
+                             Kind.EFFECTIVE, "reference")
     if not refs:
         raise ValueError("need at least one reference geometry")
 
-    nets = [bare_model.nets[0].copy() for _ in range(cfg.stage.n_nets)]
-    samples = _collect_samples(
-        series, Kind.EFFECTIVE, sorted(refs), cfg.stage.body,
-        nets[0], bare_model.geometry_range,
-    )
-    scale = _target_scale(samples.y)
-    samples.y = samples.y / scale
-    w = bare_model.kernel.matrix / scale
-    w, initial, final = _fit(cfg, nets, w, samples, polish_from=w.copy())
-    sq = scale * scale
+    def start_kernel(samples, scale):
+        w = bare_model.kernel.matrix / scale
+        return w, w.copy()
 
-    model = InteractionModel(
-        head=cfg.stage,
-        nets=nets,
-        kernel=KernelMatrix(scale * w, symmetrize=True),
-        geometry_range=bare_model.geometry_range,
-        system=series.system,
-    )
-    report = FitReport(
-        config=cfg,
-        initial_loss=sq * initial,
-        final_loss=sq * final,
-        per_geometry=evaluate_mae(model, series, train_geometries=refs),
-        wall_time=time.perf_counter() - start,
-    )
-    return model, report
+    nets = [bare_model.nets[0].copy() for _ in range(cfg.stage.n_nets)]
+    return _fit_stage(series, cfg, nets, sorted(refs), bare_model.geometry_range,
+                      start_kernel, started)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 import json
 import os
 import shutil
+import typing
 
 import numpy as np
 import pytest
 
+from tanfold import cli
 from tanfold.cli import main
 from tanfold.nn import save_kernel
 from tanfold.synth import PlantSpec, plant_series
 from tanfold.tensors import load_series
+from tanfold.training import TrainConfig
 
 TINY_PLANT = """
 n_orb = 3
@@ -132,6 +135,58 @@ def test_config_line_without_equals_fails(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+#: FORMATS.md's name for each field type a config value is read as
+_TYPE_NAMES = {int: "int", float: "float", str: "str", bool: "bool",
+               tuple[int, ...]: "int list", tuple[float, ...]: "float list"}
+
+
+def _formats_config_table(header):
+    """``{key: type}`` of the FORMATS.md table whose first column is ``header``."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "FORMATS.md")) as fh:
+        after = fh.read().split(f"| {header} | type | notes |\n|---|---|---|\n", 1)[1]
+    rows = [line.split("|")[1:3] for line in after.split("\n\n", 1)[0].splitlines()]
+    return {key.strip().strip("`"): kind.strip() for key, kind in rows}
+
+
+@pytest.mark.parametrize("header, fields_of", [("training key", TrainConfig),
+                                               ("plant key", PlantSpec)])
+def test_formats_config_keys_follow_the_dataclass(header, fields_of):
+    hints = {k: _TYPE_NAMES[t] for k, t in typing.get_type_hints(fields_of).items()
+             if k != "stage"}
+    assert _formats_config_table(header) == hints
+
+
+def test_config_values_take_their_field_types(tmp_path):
+    train = tmp_path / "train.cfg"
+    train.write_text("epochs = 3\nbatch_size=7\nbase_lr = 1e-3\nseed = 4\nell = 9\n"
+                     "hidden = 16, ,8\nfreeze_orbitals = YES\nkernel_polish = 0\n")
+    assert cli._config_overrides(str(train), TrainConfig) == {
+        "epochs": 3, "batch_size": 7, "base_lr": 1e-3, "seed": 4, "ell": 9,
+        "hidden": (16, 8), "freeze_orbitals": True, "kernel_polish": False}
+    plant = tmp_path / "plant.cfg"
+    plant.write_text("geometries = 1, 2.5\nsystem = a b\nn_orb = 3\nnoise = 0\n")
+    got = cli._config_overrides(str(plant), PlantSpec)
+    assert got == {"geometries": (1.0, 2.5), "system": "a b", "n_orb": 3, "noise": 0.0}
+    assert [type(v) for v in got.values()] == [tuple, str, int, float]
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("train-bare", "hidden = 16,x", "config key hidden: invalid literal for int() with base 10: 'x'"),
+    ("train-bare", "kernel_polish = maybe", "config key kernel_polish: not a boolean: 'maybe'"),
+    ("train-bare", "base_lr = fast", "config key base_lr: could not convert string to float: 'fast'"),
+    ("train-bare", "stage = EFF_TWO", "unknown config keys: stage"),
+    ("synth", "geometries = 1.0,x", "config key geometries: could not convert string to float: 'x'"),
+])
+def test_config_value_error_names_the_key(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    argv = {"synth": ["--plant", "desk"],
+            "train-bare": ["--system", "desk", "--body", "2", "--data", str(tmp_path)]}[command]
+    assert main([command, *argv, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"tanfold: error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_freeze_without_polish_fails(work, tmp_path, capsys):
     cfg = tmp_path / "frozen.cfg"
     cfg.write_text(TINY_TRAIN + "freeze_orbitals = true\nkernel_polish = false\n")
@@ -214,6 +269,17 @@ def test_refs_off_grid_fail(work, tmp_path, capsys):
                  "--out", str(tmp_path / "x" / "ft")])
     assert code == 1
     assert "9.5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("refs", ["1.0,1.5,1.0", "1.0,1.5,1.0000000000001"])
+def test_repeated_refs_fail(work, tmp_path, capsys, refs):
+    code = main(["finetune", "--system", "desk",
+                 "--model", str(work["run"] / "stage1" / "model"),
+                 "--data", str(work["data"]), "--refs", refs,
+                 "--out", str(tmp_path / "x" / "ft")])
+    assert code == 1
+    assert capsys.readouterr().err == "tanfold: error: repeated reference geometries [1.0]\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -434,6 +500,31 @@ def test_analyze_spectrum_reads_provenance(work, tmp_path, capsys):
     rows = (spec_dir / "eigen_differences.csv").read_text().splitlines()[1:]
     got = np.array([float(r.split(",")[1]) for r in rows])
     assert np.abs(got - bare).max() <= 1e-12 * np.abs(bare).max()
+
+
+def _not_npz(path, what):
+    if what == "npy":
+        np.save(path, np.eye(8))
+    elif what == "text":
+        path.write_text("1 0\n0 1\n")
+    else:
+        path.write_bytes(b"not a zip archive")
+
+
+@pytest.mark.parametrize("flag", ["--bare", "--eff"])
+@pytest.mark.parametrize("name, what", [("k.npy", "npy"), ("k.txt", "text"), ("k.npz", "garbage")])
+def test_analyze_spectrum_rejects_non_npz_kernel(work, tmp_path, capsys, flag, name, what):
+    bad = tmp_path / name
+    _not_npz(bad, what)
+    kernels = {"--bare": str(work["run"] / "stage1" / "model"),
+               "--eff": str(work["run"] / "stage2" / "model"), flag: str(bad)}
+    code = main(["analyze-spectrum", *(a for item in kernels.items() for a in item),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"tanfold: error: {bad}: neither a model directory nor an .npz archive\n"
+    )
+    assert not (tmp_path / "x").exists()
 
 
 def test_truncated_tensor_file_fails(work, tmp_path, capsys):

@@ -496,6 +496,55 @@ def test_missing_reference_geometry_raises(small_series):
         finetune_effective(small_series, bare_model, cfg2, refs=[1.0, 7.0])
 
 
+@pytest.mark.parametrize("refs", [[1.0, 2.0, 1.0], [1.0, 1.0 + 1e-13, 2.0]])
+def test_repeated_reference_geometry_raises(refs, small_series):
+    # a repeat would collect the samples of one geometry twice, weighting
+    # it double in the fit; a typed value that snaps onto a stored one
+    # repeats it just the same
+    bare_model, _ = train_bare(small_series, quick_config(HeadKind.BARE_TWO, epochs=2))
+    cfg2 = quick_config(HeadKind.EFF_TWO, epochs=2)
+    with pytest.raises(ValueError, match=r"^repeated reference geometries \[1\.0\]$"):
+        finetune_effective(small_series, bare_model, cfg2, refs=refs)
+
+
+def test_unknown_or_repeated_holdout_raises(small_series):
+    cfg = quick_config(HeadKind.BARE_TWO, epochs=2)
+    with pytest.raises(ValueError, match=r"^no bare tensors at holdout geometries \[7\.0\]$"):
+        train_bare(small_series, cfg, holdout=[1.5, 7.0])
+    with pytest.raises(ValueError, match=r"^repeated holdout geometries \[1\.5\]$"):
+        train_bare(small_series, cfg, holdout=[1.5, 1.5])
+
+
+def test_repeated_train_geometry_in_evaluate_raises(small_series):
+    model, _ = train_bare(small_series, quick_config(HeadKind.BARE_TWO, epochs=2))
+    with pytest.raises(ValueError, match=r"^repeated train geometries \[2\.0\]$"):
+        evaluate_mae(model, small_series, train_geometries=[2.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("polish", [False, True])
+def test_stage_takes_the_full_loss_before_and_after(polish, small_series, monkeypatch):
+    # stage 1 calibrates its kernel from one full-batch loss, then each stage
+    # takes the loss once before training and once after the polish
+    calls = []
+    full_loss = tr._full_loss
+
+    def counted(*args):
+        calls.append(full_loss(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(tr, "_full_loss", counted)
+    bare_model, report = train_bare(
+        small_series, quick_config(HeadKind.BARE_TWO, epochs=2, kernel_polish=polish)
+    )
+    assert len(calls) == 3
+    assert report.initial_loss / report.final_loss == pytest.approx(calls[1] / calls[2], rel=1e-12)
+    del calls[:]
+    finetune_effective(
+        small_series, bare_model, quick_config(HeadKind.EFF_TWO, epochs=2, kernel_polish=polish)
+    )
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("stage", [HeadKind.EFF_TWO, HeadKind.EFF_ONE])
 def test_frozen_polished_finetune_is_the_solve_alone(stage, small_series, monkeypatch):
     # the polish starts from the transferred kernel, so Adam epochs on a
