@@ -315,29 +315,46 @@ def save_net(path, net: OrbitalNet, step: int = 0) -> None:
     savez(path, **payload)
 
 
-def _check_header(data, layout: str, path) -> None:
-    if int(data["version"]) != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {int(data['version'])} != {CHECKPOINT_VERSION}")
-    if str(data["layout"]) != layout:
-        raise ValueError(f"{path}: checkpoint layout {data['layout']!r}, expected {layout!r}")
+def _read_checkpoint(path, layout: str, keys) -> dict[str, np.ndarray]:
+    """The arrays of the checkpoint archive at ``path``.
+
+    The archive must hold ``version``, ``layout`` and ``keys``, each stored
+    as an array, with this package's version and ``layout``; a member that
+    is missing or not an array is named with the file.
+    """
+    with np.load(path) as data:
+        stored = {key: data[key] for key in data.files}
+    missing = [k for k in ("version", "layout", *keys) if k not in stored]
+    if "version" in missing or "layout" in missing:
+        raise ValueError(f"{path}: not a tanfold {layout} checkpoint; missing {', '.join(missing)}")
+    raw = [k for k, v in stored.items() if not isinstance(v, np.ndarray)]
+    if raw:
+        raise ValueError(f"{path}: not stored as arrays: {', '.join(raw)}")
+    if int(stored["version"]) != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {int(stored['version'])} != {CHECKPOINT_VERSION}")
+    if str(stored["layout"]) != layout:
+        raise ValueError(f"{path}: checkpoint layout {stored['layout']!r}, expected {layout!r}")
+    if missing:
+        raise ValueError(f"{path}: {layout} checkpoint missing {', '.join(missing)}")
+    return stored
 
 
 def load_net(path) -> tuple[OrbitalNet, int]:
     """Read a checkpoint written by :func:`save_net`."""
-    with np.load(path) as data:
-        _check_header(data, "orbital-net", path)
-        sizes = data["sizes"].tolist()
-        if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
-            raise ValueError(f"{path}: bad layer widths {sizes}")
-        parts = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
-                stored = data[key]
-                if stored.shape != shape:
-                    raise ValueError(f"{path}: {key} has shape {stored.shape}, expected {shape}")
-                parts.append(stored.ravel())
-        flat = np.concatenate(parts).astype(np.float64, copy=False)
-        return OrbitalNet._bound(sizes, int(data["seed"]), flat), int(data["step"])
+    data = _read_checkpoint(path, "orbital-net", ("sizes", "seed", "step"))
+    sizes = data["sizes"].tolist()
+    if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
+        raise ValueError(f"{path}: bad layer widths {sizes}")
+    parts = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+            if key not in data:
+                raise ValueError(f"{path}: orbital-net checkpoint missing {key}")
+            if data[key].shape != shape:
+                raise ValueError(f"{path}: {key} has shape {data[key].shape}, expected {shape}")
+            parts.append(data[key].ravel())
+    flat = np.concatenate(parts).astype(np.float64, copy=False)
+    return OrbitalNet._bound(sizes, int(data["seed"]), flat), int(data["step"])
 
 
 def save_kernel(path, matrix, step: int = 0) -> None:
@@ -358,6 +375,5 @@ def save_kernel(path, matrix, step: int = 0) -> None:
 
 
 def load_kernel(path) -> tuple[np.ndarray, int]:
-    with np.load(path) as data:
-        _check_header(data, "symmetric-matrix", path)
-        return data["matrix"].copy(), int(data["step"])
+    data = _read_checkpoint(path, "symmetric-matrix", ("step", "matrix"))
+    return data["matrix"], int(data["step"])

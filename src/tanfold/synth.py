@@ -230,13 +230,13 @@ def plant_series(spec: PlantSpec) -> PlantResult:
             (HeadKind.EFF_ONE, HeadKind.EFF_TWO, m_eff, w_eff),
         ):
             sets.append(
-                TensorSet(
+                TensorSet._exact(
+                    _planted_tensor(one, psi, None, m, spec.noise, rng),
+                    _planted_tensor(two, phi, phit, w, spec.noise, rng),
                     geometry=r,
                     kind=two.kind,
                     n_orb=spec.n_orb,
                     scalar_term=0.0,
-                    one_body=_planted_tensor(one, psi, None, m, spec.noise, rng),
-                    two_body=_planted_tensor(two, phi, phit, w, spec.noise, rng),
                     system=spec.system,
                 )
             )

@@ -270,14 +270,31 @@ class TensorSet:
                 raise ValueError(f"{name} contains non-finite entries")
         if not np.isfinite(self.scalar_term):
             raise ValueError("scalar_term is not finite")
-        one = _orbit_average(one, None, SYMMETRY_TOL)
-        two = _orbit_average(two, self.symmetry, SYMMETRY_TOL)
+        self._store(_orbit_average(one, None, SYMMETRY_TOL),
+                    _orbit_average(two, self.symmetry, SYMMETRY_TOL))
+
+    def _store(self, one: np.ndarray, two: np.ndarray) -> None:
         one.flags.writeable = False
         two.flags.writeable = False
         object.__setattr__(self, "geometry", float(self.geometry))
         object.__setattr__(self, "scalar_term", float(self.scalar_term))
         object.__setattr__(self, "one_body", one)
         object.__setattr__(self, "two_body", two)
+
+    @classmethod
+    def _exact(cls, one_body: np.ndarray, two_body: np.ndarray, **fields) -> "TensorSet":
+        """A set whose float64 arrays are exact by construction: one finite
+        value per orbit of ``fields["kind"]``, expanded over the orbit, as
+        the file reader and the planter build them.  The checks and the
+        orbit average are skipped; only -0.0 turns to +0.0, as the average
+        turns it.  The set takes the arrays over."""
+        tset = cls.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(tset, name, value)
+        one_body += 0.0
+        two_body += 0.0
+        tset._store(one_body, two_body)
+        return tset
 
     @property
     def symmetry(self) -> Symmetry:
@@ -544,7 +561,7 @@ def _read_bodies(bodies: list[_Body]) -> list[TensorSet]:
             arrays.append(table.expand(values))
         scalars = value[leads[bounds[4 * i + 2]:bounds[4 * i + 3]]].tolist() + [0.0]
         scalar = scalars[0] if b.scalar is None else b.scalar
-        sets.append(TensorSet(scalar_term=scalar, one_body=arrays[0], two_body=arrays[1], **b.fields))
+        sets.append(TensorSet._exact(arrays[0], arrays[1], scalar_term=scalar, **b.fields))
     return sets
 
 

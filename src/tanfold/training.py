@@ -348,7 +348,9 @@ def _calibrated_kernel(head, net, samples, ell, seed) -> np.ndarray:
     return KERNEL_INIT_FRACTION * math.sqrt(mean_y_sq / mean_pred_sq) * w1
 
 
-#: size guard for the exact kernel solve (entries of the design matrix)
+#: size guard for the exact kernel solve: the entries of its design matrix,
+#: the solve's one large array, which LAPACK factors in place (2e8 entries
+#: of 8 bytes is 1.6 GB)
 _POLISH_LIMIT = 2 * 10**8
 
 #: relative singular-value cutoff for the kernel solve.  Directions of the
@@ -356,6 +358,9 @@ _POLISH_LIMIT = 2 * 10**8
 #: barely constrained by the data; solving along them amplifies roundoff
 #: into enormous kernel components, so they are left at ``w_base``.
 _POLISH_RCOND = 1e-6
+
+#: entries per row block of the design copied for the polish residual
+_RESID_BLOCK = 2**16
 
 
 def _solve_kernel(head, nets, samples, w_base) -> np.ndarray:
@@ -378,30 +383,54 @@ def _solve_kernel(head, nets, samples, w_base) -> np.ndarray:
     packing maps symmetric kernels isometrically (Frobenius norm) onto the
     columns, so the singular values, the cutoff and the minimum-norm kernel
     are those of the dense ``ell**2`` design, at half the unknowns.
+
+    The design is built in Fortran order, and LAPACK's SVD least-squares
+    solver ``dgelsd`` factors it in place, so it is held once; NumPy's
+    least-squares routine would factor a copy.  Raises ``LinAlgError`` when
+    ``dgelsd`` fails, as on a non-finite design.
     """
     ell = w_base.shape[0]
     n = samples.y.size
     iu, ju = np.triu_indices(ell)
     if n * iu.size > _POLISH_LIMIT:
         raise ValueError(
-            f"kernel_polish needs n_samples * ell(ell+1)/2 <= {_POLISH_LIMIT:g}; "
-            f"got {n} * {iu.size}"
+            f"kernel_polish holds one n_samples x ell(ell+1)/2 design in memory, at most "
+            f"{_POLISH_LIMIT:g} entries ({8e-9 * _POLISH_LIMIT:.1f} GB); got {n} x {iu.size}"
         )
     phi = nets[0].forward(samples.x_all)
     phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
     _, ends, rows, *_ = _pair_rows(head, phi, phit, samples, np.arange(n))
-    design = np.zeros((n, iu.size))
+    # the design's transpose in C order: the design in Fortran order
+    design_t = np.zeros((iu.size, n))
+    rows_t = rows.T.copy()
     for a, b in ends:
-        ra, rb = rows[a], rows[b]
+        ra, rb = rows_t[:, a], rows_t[:, b]
         # kernel row i fills the columns (i, i..ell-1), from its diagonal on
         for i, start in enumerate(np.flatnonzero(iu == ju)):
-            seg = design[:, start : start + ell - i]
-            seg += ra[:, i, None] * rb[:, i:]
-            seg += rb[:, i, None] * ra[:, i:]
+            seg = design_t[start : start + ell - i]
+            seg += rb[i:] * ra[i]
+            seg += ra[i:] * rb[i]
     root2 = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    design *= root2 / (2 * len(ends))
-    resid = samples.y - design @ (w_base[iu, ju] * root2)
-    delta, *_ = np.linalg.lstsq(design, resid, rcond=_POLISH_RCOND)
+    design_t *= (root2 / (2 * len(ends)))[:, None]
+    # y - D v from C-order copies of row blocks.  Blocks of a multiple of 4
+    # rows round as the product with the whole C-order design does on one
+    # BLAS thread (its kernel takes rows 4 at a time); ``design_t.T @ v``
+    # does not.
+    v = w_base[iu, ju] * root2
+    k = 4 * max(1, _RESID_BLOCK // (4 * iu.size))
+    resid = np.zeros((max(n, iu.size), 1))
+    resid[:n, 0] = samples.y - np.concatenate(
+        [np.ascontiguousarray(design_t[:, r : r + k].T) @ v for r in range(0, n, k)]
+    )
+    from scipy.linalg import lapack  # at first use: `import tanfold.cli` loads no scipy
+
+    lwork, liwork, _ = lapack.dgelsd_lwork(n, iu.size, 1, _POLISH_RCOND)
+    delta, _, _, info = lapack.dgelsd(
+        design_t.T, resid, int(lwork), liwork, _POLISH_RCOND, overwrite_a=1, overwrite_b=1
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"kernel polish: LAPACK dgelsd failed (info {info})")
+    delta = delta[: iu.size, 0]
     step = np.zeros_like(w_base)
     step[iu, ju] = step[ju, iu] = delta / root2
     return w_base + step

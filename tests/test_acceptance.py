@@ -268,6 +268,7 @@ def desk_pipeline():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_planted_end_to_end(desk_pipeline):
     d = desk_pipeline
     ok = (
@@ -284,6 +285,7 @@ def test_criterion_3_planted_end_to_end(desk_pipeline):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_spectral_alignment(desk_pipeline):
     off = desk_pipeline.alignment.max_off_diagonal
     ok = off < 0.05
@@ -294,6 +296,7 @@ def test_criterion_4_spectral_alignment(desk_pipeline):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_tangent_law_recovery(desk_pipeline):
     # exact-kernel path at full latent dimension
     plant = plant_series(presets.plant_preset("default-h4"))

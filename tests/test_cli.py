@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import typing
+import zipfile
 
 import numpy as np
 import pytest
@@ -524,6 +525,34 @@ def test_analyze_spectrum_rejects_non_npz_kernel(work, tmp_path, capsys, flag, n
     assert capsys.readouterr().err == (
         f"tanfold: error: {bad}: neither a model directory nor an .npz archive\n"
     )
+    assert not (tmp_path / "x").exists()
+
+
+def _foreign_zip(path, what):
+    """A zip archive that is not a kernel checkpoint, and the error it gives."""
+    if what == "keys":
+        np.savez(path, a=np.eye(3))
+        return "not a tanfold symmetric-matrix checkpoint; missing version, layout, step, matrix"
+    save_kernel(path, np.eye(3))
+    with zipfile.ZipFile(path) as z:
+        members = {name: z.read(name) for name in z.namelist()}
+    with zipfile.ZipFile(path, "w") as z:
+        for name, data in members.items():
+            z.writestr(name, b"garbage" if name == "matrix.npy" else data)
+    return "not stored as arrays: matrix"
+
+
+@pytest.mark.parametrize("flag", ["--bare", "--eff"])
+@pytest.mark.parametrize("what", ["keys", "member"])
+def test_analyze_spectrum_names_foreign_archive(work, tmp_path, capsys, flag, what):
+    other = tmp_path / "other.npz"
+    message = _foreign_zip(other, what)
+    kernels = {"--bare": str(work["run"] / "stage1" / "model"),
+               "--eff": str(work["run"] / "stage2" / "model"), flag: str(other)}
+    code = main(["analyze-spectrum", *(a for item in kernels.items() for a in item),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == f"tanfold: error: {other}: {message}\n"
     assert not (tmp_path / "x").exists()
 
 

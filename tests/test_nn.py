@@ -455,6 +455,29 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="bad layer widths"):
             load_net(path)
 
+    @pytest.mark.parametrize("load, keys", [
+        (load_net, "version, layout, sizes, seed, step"),
+        (load_kernel, "version, layout, step, matrix"),
+    ], ids=["net", "kernel"])
+    def test_foreign_archive_names_file_and_missing_keys(self, tmp_path, load, keys):
+        path = tmp_path / "other.npz"
+        np.savez(path, a=np.eye(3))
+        with pytest.raises(ValueError) as err:
+            load(path)
+        layout = "orbital-net" if load is load_net else "symmetric-matrix"
+        assert str(err.value) == f"{path}: not a tanfold {layout} checkpoint; missing {keys}"
+
+    @pytest.mark.parametrize("drop", ["step", "w1", "b0"])
+    def test_load_rejects_missing_entry(self, tmp_path, drop):
+        path = tmp_path / "net.npz"
+        save_net(path, OrbitalNet(2, 4, hidden=(4,), seed=0))
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files if k != drop}
+        np.savez(path, **payload)
+        with pytest.raises(ValueError) as err:
+            load_net(path)
+        assert str(err.value) == f"{path}: orbital-net checkpoint missing {drop}"
+
     def test_kernel_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         k = rng.normal(size=(8, 8))

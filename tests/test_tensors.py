@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tanfold import atomic
+from tanfold import atomic, tensors
 from tanfold.presets import PLANT_PRESETS, plant_preset
 from tanfold.synth import plant_series
 from tanfold.tensors import (
@@ -400,6 +400,60 @@ class TestTensorSet:
         tset = TensorSet.zeros(2.0, Kind.EFFECTIVE, 4)
         assert tset.scalar_term == 0.0
         assert not tset.two_body.any()
+
+
+class TestExactSets:
+    """The reader and the planter build each set from one value per orbit,
+    so they skip the orbit average; sets that users build keep it."""
+
+    @staticmethod
+    def rebuilt(t):
+        """``t`` through the checking constructor."""
+        return TensorSet(t.geometry, t.kind, t.n_orb, t.scalar_term,
+                         np.array(t.one_body), np.array(t.two_body), system=t.system)
+
+    @staticmethod
+    def refuse_average(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("orbit average on a set exact by construction")
+
+        monkeypatch.setattr(tensors, "_orbit_average", refuse)
+
+    def test_user_built_sets_are_averaged_and_checked(self, monkeypatch):
+        calls = []
+        average = tensors._orbit_average
+        monkeypatch.setattr(tensors, "_orbit_average", lambda *a: calls.append(a[1]) or average(*a))
+        TensorSet.zeros(1.0, Kind.EFFECTIVE, 2)
+        assert calls == [None, Symmetry.FOUR_FOLD]
+        two = np.zeros((2,) * 4)
+        two[0, 0, 0, 1] = 1.0
+        with pytest.raises(SymmetryViolationError):
+            TensorSet(1.0, Kind.BARE, 2, 0.0, np.zeros((2, 2)), two)
+
+    def test_planted_and_loaded_sets_equal_the_checked_ones(self, tmp_path, monkeypatch):
+        spec = dataclasses.replace(plant_preset("desk"), geometries=(1.8, 2.4), noise=1e-6)
+        planted = plant_series(spec).series
+        checked = [self.rebuilt(t) for t in planted.tensor_sets]
+        save_series(planted, tmp_path / "planted")
+        save_series(GeometrySeries(system=planted.system, tensor_sets=tuple(checked)),
+                    tmp_path / "checked")
+        for f in sorted((tmp_path / "checked").iterdir()):
+            assert (tmp_path / "planted" / f.name).read_bytes() == f.read_bytes()
+
+        self.refuse_average(monkeypatch)
+        for got in (plant_series(spec).series, load_series(tmp_path / "planted")):
+            for t, want in zip(got.tensor_sets, checked):
+                assert_same_bits(t, want)
+                assert not (t.one_body.flags.writeable or t.two_body.flags.writeable)
+
+    def test_negative_zero_is_stored_as_positive_zero(self, tmp_path, monkeypatch):
+        self.refuse_average(monkeypatch)
+        path = tmp_path / "dump.txt"
+        path.write_text("&FCI NORB=2\n&END\n-0.0 1 2 0 0\n-0.0 1 2 1 2\n-0.0 0 0 0 0\n",
+                        encoding="utf-8")
+        t = load_fcidump(path, Kind.BARE)
+        assert not np.signbit(t.one_body).any() and not np.signbit(t.two_body).any()
+        assert np.signbit(t.scalar_term)  # the scalar is stored as read, as before
 
 
 class TestFcidump:

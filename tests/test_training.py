@@ -12,6 +12,10 @@ exactly.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -350,6 +354,118 @@ def test_solve_kernel_matches_dense_design(head, small_series):
         want = _dense_polish_reference(head, nets, samples, w_base)
         assert np.array_equal(got, got.T)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _packed_lstsq_reference(head, nets, samples, w_base):
+    """The kernel polish as ``np.linalg.lstsq`` solves it: the packed design
+    built in C order, its residual as one product, and ``lstsq``'s copy of
+    it factored.  Also returns the design's singular values."""
+    ell = w_base.shape[0]
+    n = samples.y.size
+    iu, ju = np.triu_indices(ell)
+    phi = nets[0].forward(samples.x_all)
+    phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
+    _, ends, rows, *_ = tr._pair_rows(head, phi, phit, samples, np.arange(n))
+    design = np.zeros((n, iu.size))
+    for a, b in ends:
+        ra, rb = rows[a], rows[b]
+        for i, start in enumerate(np.flatnonzero(iu == ju)):
+            seg = design[:, start : start + ell - i]
+            seg += ra[:, i, None] * rb[:, i:]
+            seg += rb[:, i, None] * ra[:, i:]
+    root2 = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    design *= root2 / (2 * len(ends))
+    resid = samples.y - design @ (w_base[iu, ju] * root2)
+    delta, _, _, sv = np.linalg.lstsq(design, resid, rcond=tr._POLISH_RCOND)
+    step = np.zeros_like(w_base)
+    step[iu, ju] = step[ju, iu] = delta / root2
+    return w_base + step, sv
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["distinct", "doubled"])
+@pytest.mark.parametrize("head", _HEADS)
+def test_solve_kernel_equals_lstsq_bit_for_bit(head, doubled, small_series):
+    nets, w, samples = _setup_head(head, small_series)
+    if doubled:
+        # each latent feature twice: the design loses rank, and the cut
+        # drops directions
+        for net in nets:
+            net.weights[-1][:, SMALL.ell // 2 :] = net.weights[-1][:, : SMALL.ell // 2]
+    for w_base in (np.zeros_like(w), w):
+        want, sv = _packed_lstsq_reference(head, nets, samples, w_base)
+        assert (np.count_nonzero(sv < tr._POLISH_RCOND * sv[0]) > 0) == doubled
+        assert np.array_equal(tr._solve_kernel(head, nets, samples, w_base), want)
+
+
+@pytest.mark.parametrize("block", [1, 8 * 36, 25 * 36])
+def test_solve_kernel_residual_blocks_round_as_one_product(block, small_series, monkeypatch):
+    # blocks of 4, 8 and 24 rows of the 36-column design, against the
+    # product with the whole C-order design in the reference
+    head = HeadKind.BARE_TWO
+    nets, w, samples = _setup_head(head, small_series)
+    monkeypatch.setattr(tr, "_RESID_BLOCK", block)
+    want, _ = _packed_lstsq_reference(head, nets, samples, w)
+    assert np.array_equal(tr._solve_kernel(head, nets, samples, w), want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_kernel_raises_on_a_non_finite_design(bad, small_series):
+    nets, w, samples = _setup_head(HeadKind.BARE_TWO, small_series)
+    nets[0].biases[-1][0] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        tr._solve_kernel(HeadKind.BARE_TWO, nets, samples, w)
+
+
+_SOLVE_RSS_SCRIPT = textwrap.dedent("""
+    import dataclasses, resource
+    import numpy as np
+    import scipy.linalg
+    from tanfold import training as tr
+    from tanfold.heads import HeadKind, entry_table
+    from tanfold.nn import OrbitalNet
+    from tanfold.tensors import Kind
+
+    # the desk stage-1 shape: 61 geometries of 4 orbitals, ell 32
+    n_orb, ell, n_geo = 4, 32, 61
+    net = OrbitalNet(n_orb, ell, hidden=(64, 64), seed=0)
+    reps = entry_table(Kind.BARE, 2, n_orb).reps.astype(np.intp)
+    samples = tr._Samples(
+        x_all=np.vstack([net.embed(range(n_orb), r) for r in np.linspace(0, 1, n_geo)]),
+        base=np.repeat(np.arange(n_geo, dtype=np.intp) * n_orb, len(reps)),
+        idx=np.tile(reps, (n_geo, 1)),
+        y=np.random.default_rng(0).normal(size=n_geo * len(reps)),
+        n_orb=n_orb,
+    )
+    w = np.zeros((ell, ell))
+    # one small solve first, so code paths and BLAS buffers are in place
+    m = 4 * len(reps)
+    small = dataclasses.replace(samples, base=samples.base[:m], idx=samples.idx[:m],
+                                y=samples.y[:m])
+    tr._solve_kernel(HeadKind.BARE_TWO, [net], small, w)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    tr._solve_kernel(HeadKind.BARE_TWO, [net], samples, w)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(1024 * (after - before), 8 * samples.y.size * ell * (ell + 1) // 2)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_solve_kernel_holds_one_copy_of_the_design():
+    # LAPACK factors the design in place: the peak rise across a desk-shape
+    # solve is the design plus small work arrays, where lstsq's copy of the
+    # design made it about twice the design
+    src = os.path.dirname(os.path.dirname(tr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    env.update(dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+    ))
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_RSS_SCRIPT], env=env,
+                          check=True, capture_output=True, text=True)
+    rise, design_bytes = map(int, proc.stdout.split())
+    assert rise < 1.3 * design_bytes
 
 
 def test_calibrated_kernel_sets_initial_prediction_rms():
