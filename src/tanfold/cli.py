@@ -14,7 +14,7 @@ report            collect the plot-ready CSVs of a finished pipeline run
 Conventions: exit 0 on success, 1 on validation/usage errors, 2 on
 numerical failures.  All randomness flows from ``--seed``.  Hyperparameters
 come from presets, overridden by ``--config`` (flat ``key = value`` lines),
-overridden by command-line flags.  Every run directory gains a
+overridden by ``--seed``.  Every run directory gains a
 ``manifest.json`` recording the resolved configuration; the manifest is a
 run log (it contains wall time) and is not part of the deterministic
 output-file contract.  CSV schemas are documented in FORMATS.md.
@@ -39,11 +39,10 @@ from .heads import HeadKind, KernelMatrix
 from .nn import load_kernel
 from .spectral import DifferenceTable, align_eigensystems, eig_sym, eigen_differences
 from .suzuki import random_coupled_problem, verify_w_identities
-from .synth import PlantSpec, plant_series, save_plant
+from .synth import plant_series, save_plant
 from .tanmodel import fit_tan
 from .tensors import Kind, load_series
 from .training import (
-    TrainConfig,
     evaluate_mae,
     finetune_effective,
     load_model,
@@ -152,11 +151,13 @@ def _jsonable(value):
 # stage resolution
 # ---------------------------------------------------------------------------
 
-def _build_train_config(args, stage: HeadKind) -> TrainConfig:
-    overrides = _config_overrides(args.config, TrainConfig)
+def _resolve(preset, args):
+    """``preset`` (a ``TrainConfig`` or ``PlantSpec``) with the settings of
+    ``--config`` and then ``--seed`` in place of its own."""
+    overrides = _config_overrides(args.config, type(preset))
     if args.seed is not None:
         overrides["seed"] = args.seed
-    return presets.training_config(args.system, stage, profile=args.profile, **overrides)
+    return dataclasses.replace(preset, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +166,7 @@ def _build_train_config(args, stage: HeadKind) -> TrainConfig:
 
 def _cmd_synth(args) -> int:
     started = time.perf_counter()
-    spec = presets.plant_preset(args.plant)
-    overrides = _config_overrides(args.config, PlantSpec)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = _resolve(presets.plant_preset(args.plant), args)
     out = args.out
     result = plant_series(spec)
     save_plant(result, out)
@@ -203,7 +199,7 @@ def _write_fit(out, subcommand: str, model, report, inputs: dict, started: float
 def _cmd_train_bare(args) -> int:
     started = time.perf_counter()
     stage = _head_for(args.body, Kind.BARE)
-    cfg = _build_train_config(args, stage)
+    cfg = _resolve(presets.training_config(args.system, stage), args)
     series = load_series(args.data, kind=Kind.BARE)
     out = args.out
     model, report = train_bare(series, cfg)
@@ -223,7 +219,7 @@ def _cmd_finetune(args) -> int:
     started = time.perf_counter()
     bare_model = load_model(args.model)
     stage = _head_for(bare_model.head.body, Kind.EFFECTIVE)
-    cfg = _build_train_config(args, stage)
+    cfg = _resolve(presets.training_config(args.system, stage), args)
     series = load_series(args.data, kind=Kind.EFFECTIVE)
     refs = _parse_refs(args.refs) if args.refs else None
     out = args.out
@@ -261,8 +257,7 @@ def _load_kernel_matrix(path, planted: str) -> np.ndarray:
     with np.load(path) as data:
         if planted in data.files:
             return KernelMatrix(data[planted]).matrix
-    matrix, _ = load_kernel(path)
-    return matrix
+    return load_kernel(path)
 
 
 def _cmd_analyze_spectrum(args) -> int:
@@ -402,9 +397,9 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p, *, seed=False, config=False, profile=False):
-        """``--out`` and those of ``--seed``, ``--config`` and ``--profile``
-        that the subcommand's handler reads.  Each handler creates ``--out``
+    def common(p, *, seed=False, config=False):
+        """``--out`` and those of ``--seed`` and ``--config`` that the
+        subcommand's handler reads.  Each handler creates ``--out``
         only once its inputs have passed validation and its computation has
         succeeded, just before the first write, so a failed run leaves no
         directory behind."""
@@ -413,8 +408,6 @@ def _build_parser() -> _Parser:
         if config:
             p.add_argument("--config", default=None)
         p.add_argument("--out", required=True)
-        if profile:
-            p.add_argument("--profile", choices=sorted(presets.PROFILES), default=None)
 
     p = sub.add_parser("synth", help="write a planted dataset")
     p.add_argument("--plant", required=True)
@@ -424,14 +417,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--system", required=True)
     p.add_argument("--body", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
-    common(p, seed=True, config=True, profile=True)
+    common(p, seed=True, config=True)
 
     p = sub.add_parser("finetune", help="stage 2: fine-tune on effective tensors")
     p.add_argument("--system", required=True)
     p.add_argument("--model", required=True, help="stage-1 model directory")
     p.add_argument("--data", required=True)
     p.add_argument("--refs", default=None, help="comma-separated reference geometries")
-    common(p, seed=True, config=True, profile=True)
+    common(p, seed=True, config=True)
 
     p = sub.add_parser("eval", help="per-geometry MAE of a saved model")
     p.add_argument("--model", required=True)

@@ -26,6 +26,7 @@ __all__ = [
     "cosine_lr",
     "silu",
     "silu_prime",
+    "scale_geometry",
     "save_net",
     "load_net",
     "save_kernel",
@@ -33,6 +34,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
+#: every checkpoint also stores a ``step`` member, always 0
 CHECKPOINT_VERSION = 1
 
 
@@ -52,6 +54,13 @@ def silu_prime(x: np.ndarray) -> np.ndarray:
     from scipy.special import expit
     s = expit(x)
     return s * (1.0 + x * (1.0 - s))
+
+
+def scale_geometry(geometry_range, r: float) -> float:
+    """Geometry ``r`` mapped onto [0, 1] over ``geometry_range = (lo, hi)``:
+    the ``r_norm`` input of :meth:`OrbitalNet.embed` (0 for a single point)."""
+    lo, hi = geometry_range
+    return (r - lo) / (hi - lo) if hi > lo else 0.0
 
 
 class OrbitalNet:
@@ -300,14 +309,14 @@ def adam_step(params, grads, state: AdamState) -> float:
 # ----------------------------------------------------------------------------
 
 
-def save_net(path, net: OrbitalNet, step: int = 0) -> None:
+def save_net(path, net: OrbitalNet) -> None:
     """Write a network checkpoint; round-trips parameters bit for bit."""
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
         "layout": np.str_("orbital-net"),
         "sizes": np.asarray(net.sizes, dtype=np.int64),
         "seed": np.int64(net.seed),
-        "step": np.int64(step),
+        "step": np.int64(0),
     }
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         payload[f"w{i}"] = w
@@ -339,7 +348,7 @@ def _read_checkpoint(path, layout: str, keys) -> dict[str, np.ndarray]:
     return stored
 
 
-def load_net(path) -> tuple[OrbitalNet, int]:
+def load_net(path) -> OrbitalNet:
     """Read a checkpoint written by :func:`save_net`."""
     data = _read_checkpoint(path, "orbital-net", ("sizes", "seed", "step"))
     sizes = data["sizes"].tolist()
@@ -354,10 +363,10 @@ def load_net(path) -> tuple[OrbitalNet, int]:
                 raise ValueError(f"{path}: {key} has shape {data[key].shape}, expected {shape}")
             parts.append(data[key].ravel())
     flat = np.concatenate(parts).astype(np.float64, copy=False)
-    return OrbitalNet._bound(sizes, int(data["seed"]), flat), int(data["step"])
+    return OrbitalNet._bound(sizes, int(data["seed"]), flat)
 
 
-def save_kernel(path, matrix, step: int = 0) -> None:
+def save_kernel(path, matrix) -> None:
     """Write a symmetric kernel matrix in the shared checkpoint container.
 
     ``matrix`` may be a plain array or any wrapper exposing ``.matrix``.
@@ -369,11 +378,10 @@ def save_kernel(path, matrix, step: int = 0) -> None:
         path,
         version=np.int64(CHECKPOINT_VERSION),
         layout=np.str_("symmetric-matrix"),
-        step=np.int64(step),
+        step=np.int64(0),
         matrix=matrix,
     )
 
 
-def load_kernel(path) -> tuple[np.ndarray, int]:
-    data = _read_checkpoint(path, "symmetric-matrix", ("step", "matrix"))
-    return data["matrix"], int(data["step"])
+def load_kernel(path) -> np.ndarray:
+    return _read_checkpoint(path, "symmetric-matrix", ("step", "matrix"))["matrix"]

@@ -1,24 +1,27 @@
-"""Named system presets and run profiles.
+"""Named system and plant presets.
 
 Each named molecular system carries its active-space size, geometry grid,
-fine-tune reference geometries, and the published per-stage training
-hyperparameters (epochs, batch size, learning rate) for the one- and
-two-body heads.  Tensors for those systems come from upstream electronic-
-structure runs and are not generated here; the presets make the training
-CLI reproduce the published configurations when such files are supplied.
+fine-tune reference geometries, and the published training settings of
+its four stages (epochs, batch size, learning rate for the one- and
+two-body heads), each a ``TrainConfig``.  Tensors for those systems come
+from upstream electronic-structure runs and are not generated here; the
+presets make the training CLI reproduce the published configurations when
+such files are supplied.  Each plant preset is a ``PlantSpec``.
 
-Two run profiles exist:
+``PROFILES`` holds the two network sizes the presets train at:
 
-* ``paper``: full-size latent dimension and network (ell=300, three
-  hidden layers of 200) matching the published setup.
-* ``desk``: a reduced, minutes-scale setup (ell=32, hidden [64, 64])
-  paired with a planted synthetic dataset, sized so the whole two-stage
-  pipeline plus spectral analysis runs on a laptop.
+* ``paper``: the published latent dimension and network (ell=300, three
+  hidden layers of 200), which every named system uses.
+* ``desk``: a reduced, minutes-scale network (ell=32, hidden [64, 64]),
+  which every plant uses, sized so the whole two-stage pipeline plus
+  spectral analysis runs on a laptop.
+
+The ``ell`` and ``hidden`` keys of a training config file set another size.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,13 +32,11 @@ from .training import TrainConfig
 
 __all__ = [
     "NetProfile",
-    "StageSettings",
     "SystemPreset",
     "PLANT_PRESETS",
     "PROFILES",
     "SYSTEMS",
     "plant_preset",
-    "system_preset",
     "training_config",
     "usage_lines",
 ]
@@ -45,33 +46,14 @@ __all__ = [
 class NetProfile:
     """Latent dimension and hidden-layer widths of the orbital network."""
 
-    name: str
     ell: int
     hidden: tuple[int, ...]
 
 
 PROFILES: dict[str, NetProfile] = {
-    "paper": NetProfile(name="paper", ell=300, hidden=(200, 200, 200)),
-    "desk": NetProfile(name="desk", ell=32, hidden=(64, 64)),
+    "paper": NetProfile(ell=300, hidden=(200, 200, 200)),
+    "desk": NetProfile(ell=32, hidden=(64, 64)),
 }
-
-
-@dataclass(frozen=True)
-class StageSettings:
-    """Published (epochs, batch size, learning rate) for one training stage.
-
-    ``freeze_orbitals`` and ``kernel_polish`` carry the extra switches a
-    stage may enable: freezing the orbital networks during fine-tuning and
-    solving the kernel least-squares problem exactly once the networks are
-    trained (feasible at desk scale, where the design matrix is small).
-    Freezing requires the solve, which is then the whole stage.
-    """
-
-    epochs: int
-    batch_size: int
-    base_lr: float
-    freeze_orbitals: bool = False
-    kernel_polish: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,29 +61,29 @@ class SystemPreset:
     """A named molecular system with its grids and training settings.
 
     ``geometries`` is the bare-tensor training grid; for the relative-bond
-    systems (HF, H2O) the values are R/R_eq with ``r_eq`` in bohr.  ``refs``
-    are the fine-tune reference geometries.  ``tan_one`` / ``tan_two`` hold
-    the published tangent-law coefficients (rate, amplitude, center) of the
-    one- and two-body kernel spectra at ell=300.
+    systems (HF, H2O) the values are R/R_eq.  ``refs`` are the fine-tune
+    reference geometries.
     """
 
     name: str
     n_orb: int
     geometries: tuple[float, ...]
     refs: tuple[float, ...]
-    bare_one: StageSettings
-    eff_one: StageSettings
-    bare_two: StageSettings
-    eff_two: StageSettings
-    tan_one: tuple[float, float, float]
-    tan_two: tuple[float, float, float]
-    r_eq: float | None = None
-    angle_deg: float | None = None
+    bare_one: TrainConfig
+    eff_one: TrainConfig
+    bare_two: TrainConfig
+    eff_two: TrainConfig
     units: str = "bohr"
 
 
 def _grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(float(x) for x in np.linspace(lo, hi, n))
+
+
+def _published(stage: HeadKind, epochs: int, batch_size: int, base_lr: float) -> TrainConfig:
+    """A published stage setting at the paper's network size."""
+    paper = PROFILES["paper"]
+    return TrainConfig(stage, epochs, batch_size, base_lr, ell=paper.ell, hidden=paper.hidden)
 
 
 SYSTEMS: dict[str, SystemPreset] = {
@@ -110,37 +92,30 @@ SYSTEMS: dict[str, SystemPreset] = {
         n_orb=4,
         geometries=_grid(1.8, 3.0, 121),
         refs=(1.85, 2.25, 2.65, 2.95),
-        bare_one=StageSettings(8000, 128, 0.001),
-        eff_one=StageSettings(500, 2048, 0.001),
-        bare_two=StageSettings(2000, 256, 0.001),
-        eff_two=StageSettings(500, 128, 0.0002),
-        tan_one=(1.0e-2, 1.0e-4, 150.2),
-        tan_two=(1.0e-2, 0.6e-4, 149.8),
+        bare_one=_published(HeadKind.BARE_ONE, 8000, 128, 0.001),
+        eff_one=_published(HeadKind.EFF_ONE, 500, 2048, 0.001),
+        bare_two=_published(HeadKind.BARE_TWO, 2000, 256, 0.001),
+        eff_two=_published(HeadKind.EFF_TWO, 500, 128, 0.0002),
     ),
     "H6": SystemPreset(
         name="H6",
         n_orb=6,
         geometries=_grid(1.8, 3.0, 121),
         refs=(1.85, 2.25, 2.65, 2.95),
-        bare_one=StageSettings(8000, 128, 0.001),
-        eff_one=StageSettings(500, 2048, 0.0001),
-        bare_two=StageSettings(2000, 1024, 0.001),
-        eff_two=StageSettings(500, 128, 0.0002),
-        tan_one=(1.0e-2, 3.1e-4, 147.8),
-        tan_two=(1.0e-2, 0.6e-4, 149.1),
+        bare_one=_published(HeadKind.BARE_ONE, 8000, 128, 0.001),
+        eff_one=_published(HeadKind.EFF_ONE, 500, 2048, 0.0001),
+        bare_two=_published(HeadKind.BARE_TWO, 2000, 1024, 0.001),
+        eff_two=_published(HeadKind.EFF_TWO, 500, 128, 0.0002),
     ),
     "HF": SystemPreset(
         name="HF",
         n_orb=8,
         geometries=_grid(0.85, 2.0, 215),
         refs=(0.95, 1.35, 1.65, 1.95),
-        bare_one=StageSettings(8000, 1024, 0.002),
-        eff_one=StageSettings(500, 512, 0.02),
-        bare_two=StageSettings(2000, 1024, 0.001),
-        eff_two=StageSettings(500, 512, 0.0002),
-        tan_one=(1.0e-2, 8.9e-4, 150.4),
-        tan_two=(1.1e-2, 2.0e-4, 149.4),
-        r_eq=1.7325,
+        bare_one=_published(HeadKind.BARE_ONE, 8000, 1024, 0.002),
+        eff_one=_published(HeadKind.EFF_ONE, 500, 512, 0.02),
+        bare_two=_published(HeadKind.BARE_TWO, 2000, 1024, 0.001),
+        eff_two=_published(HeadKind.EFF_TWO, 500, 512, 0.0002),
         units="R/R_eq",
     ),
     "H2O": SystemPreset(
@@ -148,74 +123,52 @@ SYSTEMS: dict[str, SystemPreset] = {
         n_orb=8,
         geometries=_grid(1.1, 2.5, 66),
         refs=(1.15, 1.45, 1.95, 2.45),
-        bare_one=StageSettings(2000, 256, 0.0002),
-        eff_one=StageSettings(500, 1024, 0.001),
-        bare_two=StageSettings(5000, 1024, 0.001),
-        eff_two=StageSettings(500, 4096, 0.0002),
-        tan_one=(1.0e-2, 1.6e-4, 148.4),
-        tan_two=(1.1e-2, 0.6e-4, 150.3),
-        r_eq=1.84345,
-        angle_deg=110.6,
+        bare_one=_published(HeadKind.BARE_ONE, 2000, 256, 0.0002),
+        eff_one=_published(HeadKind.EFF_ONE, 500, 1024, 0.001),
+        bare_two=_published(HeadKind.BARE_TWO, 5000, 1024, 0.001),
+        eff_two=_published(HeadKind.EFF_TWO, 500, 4096, 0.0002),
         units="R/R_eq",
     ),
 }
 
 
-def system_preset(name: str) -> SystemPreset:
-    try:
-        return SYSTEMS[name]
-    except KeyError:
-        known = ", ".join(sorted(SYSTEMS))
-        raise ValueError(f"unknown system {name!r}; known systems: {known}") from None
-
-
-def training_config(
-    system: str, stage: HeadKind, *, profile: str | None = None, seed: int = 0, **overrides
-) -> TrainConfig:
+def training_config(system: str, stage: HeadKind, **overrides) -> TrainConfig:
     """TrainConfig for one stage of a named system or plant preset.
 
-    A named system takes its published stage settings and defaults to the
-    ``paper`` profile; a plant preset takes ``DESK_STAGE1`` (bare stages) or
-    ``DESK_STAGE2`` (effective stages) and defaults to the ``desk`` profile.
-    ``overrides`` replace individual TrainConfig fields (epochs, batch_size,
-    base_lr, ...), which is how CLI flags and config files take precedence.
+    A named system takes its published stage setting; a plant preset takes
+    ``DESK_STAGE1`` (bare stages) or ``DESK_STAGE2`` (effective stages).
+    ``overrides`` replace individual TrainConfig fields (epochs, seed, ell,
+    ...).
     """
     if system in SYSTEMS:
-        settings, default_profile = getattr(SYSTEMS[system], stage.name.lower()), "paper"
+        base = getattr(SYSTEMS[system], stage.name.lower())
     elif system in PLANT_PRESETS:
-        settings = DESK_STAGE1 if stage.kind is Kind.BARE else DESK_STAGE2
-        default_profile = "desk"
+        base = DESK_STAGE1 if stage.kind is Kind.BARE else DESK_STAGE2
     else:
         known = ", ".join(sorted([*SYSTEMS, *PLANT_PRESETS]))
         raise ValueError(f"unknown system {system!r}; known: {known}")
-    net = PROFILES.get(profile or default_profile)
-    if net is None:
-        known = ", ".join(sorted(PROFILES))
-        raise ValueError(f"unknown profile {profile!r}; known profiles: {known}")
-    fields = dict(asdict(settings), stage=stage, seed=seed, ell=net.ell, hidden=net.hidden)
-    fields.update(overrides)
-    return TrainConfig(**fields)
+    return replace(base, stage=stage, **overrides)
 
 
 # ---------------------------------------------------------------------------
 # planted-data presets
 # ---------------------------------------------------------------------------
 
-#: Desk-profile training settings tuned for the planted dataset (see the
-#: module docstring: ell=32, hidden [64, 64]).  Stage 1 runs a long
-#: full-batch cosine schedule, which converges far deeper than small
-#: minibatches here, then solves the kernel exactly for the trained
-#: features.  Stage 2 freezes the orbital networks so the spectral
-#: deformation in the data lands in the kernel, where the analysis reads
-#: it.  With frozen networks the fine-tune is linear in the kernel, so the
-#: exact solve from the transferred kernel is the whole stage: no Adam
-#: epoch runs.
-DESK_STAGE1 = StageSettings(
-    epochs=60000, batch_size=4096, base_lr=0.005, kernel_polish=True
+#: Training settings of every plant, tuned for the planted dataset at the
+#: ``desk`` network size.  Stage 1 runs a long full-batch cosine schedule,
+#: which converges far deeper than small minibatches here, then solves the
+#: kernel exactly for the trained features (feasible at desk scale, where
+#: the design matrix is small).  Stage 2 freezes the orbital networks so
+#: the spectral deformation in the data lands in the kernel, where the
+#: analysis reads it.  With frozen networks the fine-tune is linear in the
+#: kernel, so the exact solve from the transferred kernel is the whole
+#: stage: no Adam epoch runs.
+DESK_STAGE1 = TrainConfig(
+    HeadKind.BARE_TWO, epochs=60000, batch_size=4096, base_lr=0.005,
+    ell=PROFILES["desk"].ell, hidden=PROFILES["desk"].hidden, kernel_polish=True,
 )
-DESK_STAGE2 = StageSettings(
-    epochs=500, batch_size=4096, base_lr=0.002,
-    freeze_orbitals=True, kernel_polish=True,
+DESK_STAGE2 = replace(
+    DESK_STAGE1, stage=HeadKind.EFF_TWO, epochs=500, base_lr=0.002, freeze_orbitals=True
 )
 
 #: fine-tune reference geometries of the desk plant (on its 61-point grid)
@@ -233,7 +186,7 @@ PLANT_PRESETS: dict[str, PlantSpec] = {
         seed=0,
         system="planted-h4",
     ),
-    # Reduced plant for the desk profile: same construction, 61 geometries,
+    # Reduced plant at the desk network size: same construction, 61 geometries,
     # tangent center in the middle of the 32-point spectrum, rate scaled to
     # keep the argument range of the published law.  The amplitude is large
     # enough that the spectral deformation dominates the stage-1 fit error,
@@ -279,5 +232,7 @@ def usage_lines() -> list[str]:
         ):
             lines.append(f"       {label}: {st.epochs} epochs, batch {st.batch_size}, lr {st.base_lr:g}")
     lines.append("plants: " + ", ".join(sorted(PLANT_PRESETS)))
-    lines.append("profiles: " + ", ".join(f"{p.name} (ell={p.ell}, hidden {list(p.hidden)})" for p in PROFILES.values()))
+    size = {name: f"{name} (ell={p.ell}, hidden {list(p.hidden)})" for name, p in PROFILES.items()}
+    lines.append(f"network size: named systems {size['paper']}, plants {size['desk']}; "
+                 "the config keys ell and hidden set another")
     return lines

@@ -24,6 +24,7 @@ import numpy as np
 from . import reports
 from .atomic import savez
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
+from .nn import scale_geometry
 from .tensors import (
     GeometrySeries,
     Kind,
@@ -139,11 +140,6 @@ def _basis_row(x: float) -> np.ndarray:
     )
 
 
-def _scaled(geometries, r: float) -> float:
-    lo, hi = min(geometries), max(geometries)
-    return (r - lo) / (hi - lo) if hi > lo else 0.0
-
-
 def _orthogonal(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
@@ -173,7 +169,7 @@ def _bare_rms(spec, coef_phi, kernel):
     sizes = entry_table(Kind.BARE, 2, spec.n_orb).sizes
     total = sum(
         sizes @ np.square(head_at_reps(
-            HeadKind.BARE_TWO, coef_phi @ _basis_row(_scaled(spec.geometries, r)),
+            HeadKind.BARE_TWO, coef_phi @ _basis_row(scale_geometry((gs[0], gs[-1]), r)),
             None, kernel.matrix,
         ))
         for r in probe
@@ -219,8 +215,9 @@ def plant_series(spec: PlantSpec) -> PlantResult:
     m_eff = _planted_kernel(z_one, eps_one * tan_factors)
 
     sets = []
+    span = (min(spec.geometries), max(spec.geometries))
     for r in sorted(spec.geometries):
-        x = _scaled(spec.geometries, r)
+        x = scale_geometry(span, r)
         row = _basis_row(x)
         phi = coef_phi @ row
         psi = coef_psi @ row

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import reports
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps, pair_head
-from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net
+from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net, scale_geometry
 from .tensors import GeometrySeries, Kind
 
 __all__ = [
@@ -114,11 +114,6 @@ class FitReport:
 # models
 # ---------------------------------------------------------------------------
 
-def _scale(geometry_range, r: float) -> float:
-    lo, hi = geometry_range
-    return (r - lo) / (hi - lo) if hi > lo else 0.0
-
-
 @dataclass(eq=False)
 class InteractionModel:
     """A trained head: one orbital network per latent family of ``head``
@@ -142,7 +137,7 @@ class InteractionModel:
         return self.nets[0].n_orb
 
     def _features(self, net: OrbitalNet, geometry: float) -> np.ndarray:
-        x = net.embed(range(net.n_orb), _scale(self.geometry_range, geometry))
+        x = net.embed(range(net.n_orb), scale_geometry(self.geometry_range, geometry))
         return net.forward(x)
 
     def predict_full(self, geometry: float) -> np.ndarray:
@@ -173,7 +168,7 @@ def _collect_samples(series, kind, geometries, body, net, geometry_range):
     table = entry_table(kind, body, n)
     sets = [series.get(g, kind) for g in geometries]
     return _Samples(
-        x_all=np.vstack([net.embed(range(n), _scale(geometry_range, g)) for g in geometries]),
+        x_all=np.vstack([net.embed(range(n), scale_geometry(geometry_range, g)) for g in geometries]),
         base=np.repeat(np.arange(len(sets), dtype=np.intp) * n, table.rep_flat.size),
         idx=np.tile(table.reps.astype(np.intp), (len(sets), 1)),
         y=np.concatenate([
@@ -386,8 +381,8 @@ def _solve_kernel(head, nets, samples, w_base) -> np.ndarray:
 
     The design is built in Fortran order, and LAPACK's SVD least-squares
     solver ``dgelsd`` factors it in place, so it is held once; NumPy's
-    least-squares routine would factor a copy.  Raises ``LinAlgError`` when
-    ``dgelsd`` fails, as on a non-finite design.
+    least-squares routine would factor a copy.  Raises ``LinAlgError`` on a
+    non-finite design, or when ``dgelsd`` fails.
     """
     ell = w_base.shape[0]
     n = samples.y.size
@@ -415,13 +410,18 @@ def _solve_kernel(head, nets, samples, w_base) -> np.ndarray:
     # y - D v from C-order copies of row blocks.  Blocks of a multiple of 4
     # rows round as the product with the whole C-order design does on one
     # BLAS thread (its kernel takes rows 4 at a time); ``design_t.T @ v``
-    # does not.
+    # does not.  Each block is checked for finiteness here, since LAPACK
+    # reports a non-finite design only by printing to standard output.
     v = w_base[iu, ju] * root2
     k = 4 * max(1, _RESID_BLOCK // (4 * iu.size))
     resid = np.zeros((max(n, iu.size), 1))
-    resid[:n, 0] = samples.y - np.concatenate(
-        [np.ascontiguousarray(design_t[:, r : r + k].T) @ v for r in range(0, n, k)]
-    )
+    for r in range(0, n, k):
+        block = np.ascontiguousarray(design_t[:, r : r + k].T)
+        if not np.isfinite(block).all():
+            raise np.linalg.LinAlgError(
+                f"kernel polish: non-finite design in samples {r}..{r + len(block) - 1}"
+            )
+        resid[r : r + len(block), 0] = samples.y[r : r + k] - block @ v
     from scipy.linalg import lapack  # at first use: `import tanfold.cli` loads no scipy
 
     lwork, liwork, _ = lapack.dgelsd_lwork(n, iu.size, 1, _POLISH_RCOND)
@@ -697,7 +697,7 @@ def load_model(directory: str | os.PathLike):
     meta = _model_meta(directory)
     return InteractionModel(
         head=HeadKind[meta["head"]],
-        nets=[load_net(os.path.join(directory, f))[0] for f in meta["nets"]],
+        nets=[load_net(os.path.join(directory, f)) for f in meta["nets"]],
         kernel=load_model_kernel(directory),
         geometry_range=tuple(meta["geometry_range"]),
         system=meta.get("system", ""),
@@ -708,4 +708,4 @@ def load_model_kernel(directory: str | os.PathLike) -> KernelMatrix:
     """The kernel of a model directory, without reading its networks."""
     directory = os.fspath(directory)
     meta = _model_meta(directory)
-    return KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"]))[0])
+    return KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"])))

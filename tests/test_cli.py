@@ -204,10 +204,8 @@ def test_config_freeze_without_polish_fails(work, tmp_path, capsys):
 #: its handler reads
 _SUBCOMMAND_ARGS = {
     "synth": (["--plant", "desk"], {"--seed", "--config"}),
-    "train-bare": (["--system", "desk", "--body", "2", "--data", "d"],
-                   {"--seed", "--config", "--profile"}),
-    "finetune": (["--system", "desk", "--model", "m", "--data", "d"],
-                 {"--seed", "--config", "--profile"}),
+    "train-bare": (["--system", "desk", "--body", "2", "--data", "d"], {"--seed", "--config"}),
+    "finetune": (["--system", "desk", "--model", "m", "--data", "d"], {"--seed", "--config"}),
     "eval": (["--model", "m", "--data", "d"], set()),
     "analyze-spectrum": (["--bare", "b", "--eff", "e"], set()),
     "fit-tan": (["--table", "t"], set()),
@@ -423,6 +421,18 @@ def test_train_bare_artifacts(work):
     manifest = json.loads((stage1 / "manifest.json").read_text())
     assert manifest["config"]["epochs"] == 40
     assert manifest["config"]["base_lr"] == 0.02
+
+
+def test_config_sets_the_network_size_of_a_named_system(work, tmp_path):
+    # the desk network size for a paper-size system, set by the config keys
+    cfg = tmp_path / "desk-size.cfg"
+    cfg.write_text("ell = 32\nhidden = 64, 64\nepochs = 2\n")
+    out = tmp_path / "h4"
+    assert main(["train-bare", "--system", "H4", "--body", "2", "--data", str(work["data"]),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["ell"], config["hidden"]) == (32, [64, 64])
+    assert (config["batch_size"], config["base_lr"]) == (256, 0.001)  # H4's published bare-two
 
 
 def test_finetune_artifacts(work):

@@ -15,6 +15,7 @@ from tanfold.nn import (
     load_net,
     save_kernel,
     save_net,
+    scale_geometry,
     silu,
     silu_prime,
 )
@@ -66,6 +67,11 @@ class TestOrbitalNet:
         np.testing.assert_array_equal(x, [[0.0, 1.0, 0.0, 0.3]])
         with pytest.raises(ValueError):
             net.embed([3], [0.0])
+
+    def test_scale_geometry_maps_range_onto_unit_interval(self):
+        assert [scale_geometry((1.8, 3.0), r) for r in (1.8, 3.0)] == [0.0, 1.0]
+        assert scale_geometry((1.8, 3.0), 2.1) == (2.1 - 1.8) / (3.0 - 1.8)
+        assert scale_geometry((2.0, 2.0), 2.0) == 0.0  # a single geometry
 
     def test_forward_batch_matches_single(self):
         net = OrbitalNet(4, 8, hidden=(16, 16), seed=1)
@@ -199,8 +205,8 @@ class TestFlatParameters:
         net.flat += 0.1
         path = tmp_path / "net.npz"
         save_net(path, net)
-        a, _ = load_net(path)
-        b, _ = load_net(path)
+        a = load_net(path)
+        b = load_net(path)
         assert np.array_equal(a.flat, net.flat)
         assert all(np.shares_memory(p, a.flat) for p in a.params)
         a.flat[:] = 0.0
@@ -415,9 +421,10 @@ class TestCheckpoints:
     def test_net_roundtrip_bit_exact(self, tmp_path):
         net = OrbitalNet(4, 16, hidden=(32, 32), seed=9)
         path = tmp_path / "net.npz"
-        save_net(path, net, step=123)
-        back, step = load_net(path)
-        assert step == 123
+        save_net(path, net)
+        back = load_net(path)
+        with np.load(path) as data:
+            assert data["step"] == 0 and data["step"].dtype == np.int64
         assert back.sizes == net.sizes
         for a, b in zip(net.params, back.params):
             assert np.array_equal(a, b)
@@ -428,15 +435,14 @@ class TestCheckpoints:
         net = OrbitalNet(n_orb, output_dim, hidden=hidden, seed=5)
         net.flat[-4:] = [-0.0, 5e-324, np.nan, -np.inf]
         path = tmp_path / "net.npz"
-        save_net(path, net, step=3)
+        save_net(path, net)
 
         def no_rng(*args, **kwargs):
             raise AssertionError("load_net drew an initialization")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        back, step = load_net(path)
+        back = load_net(path)
         twin = back.copy()
-        assert step == 3
         for other in (back, twin):
             assert (other.n_orb, other.output_dim, other.sizes, other.seed) == (
                 net.n_orb, net.output_dim, net.sizes, net.seed)
@@ -483,9 +489,10 @@ class TestCheckpoints:
         k = rng.normal(size=(8, 8))
         k = (k + k.T) / 2
         path = tmp_path / "kernel.npz"
-        save_kernel(path, k, step=7)
-        back, step = load_kernel(path)
-        assert step == 7
+        save_kernel(path, k)
+        back = load_kernel(path)
+        with np.load(path) as data:
+            assert data["step"] == 0 and data["step"].dtype == np.int64
         assert np.array_equal(back, k)
 
     def test_layout_mismatch_rejected(self, tmp_path):
@@ -497,15 +504,15 @@ class TestCheckpoints:
 
     def test_bytes_are_those_of_savez_on_the_path(self, tmp_path):
         k = np.arange(9.0).reshape(3, 3)
-        save_kernel(tmp_path / "kernel.npz", k, step=2)
+        save_kernel(tmp_path / "kernel.npz", k)
         np.savez(tmp_path / "direct.npz", version=np.int64(nn.CHECKPOINT_VERSION),
-                 layout=np.str_("symmetric-matrix"), step=np.int64(2), matrix=k)
+                 layout=np.str_("symmetric-matrix"), step=np.int64(0), matrix=k)
         assert (tmp_path / "kernel.npz").read_bytes() == (tmp_path / "direct.npz").read_bytes()
 
     def test_path_without_suffix_is_kept(self, tmp_path):
         save_kernel(tmp_path / "kernel", np.eye(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel"]
-        assert np.array_equal(load_kernel(tmp_path / "kernel")[0], np.eye(2))
+        assert np.array_equal(load_kernel(tmp_path / "kernel"), np.eye(2))
 
     @pytest.mark.parametrize("save", [
         lambda path: save_net(path, OrbitalNet(2, 4, hidden=(4,), seed=0)),

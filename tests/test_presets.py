@@ -1,4 +1,4 @@
-"""Named system/plant presets and profile resolution."""
+"""Named system/plant presets and training-config resolution."""
 
 import dataclasses
 
@@ -13,10 +13,10 @@ from tanfold.presets import (
     PROFILES,
     SYSTEMS,
     plant_preset,
-    system_preset,
     training_config,
     usage_lines,
 )
+from tanfold.training import TrainConfig
 
 
 def test_profiles_define_net_shapes():
@@ -28,7 +28,7 @@ def test_profiles_define_net_shapes():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_system_presets_are_consistent(name):
-    preset = system_preset(name)
+    preset = SYSTEMS[name]
     assert preset.name == name
     assert preset.n_orb >= 2
     geos = preset.geometries
@@ -37,29 +37,67 @@ def test_system_presets_are_consistent(name):
     assert len(preset.refs) == 4
     for r in preset.refs:
         assert geos[0] <= r <= geos[-1]
-    for coeffs in (preset.tan_one, preset.tan_two):
-        rate, amplitude, center = coeffs
-        assert 0 < rate < 1
-        assert amplitude > 0
-        assert 0 < center < 301
-    for stage in (preset.bare_one, preset.eff_one, preset.bare_two, preset.eff_two):
-        assert stage.epochs > 0
-        assert stage.batch_size > 0
-        assert stage.base_lr > 0
+    for stage in HeadKind:
+        cfg = getattr(preset, stage.name.lower())
+        assert isinstance(cfg, TrainConfig) and cfg.stage is stage
+        assert (cfg.ell, cfg.hidden) == (PROFILES["paper"].ell, PROFILES["paper"].hidden)
+        assert cfg.epochs > 0
+        assert cfg.batch_size > 0
+        assert cfg.base_lr > 0
 
 
-def test_relative_grid_systems_carry_equilibrium_length():
-    assert SYSTEMS["HF"].r_eq is not None
-    assert SYSTEMS["H2O"].r_eq is not None
-    assert SYSTEMS["H2O"].angle_deg is not None
-    assert SYSTEMS["H4"].r_eq is None
+def test_relative_grid_systems_use_relative_units():
     assert SYSTEMS["HF"].units == "R/R_eq"
+    assert SYSTEMS["H2O"].units == "R/R_eq"
     assert SYSTEMS["H4"].units == "bohr"
+    assert SYSTEMS["H6"].units == "bohr"
 
 
-def test_unknown_system_raises_with_known_names():
-    with pytest.raises(ValueError, match="H2O"):
-        system_preset("NaCl")
+#: every resolved stage, every field: system or plant, stage, epochs,
+#: batch_size, base_lr, seed, ell, hidden, freeze_orbitals, kernel_polish.
+#: The named systems' epochs, batch sizes and learning rates are the
+#: published ones, at the paper network size; the plants take the desk
+#: settings.
+_RESOLVED = [
+    ("H4", HeadKind.BARE_ONE, 8000, 128, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H4", HeadKind.EFF_ONE, 500, 2048, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H4", HeadKind.BARE_TWO, 2000, 256, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H4", HeadKind.EFF_TWO, 500, 128, 0.0002, 0, 300, (200, 200, 200), False, False),
+    ("H6", HeadKind.BARE_ONE, 8000, 128, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H6", HeadKind.EFF_ONE, 500, 2048, 0.0001, 0, 300, (200, 200, 200), False, False),
+    ("H6", HeadKind.BARE_TWO, 2000, 1024, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H6", HeadKind.EFF_TWO, 500, 128, 0.0002, 0, 300, (200, 200, 200), False, False),
+    ("HF", HeadKind.BARE_ONE, 8000, 1024, 0.002, 0, 300, (200, 200, 200), False, False),
+    ("HF", HeadKind.EFF_ONE, 500, 512, 0.02, 0, 300, (200, 200, 200), False, False),
+    ("HF", HeadKind.BARE_TWO, 2000, 1024, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("HF", HeadKind.EFF_TWO, 500, 512, 0.0002, 0, 300, (200, 200, 200), False, False),
+    ("H2O", HeadKind.BARE_ONE, 2000, 256, 0.0002, 0, 300, (200, 200, 200), False, False),
+    ("H2O", HeadKind.EFF_ONE, 500, 1024, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H2O", HeadKind.BARE_TWO, 5000, 1024, 0.001, 0, 300, (200, 200, 200), False, False),
+    ("H2O", HeadKind.EFF_TWO, 500, 4096, 0.0002, 0, 300, (200, 200, 200), False, False),
+    ("default-h4", HeadKind.BARE_ONE, 60000, 4096, 0.005, 0, 32, (64, 64), False, True),
+    ("default-h4", HeadKind.EFF_ONE, 500, 4096, 0.002, 0, 32, (64, 64), True, True),
+    ("default-h4", HeadKind.BARE_TWO, 60000, 4096, 0.005, 0, 32, (64, 64), False, True),
+    ("default-h4", HeadKind.EFF_TWO, 500, 4096, 0.002, 0, 32, (64, 64), True, True),
+    ("desk", HeadKind.BARE_ONE, 60000, 4096, 0.005, 0, 32, (64, 64), False, True),
+    ("desk", HeadKind.EFF_ONE, 500, 4096, 0.002, 0, 32, (64, 64), True, True),
+    ("desk", HeadKind.BARE_TWO, 60000, 4096, 0.005, 0, 32, (64, 64), False, True),
+    ("desk", HeadKind.EFF_TWO, 500, 4096, 0.002, 0, 32, (64, 64), True, True),
+]
+
+
+def test_resolved_table_covers_every_field_system_plant_and_stage():
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "stage", "epochs", "batch_size", "base_lr", "seed", "ell", "hidden",
+        "freeze_orbitals", "kernel_polish"]
+    assert [row[:2] for row in _RESOLVED] == [
+        (name, stage) for name in [*SYSTEMS, *PLANT_PRESETS] for stage in HeadKind]
+
+
+@pytest.mark.parametrize("row", _RESOLVED, ids=lambda row: f"{row[0]}-{row[1].value}")
+def test_training_config_resolves_every_field(row):
+    name, *fields = row
+    assert dataclasses.astuple(training_config(name, fields[0])) == tuple(fields)
 
 
 def test_training_config_uses_published_stage_settings():
@@ -72,8 +110,9 @@ def test_training_config_uses_published_stage_settings():
 
 
 def test_training_config_desk_profile_and_overrides():
+    desk = PROFILES["desk"]
     cfg = training_config(
-        "H6", HeadKind.EFF_ONE, profile="desk", seed=7, epochs=12, base_lr=0.5
+        "H6", HeadKind.EFF_ONE, seed=7, epochs=12, base_lr=0.5, ell=desk.ell, hidden=desk.hidden
     )
     assert (cfg.ell, cfg.hidden) == (32, (64, 64))
     assert cfg.epochs == 12
@@ -82,22 +121,14 @@ def test_training_config_desk_profile_and_overrides():
     assert cfg.seed == 7
 
 
-def test_training_config_rejects_unknown_profile():
-    with pytest.raises(ValueError, match="profile"):
-        training_config("H4", HeadKind.BARE_ONE, profile="pocket")
-
-
 def test_training_config_resolves_plant_presets():
     for stage, settings in ((HeadKind.BARE_TWO, DESK_STAGE1), (HeadKind.EFF_ONE, DESK_STAGE2)):
         cfg = training_config("desk", stage)
-        assert (cfg.ell, cfg.hidden) == (32, (64, 64))  # the desk profile by default
-        assert (cfg.epochs, cfg.batch_size, cfg.base_lr) == (
-            settings.epochs, settings.batch_size, settings.base_lr
-        )
-        assert (cfg.freeze_orbitals, cfg.kernel_polish) == (
-            settings.freeze_orbitals, settings.kernel_polish
-        )
-    assert training_config("default-h4", HeadKind.EFF_TWO, profile="paper").ell == 300
+        assert (cfg.ell, cfg.hidden) == (PROFILES["desk"].ell, PROFILES["desk"].hidden)
+        assert cfg == dataclasses.replace(settings, stage=stage)
+    paper = PROFILES["paper"]
+    cfg = training_config("default-h4", HeadKind.EFF_TWO, ell=paper.ell, hidden=paper.hidden)
+    assert (cfg.ell, cfg.hidden, cfg.epochs) == (300, (200, 200, 200), DESK_STAGE2.epochs)
 
 
 def test_training_config_unknown_system_lists_systems_and_plants():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tanfold.heads import eval_bare_two, eval_eff_two, eval_one
+from tanfold.nn import scale_geometry
 from tanfold.synth import (
     GridSpec,
     PlantSpec,
@@ -79,9 +80,9 @@ class TestPlantSeries:
             rate=2.0e-2, amplitude=1.0e-4, center=16.0, eta=0.0, seed=1,
         )
         res = plant_series(spec)
-        from tanfold.synth import _basis_row, _scaled
+        from tanfold.synth import _basis_row
 
-        phi = res.coef_phi @ _basis_row(_scaled(spec.geometries, 1.0))
+        phi = res.coef_phi @ _basis_row(scale_geometry((1.0, 3.0), 1.0))
         eff = res.series.get(1.0, Kind.EFFECTIVE).two_body
         want = np.empty_like(eff)
         for idx in np.ndindex(*eff.shape):
@@ -95,10 +96,10 @@ class TestPlantSeries:
             rate=2.0e-2, amplitude=1.0e-3, center=12.0, eta=0.05, seed=2,
         )
         res = plant_series(spec)
-        from tanfold.synth import _basis_row, _scaled
+        from tanfold.synth import _basis_row
 
         for r in spec.geometries:
-            row = _basis_row(_scaled(spec.geometries, r))
+            row = _basis_row(scale_geometry((1.0, 3.0), r))
             phi, psi = res.coef_phi @ row, res.coef_psi @ row
             phit = phi * (1.0 + spec.eta * (res.coef_deform @ row))
             for kind, m, w in ((Kind.BARE, res.m_bare, res.w_bare),

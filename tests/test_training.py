@@ -410,11 +410,13 @@ def test_solve_kernel_residual_blocks_round_as_one_product(block, small_series, 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_solve_kernel_raises_on_a_non_finite_design(bad, small_series):
+def test_solve_kernel_raises_on_a_non_finite_design(bad, small_series, capfd):
     nets, w, samples = _setup_head(HeadKind.BARE_TWO, small_series)
     nets[0].biases[-1][0] = bad
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite design"):
         tr._solve_kernel(HeadKind.BARE_TWO, nets, samples, w)
+    # rejected before LAPACK, which would print its complaint on fd 1
+    assert capfd.readouterr().out == ""
 
 
 _SOLVE_RSS_SCRIPT = textwrap.dedent("""
