@@ -83,8 +83,10 @@ def _read_config(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise _UsageError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise _UsageError(f"{path}:{ln}: repeated config key {key!r}")
+            out[key] = value
     return out
 
 

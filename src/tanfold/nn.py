@@ -7,13 +7,14 @@ multilayer perceptron mapping ``one_hot(orbital) ++ [scaled geometry]`` to a
 latent vector, SiLU hidden activations, linear output.  Everything is plain
 float64 numpy; no autodiff framework is involved, so the backward pass is
 spelled out layer by layer and checked against finite differences in the
-tests.
+tests.  Adam updates one contiguous parameter vector: a training stage
+keeps its networks and its kernel as views of one such vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -79,9 +80,9 @@ class OrbitalNet:
         Biases start at zero.
 
     All parameters live in one contiguous float64 vector, :attr:`flat`
-    (each layer's weight matrix, then its bias); :attr:`weights`,
-    :attr:`biases` and :attr:`params` are views of it, so one optimizer
-    update covers the whole network.
+    (each layer's weight matrix, then its bias); :attr:`weights` and
+    :attr:`biases` are views of it, so one optimizer update covers the
+    whole network.  :meth:`move_to` puts that vector inside a larger one.
     """
 
     def __init__(self, n_orb: int, output_dim: int, hidden=(200, 200, 200), seed: int = 0):
@@ -98,7 +99,7 @@ class OrbitalNet:
     # -- parameter plumbing ---------------------------------------------------
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of ``flat`` shaped like :attr:`params`: each layer's weight
+        """Views of ``flat`` shaped like the parameters: each layer's weight
         matrix, then its bias, back to back in one contiguous vector."""
         out, start = [], 0
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
@@ -120,11 +121,13 @@ class OrbitalNet:
         self.weights: list[np.ndarray] = views[0::2]
         self.biases: list[np.ndarray] = views[1::2]
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Parameter arrays, alternating weight/bias per layer; views of
-        :attr:`flat`."""
-        return self.views(self.flat)
+    def move_to(self, flat: np.ndarray) -> None:
+        """Copy the parameters into ``flat``, a contiguous float64 vector
+        of :attr:`flat`'s size, and make it the parameter vector."""
+        if flat.shape != self.flat.shape or not flat.flags.c_contiguous:
+            raise ValueError(f"need a contiguous vector of {self.flat.size} parameters")
+        flat[...] = self.flat
+        self._bind(self.sizes, self.seed, flat)
 
     @classmethod
     def _bound(cls, sizes, seed: int, flat: np.ndarray) -> "OrbitalNet":
@@ -184,9 +187,9 @@ class OrbitalNet:
     def backward(self, cache, grad_out: np.ndarray, out: np.ndarray | None = None):
         """Gradients of ``sum(grad_out * forward(x))`` w.r.t. parameters.
 
-        Returns ``(grads, grad_x)`` with ``grads`` ordered like
-        :attr:`params`: views of ``out`` (a vector shaped like :attr:`flat`,
-        allocated when None), which receives the whole gradient.
+        Returns ``(grads, grad_x)`` with ``grads`` the :meth:`views` of
+        ``out`` (a vector shaped like :attr:`flat`, allocated when None),
+        which receives the whole gradient.
         """
         activations, pre, sig = cache
         if out is None:
@@ -222,85 +225,67 @@ def cosine_lr(base_lr: float, t: int, total_steps: int) -> float:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the schedule bookkeeping."""
+    """First/second moment vectors of a parameter vector of ``size`` values,
+    plus the schedule bookkeeping."""
 
+    size: InitVar[int]
     base_lr: float
     total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
 
-    @classmethod
-    def for_params(cls, params, base_lr: float, total_steps: int, **kw) -> "AdamState":
-        state = cls(base_lr=base_lr, total_steps=total_steps, **kw)
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-        return state
+    def __post_init__(self, size):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-#: Adam updates a larger parameter array in slices of this many elements,
-#: so the slices of p, g, m, v and the two scratch blocks stay in the L2 cache
+#: Adam's moment decay rates and the floor of its step's denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+#: Adam updates its vector in slices of this many elements, so the slices
+#: of p, g, m, v and the two scratch blocks stay in the L2 cache
 ADAM_BLOCK = 1 << 15
 
 
-def _adam_pieces(p, g, m, v, scratch):
-    """``(p, g, m, v, u, den)`` pieces of one array's update.
+def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> float:
+    """One in-place Adam update of the contiguous vector ``p`` with the
+    gradient ``g``; returns the learning rate that was applied.
 
-    A C-contiguous array above ``ADAM_BLOCK`` elements is cut into flat
-    slices (views, so the update writes through them), and the two rows of
-    ``scratch`` hold its temporaries ``u`` and ``den``; any other array is
-    one piece with ``u = den = None``, and the update allocates them.
+    Raises ``ValueError`` unless ``p`` and ``g`` are contiguous 1-D vectors
+    of the moments' shape, and ``FloatingPointError`` on a non-finite
+    gradient, leaving the parameters untouched.
     """
-    if p.size <= ADAM_BLOCK or not (
-        p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous
-    ):
-        yield p, g, m, v, None, None
-        return
-    flat = [a.reshape(-1) for a in (p, g, m, v)]
-    for start in range(0, p.size, ADAM_BLOCK):
-        piece = [a[start : start + ADAM_BLOCK] for a in flat]
-        yield *piece, *(b[: piece[0].size] for b in scratch)
-
-
-def adam_step(params, grads, state: AdamState) -> float:
-    """One in-place Adam update; returns the learning rate that was applied.
-
-    Raises ``FloatingPointError`` on non-finite gradients, leaving the
-    parameters untouched.
-    """
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("params/grads/state length mismatch")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise FloatingPointError("non-finite gradient in adam_step")
+    for a in (p, g):
+        if a.ndim != 1 or not a.flags.c_contiguous or a.shape != state.m.shape:
+            raise ValueError(f"adam_step needs contiguous {state.m.shape} vectors, got {a.shape}")
+    if not np.isfinite(g).all():
+        raise FloatingPointError("non-finite gradient in adam_step")
     state.t += 1
     lr = cosine_lr(state.base_lr, state.t, state.total_steps)
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), spelled out in place with
-    # the same operations in the same order, so every value is unchanged;
-    # the operations are elementwise, so any slicing gives the same bits
-    scratch = np.empty((2, min(ADAM_BLOCK, max((p.size for p in params), default=0))))
-    for arrays in zip(params, grads, state.m, state.v):
-        for p, g, m, v, u, den in _adam_pieces(*arrays, scratch):
-            u = np.multiply(g, 1.0 - b1, out=u)
-            m *= b1
-            m += u
-            np.square(g, out=u)
-            u *= 1.0 - b2
-            v *= b2
-            v += u
-            den = np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += eps
-            np.divide(m, bc1, out=u)
-            u *= lr
-            u /= den
-            p -= u
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), spelled out in place;
+    # the operations are elementwise, so the slicing changes no bit
+    scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
+    for start in range(0, p.size, ADAM_BLOCK):
+        piece = slice(start, start + ADAM_BLOCK)
+        pp, gg, m, v = p[piece], g[piece], state.m[piece], state.v[piece]
+        u, den = scratch[:, : pp.size]
+        np.multiply(gg, 1.0 - ADAM_BETA1, out=u)
+        m *= ADAM_BETA1
+        m += u
+        np.square(gg, out=u)
+        u *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += u
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(m, bc1, out=u)
+        u *= lr
+        u /= den
+        pp -= u
     return lr
 
 

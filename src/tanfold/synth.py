@@ -94,6 +94,10 @@ class PlantSpec:
             raise ValueError("ell must be >= 3")
         if not self.geometries:
             raise ValueError("need at least one geometry")
+        for name in ("geometries", "rate", "amplitude", "center", "eta", "noise", "target_rms",
+                     "fourier_scale"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if len(set(self.geometries)) != len(self.geometries):
             raise ValueError("geometries must be distinct")
         if not 0.0 < self.spectrum_lo <= 1.0:

@@ -68,8 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be positive")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
+            raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
         if self.freeze_orbitals and not self.kernel_polish:
@@ -136,15 +136,12 @@ class InteractionModel:
     def n_orb(self) -> int:
         return self.nets[0].n_orb
 
-    def _features(self, net: OrbitalNet, geometry: float) -> np.ndarray:
-        x = net.embed(range(net.n_orb), scale_geometry(self.geometry_range, geometry))
-        return net.forward(x)
-
     def predict_full(self, geometry: float) -> np.ndarray:
         """Every entry at one geometry, exactly closed under the head's
         symmetry: the head's value at each orbit representative, spread
         over the orbit."""
-        feats = [self._features(net, geometry) for net in self.nets]
+        x = self.nets[0].embed(range(self.n_orb), scale_geometry(self.geometry_range, geometry))
+        feats = [net.forward(x) for net in self.nets]
         values = head_at_reps(self.head, feats[0], feats[-1], self.kernel.matrix)
         return entry_table(self.head.kind, self.head.body, self.n_orb).expand(values)
 
@@ -197,12 +194,14 @@ def _orbit_tables(head, samples):
     return target, table.expand(1.0 / table.sizes).reshape(m, m)
 
 
-def _feature_grads(head, dw, drows, f, ft):
+def _feature_grads(head, dw, drows, f, ft, dw_out):
     """``(dW, dPhi, dPhit)`` from the kernel gradient ``dw`` and the
     gradient ``drows`` of every row of the pair-product matrices, shaped
-    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`."""
+    ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`.
+    ``dW`` is written into ``dw_out`` unless that is None."""
     n_geo, n, ell = f.shape
-    dw = 0.5 * (dw + dw.T)
+    dw = np.add(dw, dw.T, out=dw_out)
+    dw *= 0.5
     if head.body == 1:
         return dw, drows.reshape(-1, ell), None
     drows = drows.reshape(n_geo, n, n, ell)
@@ -213,7 +212,7 @@ def _feature_grads(head, dw, drows, f, ft):
     return dw, dphi, dphit
 
 
-def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
+def _dense_loss(head, phi, phit, w, tables, inv, with_grads, dw_out):
     """Full-batch loss and gradients through :func:`pair_head`."""
     target, weight = tables
     pred, (f, ft, rows, rows_w) = pair_head(head, phi, phit, w, target.shape[0])
@@ -228,7 +227,7 @@ def _dense_loss(head, phi, phit, w, tables, inv, with_grads):
     dpred = (2.0 * inv) * wdiff
     dw = rows.reshape(-1, ell).T @ (dpred @ rows).reshape(-1, ell)
     drows = (dpred + dpred.transpose(0, 2, 1)) @ rows_w
-    return (loss, *_feature_grads(head, dw, drows, f, ft))
+    return (loss, *_feature_grads(head, dw, drows, f, ft, dw_out))
 
 
 def _pair_rows(head, phi, phit, samples, sel):
@@ -265,7 +264,7 @@ def _pair_rows(head, phi, phit, samples, sel):
     return uniq, ends.reshape(len(cols) // 2, 2, -1), rows, f, ft
 
 
-def _row_loss(head, phi, phit, w, samples, sel, with_grads):
+def _row_loss(head, phi, phit, w, samples, sel, with_grads, dw_out):
     """Loss and gradients over ``sel`` from the distinct pair rows it touches
     (:func:`_pair_rows`), computing each ``R_u W`` once.
 
@@ -293,11 +292,12 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads):
     n_geo, n, ell = f.shape
     drows = np.zeros((n_geo * n ** head.body, ell))
     drows[uniq] = (s + s.T) @ rows_w
-    return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft))
+    return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft, dw_out))
 
 
-def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None):
-    """Loss over ``sel`` plus (dW, dPhi, dPhit) when ``with_grads``.
+def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, dw_out=None):
+    """Loss over ``sel`` plus (dW, dPhi, dPhit) when ``with_grads``; dW is
+    written into ``dw_out`` when given.
 
     With ``tables`` (:func:`_orbit_tables` of ``samples``, for a ``sel``
     that covers every sample) the loss comes from the dense pair-product
@@ -307,8 +307,8 @@ def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None):
     """
     if tables is not None:
         inv = 1.0 / samples.y.size
-        return _dense_loss(head, phi, phit, w, tables, inv, with_grads)
-    return _row_loss(head, phi, phit, w, samples, sel, with_grads)
+        return _dense_loss(head, phi, phit, w, tables, inv, with_grads, dw_out)
+    return _row_loss(head, phi, phit, w, samples, sel, with_grads, dw_out)
 
 
 def _target_scale(y: np.ndarray) -> float:
@@ -446,8 +446,10 @@ def _full_loss(head, nets, w, samples) -> float:
     return loss
 
 
-def _train_loop(head, nets, w, samples, cfg) -> None:
-    """Adam/cosine minimization; mutates ``nets`` and ``w`` in place.
+def _train_loop(head, nets, w, samples, cfg) -> np.ndarray:
+    """Adam/cosine minimization of the parameters of ``nets`` and the
+    kernel ``w`` as one vector: the networks move onto views of it, and the
+    trained kernel, its last view, is returned.
 
     When one batch holds every sample, the dense tables are built once,
     before the first step, and no permutation is drawn (the dense loss does
@@ -457,29 +459,34 @@ def _train_loop(head, nets, w, samples, cfg) -> None:
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
 
-    net_grads = [np.empty_like(net.flat) for net in nets]
-    params = [net.flat for net in nets] + [w]
-    state = AdamState.for_params(params, cfg.base_lr, total_steps)
+    # the networks' parameters, then the kernel; the gradient alike
+    ends = np.cumsum([net.flat.size for net in nets])
+    theta, grad = np.empty((2, ends[-1] + w.size))
+    for net, flat in zip(nets, np.split(theta, ends)):
+        net.move_to(flat)
+    theta[ends[-1] :] = w.ravel()
+    w, grad_w = (a[ends[-1] :].reshape(w.shape) for a in (theta, grad))
+    state = AdamState(theta.size, cfg.base_lr, total_steps)
     tables = _orbit_tables(head, samples) if steps_per_epoch == 1 else None
     rng = np.random.default_rng(cfg.seed)
-    every = np.arange(n)
 
     for epoch in range(cfg.epochs):
-        order = every if tables is not None else rng.permutation(n)
+        order = np.arange(n) if tables is not None else rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
-            loss, dw, dphi, dphit = _batch_loss(
+            loss, _, dphi, dphit = _batch_loss(
                 head, caches[0][0], caches[1][0] if len(caches) > 1 else None, w, samples, sel,
-                True, tables=tables,
+                True, tables=tables, dw_out=grad_w,
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, step {state.t}"
                 )
-            for net, cache, dout, out in zip(nets, caches, (dphi, dphit), net_grads):
-                net.backward(cache[1], dout, out)
-            adam_step(params, net_grads + [dw], state)
+            for net, cache, dout, end in zip(nets, caches, (dphi, dphit), ends):
+                net.backward(cache[1], dout, grad[end - net.flat.size : end])
+            adam_step(theta, grad, state)
+    return w
 
 
 def _fit_stage(series, cfg, nets, geometries, geometry_range, start_kernel, started):
@@ -501,7 +508,7 @@ def _fit_stage(series, cfg, nets, geometries, geometry_range, start_kernel, star
     w, polish_from = start_kernel(samples, scale)
     initial = _full_loss(head, nets, w, samples)
     if not cfg.freeze_orbitals:
-        _train_loop(head, nets, w, samples, cfg)
+        w = _train_loop(head, nets, w, samples, cfg)
     if cfg.kernel_polish:
         w = _solve_kernel(head, nets, samples, polish_from)
     final = _full_loss(head, nets, w, samples)
@@ -652,7 +659,7 @@ def finetune_effective(
 
     def start_kernel(samples, scale):
         w = bare_model.kernel.matrix / scale
-        return w, w.copy()
+        return w, w
 
     nets = [bare_model.nets[0].copy() for _ in range(cfg.stage.n_nets)]
     return _fit_stage(series, cfg, nets, sorted(refs), bare_model.geometry_range,

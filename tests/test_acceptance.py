@@ -84,7 +84,7 @@ def _check_mlp_gradients(rng):
 
     gmax = max(float(np.abs(g).max()) for g in grads)
     worst, checked = 0.0, 0
-    for p, g in zip(net.params, grads):
+    for p, g in zip(net.views(net.flat), grads):
         fp, fg = p.ravel(), g.ravel()
         take = min(fp.size, 40)
         for j in rng.choice(fp.size, size=take, replace=False):

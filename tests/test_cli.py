@@ -188,6 +188,43 @@ def test_config_value_error_names_the_key(tmp_path, capsys, command, line, messa
     assert not (tmp_path / "x").exists()
 
 
+def test_config_repeated_key_fails_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\n# the same key again\n seed=2\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--plant", "desk", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tanfold: error: {cfg}:3: repeated config key 'seed'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, field", [
+    ("synth", "eta = nan", "eta"),
+    ("synth", "noise = nan", "noise"),
+    ("synth", "rate = nan", "rate"),
+    ("synth", "amplitude = nan", "amplitude"),
+    ("synth", "center = nan", "center"),
+    ("synth", "target_rms = inf", "target_rms"),
+    ("synth", "fourier_scale = nan", "fourier_scale"),
+    ("synth", "geometries = 1.0, nan, 2.0", "geometries"),
+    ("synth", "geometries = 1.0, -inf", "geometries"),
+    ("train-bare", "base_lr = nan", "base_lr"),
+    ("train-bare", "base_lr = inf", "base_lr"),
+    ("finetune", "base_lr = nan", "base_lr"),
+])
+def test_non_finite_setting_fails_naming_the_field(work, tmp_path, capsys, command, line, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    argv = {"synth": ["--plant", "desk"],
+            "train-bare": ["--system", "desk", "--body", "2", "--data", str(work["data"])],
+            "finetune": ["--system", "desk", "--model", str(work["run"] / "stage1" / "model"),
+                         "--data", str(work["data"])]}[command]
+    out = tmp_path / "x"
+    assert main([command, *argv, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tanfold: error: {field} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_freeze_without_polish_fails(work, tmp_path, capsys):
     cfg = tmp_path / "frozen.cfg"
     cfg.write_text(TINY_TRAIN + "freeze_orbitals = true\nkernel_polish = false\n")

@@ -52,6 +52,14 @@ class TestPlantSpec:
             PlantSpec(spectrum_lo=0.0)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["rate", "amplitude", "center", "eta", "noise",
+                                      "target_rms", "fourier_scale", "geometries"])
+    def test_rejects_non_finite_fields(self, name, value):
+        setting = (1.8, value, 3.0) if name == "geometries" else value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PlantSpec(**{name: setting})
+
 class TestPlantSeries:
     def test_spectral_round_trip(self):
         res = plant_series(SMALL)

@@ -22,7 +22,7 @@ import pytest
 
 from tanfold import training as tr
 from tanfold.heads import HeadKind, KernelMatrix, eval_bare_two, eval_eff_two, eval_one
-from tanfold.nn import OrbitalNet
+from tanfold.nn import OrbitalNet, cosine_lr, scale_geometry
 from tanfold.presets import plant_preset
 from tanfold.synth import PlantSpec, plant_series
 from tanfold.tensors import (
@@ -155,7 +155,7 @@ def test_gradient_matches_finite_difference(head, subset, small_series):
 
     # network parameters, a handful of coordinates per array
     for net, grads in zip(nets, net_grads):
-        for param, grad in zip(net.params, grads):
+        for param, grad in zip(net.views(net.flat), grads):
             flat = param.reshape(-1)
             for k in rng.choice(flat.size, size=min(6, flat.size), replace=False):
                 check(grad.reshape(-1)[k], _central_diff(fn, flat, k, h))
@@ -425,7 +425,7 @@ _SOLVE_RSS_SCRIPT = textwrap.dedent("""
     import scipy.linalg
     from tanfold import training as tr
     from tanfold.heads import HeadKind, entry_table
-    from tanfold.nn import OrbitalNet
+    from tanfold.nn import OrbitalNet, cosine_lr, scale_geometry
     from tanfold.tensors import Kind
 
     # the desk stage-1 shape: 61 geometries of 4 orbitals, ell 32
@@ -584,8 +584,53 @@ def test_training_is_deterministic(small_series):
     assert report_a == report_b
     assert dataclasses.replace(report_a, wall_time=-1.0) == report_a  # wall_time is excluded
     assert np.array_equal(model_a.kernel.matrix, model_b.kernel.matrix)
-    for pa, pb in zip(model_a.nets[0].params, model_b.nets[0].params):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(model_a.nets[0].flat, model_b.nets[0].flat)
+
+
+def _per_array_train_loop(head, nets, w, samples, cfg):
+    """The training loop with one gradient and one Adam update per array:
+    every layer's weight and bias, then the kernel, each updated by the
+    textbook Adam recursion."""
+    n = samples.y.size
+    steps_per_epoch = math.ceil(n / cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    params = [p for net in nets for p in net.views(net.flat)] + [w]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    tables = tr._orbit_tables(head, samples) if steps_per_epoch == 1 else None
+    rng = np.random.default_rng(cfg.seed)
+    t = 0
+    for _ in range(cfg.epochs):
+        order = np.arange(n) if tables is not None else rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            _, dw, net_grads = _grads(head, nets, w, samples, order[start : start + cfg.batch_size]
+                                      if tables is None else None)
+            grads = [g for gs in net_grads for g in gs] + [dw]
+            t += 1
+            lr = cosine_lr(cfg.base_lr, t, total_steps)
+            for p, g, mm, vv in zip(params, grads, m, v):
+                mm *= b1
+                mm += (1.0 - b1) * g
+                vv *= b2
+                vv += (1.0 - b2) * np.square(g)
+                p -= lr * (mm / (1.0 - b1**t)) / (np.sqrt(vv / (1.0 - b2**t)) + eps)
+
+
+@pytest.mark.parametrize("batch", ["full", "minibatch"])
+@pytest.mark.parametrize("head", _HEADS, ids=lambda h: h.name)
+def test_one_vector_train_loop_equals_per_array_updates_bitwise(head, batch, small_series):
+    nets, w, samples = _setup_head(head, small_series)
+    n = samples.y.size
+    cfg = quick_config(head, epochs=3, batch_size=n if batch == "full" else max(1, n // 3))
+    ref_nets, ref_w = [net.copy() for net in nets], w.copy()
+    trained = tr._train_loop(head, nets, w, samples, cfg)
+    _per_array_train_loop(head, ref_nets, ref_w, samples, cfg)
+    assert not np.array_equal(ref_w, w)  # the loop took steps
+    assert np.array_equal(trained, ref_w)
+    for net, ref in zip(nets, ref_nets):
+        assert np.array_equal(net.flat, ref.flat)
+        assert net.flat.base is trained.base  # one vector holds them all
 
 
 def test_holdout_geometries_become_test_split(small_series):
@@ -812,8 +857,9 @@ def test_predict_full_matches_scalar_heads(head):
     kernel = KernelMatrix.random(6, scale=0.5, seed=32)
     nets = (net,) if tilde is None else (net, tilde)
     model = InteractionModel(head=head, nets=nets, kernel=kernel, geometry_range=(1.0, 2.0))
-    f = model._features(net, 1.3)
-    ft = model._features(tilde, 1.3) if tilde is not None else None
+    x = net.embed(range(4), scale_geometry((1.0, 2.0), 1.3))
+    f = net.forward(x)
+    ft = tilde.forward(x) if tilde is not None else None
     pred = model.predict_full(1.3)
     want = np.empty_like(pred)
     for index in np.ndindex(pred.shape):
@@ -896,6 +942,9 @@ def test_config_validation():
         TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=0, base_lr=1e-3)
     with pytest.raises(ValueError):
         TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=0.0)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="base_lr must be finite and positive"):
+            TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3, ell=0)
     # frozen networks leave the loss linear in the kernel: the exact solve
