@@ -296,10 +296,14 @@ def _read_difference_csv(path):
         for ln, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             try:
-                if parts[f_idx] != "true":
-                    rows.append((int(parts[i_idx]), float(parts[b_idx]), float(parts[e_idx])))
+                if parts[f_idx] == "true":
+                    continue
+                row = (int(parts[i_idx]), float(parts[b_idx]), float(parts[e_idx]))
             except (IndexError, ValueError):
                 raise _UsageError(f"{path}:{ln}: bad row {line.strip()!r} for columns {','.join(header)}")
+            if not np.isfinite(row).all():
+                raise _UsageError(f"{path}:{ln}: non-finite value in row {line.strip()!r}")
+            rows.append(row)
     return rows
 
 
@@ -488,13 +492,12 @@ def main(argv=None) -> int:
             sys.stderr.write(_usage_text(parser))
             return _EXIT_USAGE
         return _HANDLERS[args.subcommand](args)
-    except (_UsageError, FileNotFoundError, NotADirectoryError, PermissionError,
-            ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
-        sys.stderr.write(f"tanfold: error: {exc}\n")
-        return _EXIT_USAGE
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # before ValueError: LinAlgError is one
         sys.stderr.write(f"tanfold: numerical failure: {exc}\n")
         return _EXIT_NUMERICAL
+    except (_UsageError, OSError, ValueError, KeyError) as exc:  # so is json.JSONDecodeError
+        sys.stderr.write(f"tanfold: error: {exc}\n")
+        return _EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -135,35 +135,10 @@ def _expm_from_eigh(phases: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * phases)[..., None, :]) @ _ct(v)
 
 
-class _TrialFailure(Exception):
-    """A check failed; ``args`` are the index of the first failing trial of
-    the stack and the exception that trial raises when run alone."""
-
-
 def _require(bad: np.ndarray, error) -> None:
-    """Raise _TrialFailure at the first trial flagged in ``bad``;
-    ``error(k)`` builds trial k's exception."""
+    """Raise ``error(k)`` for the first problem ``k`` flagged in ``bad``."""
     if bad.any():
-        k = int(bad.argmax())
-        raise _TrialFailure(k, error(k))
-
-
-def _first_error(fn, h: np.ndarray, *args):
-    """``fn(h, *args)`` on a stack; a failed check raises what a loop over
-    the trials would raise.
-
-    That is the lowest-index failing trial with its first failing check.
-    When check c first fails at trial k, the trials before k passed every
-    check up to c, so rerunning them alone finds any earlier trial that
-    fails a later check; if none does, trial k's error stands.
-    """
-    try:
-        return fn(h, *args)
-    except _TrialFailure as fail:
-        k, error = fail.args
-        if k:
-            _first_error(fn, h[:k], *args)
-        raise error from None
+        raise error(int(bad.argmax()))
 
 
 def _ct(m: np.ndarray) -> np.ndarray:
@@ -172,12 +147,9 @@ def _ct(m: np.ndarray) -> np.ndarray:
 
 
 def _direct_rotation(h: np.ndarray, r: int):
-    """Direct-rotation generators of a stack ``h`` of shape (T, dim, dim).
-
-    Returns the generators G, the eigenphases and eigenvectors of iG, and
-    the transforms e^{-G} H e^{G}.  Each check is made per trial before the
-    arithmetic that depends on it, in the order of :func:`build_generator`.
-    """
+    """Direct-rotation generators of a stack ``h`` of shape (T, dim, dim),
+    with the eigenphases and eigenvectors of iG and the transforms
+    e^{-G} H e^{G}.  Each check precedes the arithmetic that needs it."""
     _, vecs = np.linalg.eigh(h)
     proj = np.sum(np.abs(vecs[:, :r, :]) ** 2, axis=1)
     order = np.argsort(-proj, axis=-1, kind="stable")
@@ -197,16 +169,8 @@ def _direct_rotation(h: np.ndarray, r: int):
     g = np.zeros_like(h)
     g[:, r:, :r] = k
     g[:, :r, r:] = -_ct(k)
-    # the checks of the Generator class, per trial
-    _require(~np.isfinite(g).all(axis=(1, 2)),
-             lambda k: ValueError("g has non-finite entries"))
-    _require(np.abs(g + _ct(g)).max(axis=(1, 2)) > HERMITIAN_TOL,
-             lambda k: ValueError("generator is not anti-Hermitian to 1e-12"))
-    blocks = np.maximum(np.abs(g[:, :r, :r]).max(axis=(1, 2)),
-                        np.abs(g[:, r:, r:]).max(axis=(1, 2)))
-    _require(blocks > BLOCK_TOL,
-             lambda k: ValueError("generator has non-zero diagonal blocks"))
-
+    # exact by construction, so not checked: g = -g^H, zero diagonal blocks,
+    # and a finite k (omega divides by sigma_min(A), checked above)
     phases, v = np.linalg.eigh(1j * g)
     u = _expm_from_eigh(phases, v)
     full = _ct(u) @ h @ u
@@ -226,7 +190,7 @@ def build_generator(prob: SuzukiProblem) -> Generator:
     below pi/2, and G is the principal logarithm of the polar rotation.
     ``sigma_min(A)^2 < 1e-12`` and a decoupling residual above 1e-10 raise.
     """
-    g, *_ = _first_error(_direct_rotation, prob.h[None], prob.r_dim)
+    g, *_ = _direct_rotation(prob.h[None], prob.r_dim)
     return Generator(g[0], prob.r_dim)
 
 
@@ -394,10 +358,9 @@ def _verify_stack(h: np.ndarray, r: int, n_max: int) -> list[WIdentityReport]:
 def verify_w_identities(problems, *, n_max: int = 12) -> list[WIdentityReport]:
     """Compare W = H_eff - RHR against -R Z_tanh[G/2, H_OD] R, per problem.
 
-    ``problems`` (any iterable, consumed in chunks) must share ``dim`` and
-    ``r_dim``.  Each chunk is verified as one stack whose arrays stay within
-    ``CHUNK_BYTES``; a failing check raises what the first failing problem
-    raises alone under :func:`verify_w_identity`.
+    ``problems`` (any iterable) must share ``dim`` and ``r_dim``.  Each chunk
+    within ``CHUNK_BYTES`` is verified as one stack, and again one problem at
+    a time if that raises, so a failure is the first failing problem's own.
     """
     it = iter(problems)
     first = next(it, None)
@@ -405,14 +368,17 @@ def verify_w_identities(problems, *, n_max: int = 12) -> list[WIdentityReport]:
         return []
     dim, r = first.dim, first.r_dim
     size = max(1, CHUNK_BYTES // (16 * dim * dim))
-    reports = []
-    chunk = [first, *itertools.islice(it, size - 1)]
-    while chunk:
+    reports, it = [], itertools.chain([first], it)
+    while chunk := list(itertools.islice(it, size)):
         if any(p.dim != dim or p.r_dim != r for p in chunk):
             raise ValueError("problems must share dim and r_dim")
         h = np.stack([p.h for p in chunk])
-        reports += _first_error(_verify_stack, h, r, n_max)
-        chunk = list(itertools.islice(it, size))
+        try:
+            reports += _verify_stack(h, r, n_max)
+        except (ValueError, ArithmeticError):
+            for i in range(len(h)):
+                _verify_stack(h[i : i + 1], r, n_max)
+            raise
     return reports
 
 

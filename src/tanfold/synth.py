@@ -25,6 +25,7 @@ from . import reports
 from .atomic import savez
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
 from .nn import scale_geometry
+from .tanmodel import _ARG_CAP
 from .tensors import (
     GeometrySeries,
     Kind,
@@ -47,9 +48,6 @@ __all__ = [
 
 #: default RMS of the noise-free bare two-body entries (see PlantSpec.target_rms)
 TARGET_RMS = 0.5
-
-#: the tangent argument must stay this far away from +-pi/2
-TAN_MARGIN = 1e-3
 
 #: softening length of the 1-D interaction kernel 1/(|x - x'| + a)
 SOFTENING = 0.1
@@ -110,9 +108,8 @@ class PlantSpec:
             raise ValueError("fourier_scale must be non-negative")
         if self.rate <= 0.0:
             raise ValueError("rate must be positive")
-        cap = math.pi / 2 - TAN_MARGIN
         for i in (1.0, float(self.ell)):
-            if abs(self.rate * (i - self.center)) >= cap:
+            if abs(self.rate * (i - self.center)) >= _ARG_CAP:
                 raise ValueError(
                     "tangent argument leaves (-pi/2, pi/2) over the index range"
                 )

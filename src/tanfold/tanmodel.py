@@ -70,7 +70,7 @@ def eval_tan(fit: TanFit, index) -> np.ndarray | float:
     """Relative shift predicted at ``index`` (scalar or array, 1-based)."""
     index = np.asarray(index, dtype=np.float64)
     arg = fit.rate * (index - fit.center)
-    if np.abs(arg).max(initial=0.0) >= math.pi / 2 - SINGULARITY_MARGIN:
+    if np.abs(arg).max(initial=0.0) >= _ARG_CAP:
         raise ValueError("tan argument within the singularity margin of pi/2")
     out = fit.amplitude * np.tan(arg)
     return float(out) if out.ndim == 0 else out
@@ -83,7 +83,11 @@ def _ratios_from_pairs(pairs, floor_rel):
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("pairs must be (index, eps_B, eps_D) triples")
+    if not np.isfinite(arr).all():
+        raise ValueError("eigenvalue pairs must be finite")
     idx, eps_b, eps_d = arr.T
+    if not eps_b.any():
+        raise ValueError("every bare eigenvalue is zero")
     floor = floor_rel * np.abs(eps_b).max()
     keep = np.abs(eps_b) >= floor
     if keep.sum() < 3:

@@ -420,6 +420,35 @@ def test_divergent_training_exits_numerical(work, tmp_path, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError; it must still exit 2, not as a usage error
+    def fail(pairs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "fit_tan", fail)
+    table = tmp_path / "eigen_differences.csv"
+    table.write_text("index,bare,eff,diff,rel_diff,flagged\n"
+                     + "".join(f"{i},{4 - i},{4.5 - i},0.5,0.1,false\n" for i in (1, 2, 3)))
+    out = tmp_path / "fit"
+    assert main(["fit-tan", "--table", str(table), "--out", str(out)]) == 2
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "table-is-a-directory"])
+def test_file_system_error_is_one_error_line(tmp_path, capsys, case):
+    if case == "out-is-a-file":
+        (tmp_path / "x").write_text("")
+        argv = ["suzuki-verify", "--dim", "4", "--rdim", "2", "--trials", "1",
+                "--out", str(tmp_path / "x")]
+    else:
+        argv = ["fit-tan", "--table", str(tmp_path), "--out", str(tmp_path / "fit")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tanfold: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # happy paths and artifacts
 # ---------------------------------------------------------------------------
@@ -728,6 +757,25 @@ def test_fit_tan_without_pairs_fails(tmp_path, capsys, rows):
     out = tmp_path / "fit"
     assert main(["fit-tan", "--table", str(table), "--out", str(out)]) == 1
     assert "need at least 3 eigenvalue pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", [
+    "nan,1.5,1.25,-0.25,-0.1666,false",
+    "2,nan,1.25,nan,nan,false",
+    "2,1.5,nan,nan,nan,false",
+    "2,1.5,inf,inf,inf,false",
+    "2,-inf,1.25,inf,-0,false",
+])
+def test_fit_tan_non_finite_row_fails(tmp_path, capsys, row):
+    table = tmp_path / "eigen_differences.csv"
+    table.write_text("index,bare,eff,diff,rel_diff,flagged\n"
+                     "1,2.5,2.25,-0.25,-0.1,false\n"
+                     f"{row}\n"
+                     "3,0.5,0.75,0.25,0.5,false\n")
+    out = tmp_path / "fit"
+    assert main(["fit-tan", "--table", str(table), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"tanfold: error: {table}:3: ")
     assert not out.exists()
 
 

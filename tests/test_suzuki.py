@@ -453,6 +453,19 @@ class TestStackedLab:
                     assert np.array_equal(build_generator(prob).g, reference_generator(prob).g)
                 assert verify_w_identity(probs[0]) == got[0]
 
+    @pytest.mark.parametrize("coupling", [0.05, 0.4])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_generators_are_exact_by_construction(self, coupling, complex_):
+        # what the Generator type checks to 1e-12 holds here bit for bit,
+        # which is why the stacked construction does not check it
+        for dim in range(3, 13):
+            for r_dim in range(1, dim):
+                probs = coupled_problems(dim, r_dim, coupling, complex_, 3, 10 * dim + r_dim)
+                g, *_ = suzuki._direct_rotation(np.stack([p.h for p in probs]), r_dim)
+                assert np.isfinite(g).all()
+                assert np.array_equal(g, -g.conj().swapaxes(1, 2))
+                assert not g[:, :r_dim, :r_dim].any() and not g[:, r_dim:, r_dim:].any()
+
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunking_leaves_reports_unchanged(self, monkeypatch, chunk):
         # 7 trials in chunks of 1, 3 (not a divisor) and 7 (one stack)

@@ -149,6 +149,22 @@ class TestEdgeCases:
             with pytest.raises(ValueError, match="need at least 3 eigenvalue pairs"):
                 fit_tan(pairs)
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pair_rejected(self, column, value):
+        pairs = [list(p) for p in make_pairs(16, 2.0e-2, 2.0e-4, 7.5)]
+        pairs[5][column] = value
+        with pytest.raises(ValueError, match="eigenvalue pairs must be finite") as err:
+            fit_tan(pairs)
+        assert not isinstance(err.value, np.linalg.LinAlgError)
+
+    def test_all_zero_bare_eigenvalues_rejected(self):
+        # the floor is 0 and every ratio inf or nan: no law to fit
+        for eps_d in (1.0, 0.0):
+            with pytest.raises(ValueError, match="every bare eigenvalue is zero") as err:
+                fit_tan([(1, 0, eps_d), (2, 0, eps_d), (3, 0, eps_d)])
+            assert not isinstance(err.value, np.linalg.LinAlgError)
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             fit_tan([(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
