@@ -9,7 +9,7 @@ The package has three legs:
 * an exact block-decoupling laboratory for small Hermitian matrices
   that ties the tangent picture to unitary downfolding (``suzuki``),
 
-plus synthetic data generators with planted ground truth (``synth``),
+plus a synthetic data generator with planted ground truth (``synth``),
 named presets (``presets``) and a command-line interface (``cli``).
 """
 
@@ -44,14 +44,7 @@ from .suzuki import (  # noqa: F401
     z_tanh_closed,
     z_tanh_series,
 )
-from .synth import (  # noqa: F401
-    GridSpec,
-    PlantResult,
-    PlantSpec,
-    plant_series,
-    save_plant,
-    toy_integrals_1d,
-)
+from .synth import PlantResult, PlantSpec, plant_series, save_plant  # noqa: F401
 from .tanmodel import TanFit, eval_tan, fit_tan  # noqa: F401
 from .tensors import (  # noqa: F401
     GeometrySeries,

@@ -1,22 +1,16 @@
 """Synthetic datasets with fully known ground truth.
 
-Two generators live here:
-
-* :func:`plant_series` builds a geometry series of bare and effective
-  tensors from planted pseudo-orbital features and planted symmetric
-  kernels whose spectra are linked by the tangent law.  Every hidden
-  object (features, kernels, spectra, basis) is returned, so recovery
-  pipelines can be scored against exact truth.
-* :func:`toy_integrals_1d` produces a bare tensor set from honest 1-D
-  quadrature: a harmonic one-body operator and a softened Coulomb
-  two-body kernel over Gaussian basis functions.
+:func:`plant_series` builds a geometry series of bare and effective
+tensors from planted pseudo-orbital features and planted symmetric
+kernels whose spectra are linked by the tangent law.  Every hidden
+object (features, kernels, spectra, basis) is returned, so recovery
+pipelines can be scored against exact truth.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,39 +20,16 @@ from .atomic import savez
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
 from .nn import scale_geometry
 from .tanmodel import _ARG_CAP
-from .tensors import (
-    GeometrySeries,
-    Kind,
-    TensorSet,
-    one_body_representatives,
-    orbit_table,
-    save_series,
-    symmetry_for,
-)
+from .tensors import GeometrySeries, Kind, TensorSet, save_series
 
-__all__ = [
-    "GridSpec",
-    "PlantResult",
-    "PlantSpec",
-    "plant_series",
-    "refine",
-    "save_plant",
-    "toy_integrals_1d",
-]
+__all__ = ["PlantResult", "PlantSpec", "plant_series", "save_plant"]
 
 #: default RMS of the noise-free bare two-body entries (see PlantSpec.target_rms)
 TARGET_RMS = 0.5
 
-#: softening length of the 1-D interaction kernel 1/(|x - x'| + a)
-SOFTENING = 0.1
-
 _N_BASIS = 5
 _TWO_PI = 2.0 * math.pi
 
-
-# ---------------------------------------------------------------------------
-# planted factorized series
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PlantSpec:
@@ -281,128 +252,4 @@ def save_plant(result: PlantResult, directory: str | os.PathLike) -> None:
         coef_phi=result.coef_phi,
         coef_psi=result.coef_psi,
         coef_deform=result.coef_deform,
-    )
-
-
-# ---------------------------------------------------------------------------
-# toy 1-D quadrature integrals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform quadrature grid on [x_min, x_max] with n_points nodes."""
-
-    x_min: float = -8.0
-    x_max: float = 8.0
-    n_points: int = 65537
-
-    def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.n_points < 3:
-            raise ValueError("need at least 3 grid points")
-
-    @property
-    def spacing(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
-
-
-def refine(grid: GridSpec) -> GridSpec:
-    """Halve the spacing while keeping every existing node."""
-    return GridSpec(grid.x_min, grid.x_max, 2 * grid.n_points - 1)
-
-
-def toy_integrals_1d(
-    basis: list[tuple[float, float]],
-    grid: GridSpec = GridSpec(),
-    *,
-    geometry: float = 0.0,
-) -> TensorSet:
-    """Bare tensors from 1-D quadrature over Gaussian basis functions.
-
-    ``basis`` lists (center, width) pairs for normalized Gaussians.  The
-    one-body operator is -(1/2) d^2/dx^2 + (1/2) x^2 with a three-point
-    Laplacian stencil; the two-body kernel is 1/(|x - x'| + 0.1).  Both are
-    integrated with trapezoid weights; the double integral is evaluated by
-    FFT convolution over the difference kernel, which is the same quadrature
-    sum to rounding.  Entries are computed once per canonical index and
-    expanded, so the output is exactly symmetric.
-    """
-    if not basis:
-        raise ValueError("need at least one basis function")
-    widths = np.array([w for _, w in basis], dtype=np.float64)
-    if (widths <= 0).any():
-        raise ValueError("widths must be positive")
-    h = grid.spacing
-    if (widths / h).min() < 8.0:
-        warnings.warn(
-            "quadrature grid under-resolves a basis width "
-            f"({widths.min():.3g} vs spacing {h:.3g}); refine the grid",
-            stacklevel=2,
-        )
-
-    x = grid.nodes()
-    n = grid.n_points
-    n_orb = len(basis)
-    funcs = np.empty((n_orb, n))
-    for i, (c, w) in enumerate(basis):
-        funcs[i] = (w * math.sqrt(math.pi)) ** -0.5 * np.exp(
-            -((x - c) ** 2) / (2.0 * w * w)
-        )
-
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2.0
-
-    # one-body: phi_p^T diag(weights) (T + V) phi_q, zero-padded stencil
-    lap = np.empty_like(funcs)
-    lap[:, 1:-1] = funcs[:, :-2] - 2.0 * funcs[:, 1:-1] + funcs[:, 2:]
-    lap[:, 0] = -2.0 * funcs[:, 0] + funcs[:, 1]
-    lap[:, -1] = funcs[:, -2] - 2.0 * funcs[:, -1]
-    h_funcs = -0.5 * lap / (h * h) + 0.5 * x * x * funcs
-
-    one_body = np.zeros((n_orb, n_orb))
-    for p, q in one_body_representatives(n_orb):
-        v = 0.5 * (
-            float(weights @ (funcs[p] * h_funcs[q]))
-            + float(weights @ (funcs[q] * h_funcs[p]))
-        )
-        one_body[p, q] = one_body[q, p] = v
-
-    # two-body: pair densities against the convolved softened kernel
-    pair_index = {}
-    pairs = []
-    for p in range(n_orb):
-        for q in range(p, n_orb):
-            pair_index[(p, q)] = pair_index[(q, p)] = len(pairs)
-            pairs.append(weights * funcs[p] * funcs[q])
-    pairs = np.array(pairs)
-
-    # imported here, its only use: scipy.signal would add about a second
-    # to every `import tanfold`
-    from scipy.signal import fftconvolve
-
-    lags = np.arange(-(n - 1), n, dtype=np.float64) * h
-    kernel = 1.0 / (np.abs(lags) + SOFTENING)
-    convolved = np.array(
-        [fftconvolve(row, kernel)[n - 1 : 2 * n - 1] for row in pairs]
-    )
-
-    table = orbit_table(n_orb, symmetry_for(Kind.BARE))
-    values = []
-    for p, q, r, s in table.reps.tolist():
-        a, b = pair_index[(p, q)], pair_index[(r, s)]
-        values.append(0.5 * (pairs[a] @ convolved[b] + pairs[b] @ convolved[a]))
-    two_body = table.expand(values)
-
-    return TensorSet(
-        geometry=geometry,
-        kind=Kind.BARE,
-        n_orb=n_orb,
-        scalar_term=0.0,
-        one_body=one_body,
-        two_body=two_body,
-        system="toy-1d",
     )

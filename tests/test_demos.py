@@ -18,7 +18,7 @@ SRC = os.path.dirname(os.path.dirname(tanfold.__file__))
 # are left out: they train through the training API that the
 # acceptance checks run; test_slow_demo_imports_exist guards their imports
 @pytest.mark.parametrize("name", [
-    "block_decoupling.py", "exact_spectral_fit.py", "toy_integrals.py",
+    "block_decoupling.py", "exact_spectral_fit.py", "gauge_dependence.py",
 ])
 def test_demo_exits_cleanly(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

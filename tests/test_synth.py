@@ -8,15 +8,8 @@ import pytest
 
 from tanfold.heads import eval_bare_two, eval_eff_two, eval_one
 from tanfold.nn import scale_geometry
-from tanfold.synth import (
-    GridSpec,
-    PlantSpec,
-    plant_series,
-    refine,
-    save_plant,
-    toy_integrals_1d,
-)
-from tanfold.tensors import Kind, load_series, nonsymmetric_unit
+from tanfold.synth import PlantSpec, plant_series, save_plant
+from tanfold.tensors import Kind, load_series
 
 SMALL = PlantSpec(
     n_orb=4,
@@ -171,11 +164,11 @@ class TestPlantSeries:
 
 
 class TestToyIntegrals:
-    BASIS = [(0.0, 1.0), (0.8, 1.2), (-0.5, 0.9)]
+    # the 1-D quadrature generator this class once tested is gone; its
+    # import-cost guard stays: scipy.signal costs about a second to
+    # import, which every process importing the package would pay
 
     def test_package_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal costs about a second to import, which every CLI
-        # process would pay; only toy_integrals_1d needs it, and loads it
         import tanfold
 
         src = os.path.dirname(os.path.dirname(tanfold.__file__))
@@ -184,52 +177,3 @@ class TestToyIntegrals:
         ))
         code = "import sys, tanfold; assert 'scipy.signal' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-    def test_harmonic_ground_state_energy(self):
-        # a unit-width Gaussian at the origin is the exact ground state of
-        # -(1/2) d^2/dx^2 + (1/2) x^2 with energy 1/2
-        ts = toy_integrals_1d([(0.0, 1.0)], GridSpec())
-        assert abs(ts.one_body[0, 0] - 0.5) < 1e-7
-
-    def test_softened_self_interaction_is_finite(self):
-        ts = toy_integrals_1d([(0.0, 1.0)], GridSpec())
-        assert np.isfinite(ts.two_body[0, 0, 0, 0])
-        assert 0.0 < ts.two_body[0, 0, 0, 0] < 1.0 / 0.1
-
-    def test_exact_eight_fold_symmetry(self):
-        tb = toy_integrals_1d(self.BASIS, GridSpec(-8, 8, 4097)).two_body
-        perms = [
-            (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
-            (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
-        ]
-        for perm in perms:
-            assert np.array_equal(tb, tb.transpose(perm))
-
-    def test_grid_doubling_converges(self):
-        coarse = toy_integrals_1d(self.BASIS, GridSpec())
-        fine = toy_integrals_1d(self.BASIS, refine(GridSpec()))
-        rel_two = (
-            np.abs(fine.two_body - coarse.two_body).max()
-            / np.abs(coarse.two_body).max()
-        )
-        rel_one = (
-            np.abs(fine.one_body - coarse.one_body).max()
-            / np.abs(coarse.one_body).max()
-        )
-        assert rel_two < 1e-6
-        assert rel_one < 1e-6
-
-    def test_under_resolved_grid_warns(self):
-        with pytest.warns(UserWarning, match="under-resolve"):
-            toy_integrals_1d([(0.0, 0.001)], GridSpec(-2.0, 2.0, 65))
-
-    def test_rejects_empty_or_bad_basis(self):
-        with pytest.raises(ValueError):
-            toy_integrals_1d([], GridSpec())
-        with pytest.raises(ValueError):
-            toy_integrals_1d([(0.0, -1.0)], GridSpec())
-
-    def test_passes_tensor_validators(self):
-        ts = toy_integrals_1d(self.BASIS, GridSpec(-8, 8, 4097))
-        assert ts.kind is Kind.BARE
-        assert len(nonsymmetric_unit(ts)) == 21  # 3-orbital 8-fold unit
