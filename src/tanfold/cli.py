@@ -12,12 +12,13 @@ suzuki-verify     random trials of the exact block-decoupling identity
 report            collect the plot-ready CSVs of a finished pipeline run
 
 Conventions: exit 0 on success, 1 on validation/usage errors, 2 on
-numerical failures.  All randomness flows from ``--seed``.  Hyperparameters
-come from presets, overridden by ``--config`` (flat ``key = value`` lines),
-overridden by ``--seed``.  Every run directory gains a
-``manifest.json`` recording the resolved configuration; the manifest is a
-run log (it contains wall time) and is not part of the deterministic
-output-file contract.  CSV schemas are documented in FORMATS.md.
+numerical failures.  All randomness flows from ``--seed``; ``suzuki-verify``
+takes seed 0 without it.  Hyperparameters come from presets, overridden by
+``--config`` (flat ``key = value`` lines), overridden by ``--seed``.  A
+stage that succeeds writes ``manifest.json`` to ``--out`` after its other
+outputs: the resolved configuration, the seed, the BLAS thread-count
+variables and the wall time.  The manifest is a run log and not part of the
+deterministic output-file contract.  CSV schemas are documented in FORMATS.md.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ __all__ = ["main"]
 _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_NUMERICAL = 2
+
+#: the thread-count variables of BLAS and OpenMP; outputs are bit-identical
+#: only at one count, so every manifest records them
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "SCIPY_OPENBLAS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -123,33 +129,6 @@ def _config_overrides(config_path, fields_of) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# manifest
-# ---------------------------------------------------------------------------
-
-def _write_manifest(out_dir, subcommand: str, resolved: dict, *, seed, started: float) -> None:
-    payload = {
-        "subcommand": subcommand,
-        "config": resolved,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 3),
-    }
-    reports.write_json(os.path.join(out_dir, "manifest.json"), payload)
-
-
-def _jsonable(value):
-    """``dataclasses.asdict`` output with its enums as their values and its
-    tuples as lists."""
-    if isinstance(value, HeadKind):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
-# ---------------------------------------------------------------------------
 # stage resolution
 # ---------------------------------------------------------------------------
 
@@ -163,50 +142,43 @@ def _resolve(preset, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its outputs to ``--out`` and returns the
+# resolved configuration and the seed that ``main`` records in the manifest
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(args) -> int:
-    started = time.perf_counter()
+def _cmd_synth(args):
     spec = _resolve(presets.plant_preset(args.plant), args)
-    out = args.out
     result = plant_series(spec)
-    save_plant(result, out)
-    _write_manifest(out, "synth", {"plant": args.plant, **_jsonable(dataclasses.asdict(spec))},
-                    seed=spec.seed, started=started)
-    print(f"planted {len(result.series.tensor_sets)} tensor sets -> {out}")
-    return _EXIT_OK
+    save_plant(result, args.out)
+    print(f"planted {len(result.series.tensor_sets)} tensor sets -> {args.out}")
+    return {"plant": args.plant, **dataclasses.asdict(spec)}, spec.seed
 
 
 def _head_for(body: int, kind: Kind) -> HeadKind:
     return next(h for h in HeadKind if h.body == body and h.kind is kind)
 
 
-def _write_fit(out, subcommand: str, model, report, inputs: dict, started: float) -> int:
-    """The outputs of a training stage: the model directory, ``mae.csv``,
-    ``fit_report.txt`` and the manifest; the report also goes to stdout."""
+def _write_fit(out, model, report, inputs: dict):
+    """The outputs of a training stage: the model directory, ``mae.csv`` and
+    ``fit_report.txt``; the report also goes to stdout."""
     cfg = report.config
     text = reports.fit_report_text(report)
     save_model(model, os.path.join(out, "model"))
     reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
     with replacing(os.path.join(out, "fit_report.txt")) as tmp, open(tmp, "w") as fh:
         fh.write(text)
-    _write_manifest(out, subcommand, {**inputs, **_jsonable(dataclasses.asdict(cfg))},
-                    seed=cfg.seed, started=started)
     print(text, end="")
     print(f"wall_time_s: {report.wall_time:.3f}")
-    return _EXIT_OK
+    return {**inputs, **dataclasses.asdict(cfg), "stage": cfg.stage.value}, cfg.seed
 
 
-def _cmd_train_bare(args) -> int:
-    started = time.perf_counter()
+def _cmd_train_bare(args):
     stage = _head_for(args.body, Kind.BARE)
     cfg = _resolve(presets.training_config(args.system, stage), args)
     series = load_series(args.data, kind=Kind.BARE)
-    out = args.out
     model, report = train_bare(series, cfg)
-    return _write_fit(out, "train-bare", model, report,
-                      {"system": args.system, "data": os.fspath(args.data)}, started)
+    return _write_fit(args.out, model, report,
+                      {"system": args.system, "data": os.fspath(args.data)})
 
 
 def _parse_refs(text: str) -> list[float]:
@@ -217,35 +189,28 @@ def _parse_refs(text: str) -> list[float]:
         raise _UsageError(f"--refs must be comma-separated numbers, got {text!r}")
 
 
-def _cmd_finetune(args) -> int:
-    started = time.perf_counter()
+def _cmd_finetune(args):
     bare_model = load_model(args.model)
     stage = _head_for(bare_model.head.body, Kind.EFFECTIVE)
     cfg = _resolve(presets.training_config(args.system, stage), args)
     series = load_series(args.data, kind=Kind.EFFECTIVE)
     refs = _parse_refs(args.refs) if args.refs else None
-    out = args.out
     model, report = finetune_effective(series, bare_model, cfg, refs=refs)
-    return _write_fit(out, "finetune", model, report,
+    return _write_fit(args.out, model, report,
                       {"system": args.system, "data": os.fspath(args.data),
-                       "model": os.fspath(args.model), "refs": refs}, started)
+                       "model": os.fspath(args.model), "refs": refs})
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
+def _cmd_eval(args):
     model = load_model(args.model)
     series = load_series(args.data, kind=model.head.kind)
     refs = _parse_refs(args.refs) if args.refs else []
-    out = args.out
     per_geometry = evaluate_mae(model, series, train_geometries=refs)
-    os.makedirs(out, exist_ok=True)
-    reports.write_mae_csv(os.path.join(out, "mae.csv"), per_geometry)
-    _write_manifest(out, "eval",
-                    {"model": os.fspath(args.model), "data": os.fspath(args.data), "refs": refs},
-                    seed=None, started=started)
+    os.makedirs(args.out, exist_ok=True)
+    reports.write_mae_csv(os.path.join(args.out, "mae.csv"), per_geometry)
     overall = float(np.mean([g.unit_mae for g in per_geometry]))
     print(f"evaluated {len(per_geometry)} geometries, mean unit MAE {overall:.6g}")
-    return _EXIT_OK
+    return {"model": os.fspath(args.model), "data": os.fspath(args.data), "refs": refs}, None
 
 
 def _load_kernel_matrix(path, planted: str) -> np.ndarray:
@@ -262,24 +227,19 @@ def _load_kernel_matrix(path, planted: str) -> np.ndarray:
     return load_kernel(path)
 
 
-def _cmd_analyze_spectrum(args) -> int:
-    started = time.perf_counter()
+def _cmd_analyze_spectrum(args):
     bare = eig_sym(_load_kernel_matrix(args.bare, "w_bare"))
     eff = eig_sym(_load_kernel_matrix(args.eff, "w_eff"))
-    out = args.out
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
-    os.makedirs(out, exist_ok=True)
-    reports.write_overlap_csv(os.path.join(out, "overlap.csv"), alignment)
-    reports.write_difference_csv(os.path.join(out, "eigen_differences.csv"), table)
-    _write_manifest(out, "analyze-spectrum",
-                    {"bare": os.fspath(args.bare), "eff": os.fspath(args.eff)},
-                    seed=None, started=started)
+    os.makedirs(args.out, exist_ok=True)
+    reports.write_overlap_csv(os.path.join(args.out, "overlap.csv"), alignment)
+    reports.write_difference_csv(os.path.join(args.out, "eigen_differences.csv"), table)
     print(
         f"aligned {alignment.dim} eigenpairs: min diagonal overlap "
         f"{alignment.score:.6f}, max off-diagonal {alignment.max_off_diagonal:.6f}"
     )
-    return _EXIT_OK
+    return {"bare": os.fspath(args.bare), "eff": os.fspath(args.eff)}, None
 
 
 def _read_difference_csv(path):
@@ -307,62 +267,54 @@ def _read_difference_csv(path):
     return rows
 
 
-def _cmd_fit_tan(args) -> int:
-    started = time.perf_counter()
+def _cmd_fit_tan(args):
     pairs = _read_difference_csv(args.table)
-    out = args.out
     fit = fit_tan(pairs)
-    os.makedirs(out, exist_ok=True)
-    reports.write_tanfit_json(os.path.join(out, "tanfit.json"), fit)
+    os.makedirs(args.out, exist_ok=True)
+    reports.write_tanfit_json(os.path.join(args.out, "tanfit.json"), fit)
     # re-emit the fitted curve against the observed relative differences
     index, bare, eff = (np.array(column) for column in zip(*pairs))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = (eff - bare) / bare
     table = DifferenceTable(index=index, bare=bare, eff=eff, diff=eff - bare, rel_diff=rel,
                             flagged=np.zeros(index.size, dtype=bool))
-    reports.write_tanfit_csv(os.path.join(out, "tanfit.csv"), table, fit)
-    _write_manifest(out, "fit-tan", {"table": os.fspath(args.table)},
-                    seed=None, started=started)
+    reports.write_tanfit_csv(os.path.join(args.out, "tanfit.csv"), table, fit)
     print(
         f"tan fit: rate {fit.rate:.6g}, amplitude {fit.amplitude:.6g}, "
         f"center {fit.center:.6g}, residual {fit.residual:.3g}"
     )
-    return _EXIT_OK
+    return {"table": os.fspath(args.table)}, None
 
 
-def _cmd_suzuki_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_suzuki_verify(args):
     if args.rdim >= args.dim:
         raise _UsageError("--rdim must be smaller than --dim")
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
-    out = args.out
-    seeds = np.random.SeedSequence(args.seed).generate_state(args.trials)
+    seed = 0 if args.seed is None else args.seed  # the presets' default seed
+    seeds = np.random.SeedSequence(seed).generate_state(args.trials)
     problems = (random_coupled_problem(args.dim, args.rdim, args.coupling, int(s))
                 for s in seeds)
     results = verify_w_identities(problems, n_max=args.n_max)
     trials = np.arange(args.trials)
     errors = np.array([r.series_errors for r in results])
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     reports.write_csv(
-        os.path.join(out, "residuals.csv"),
+        os.path.join(args.out, "residuals.csv"),
         ("trial", "seed", "rel_frobenius", "max_abs", "half_spread"),
         (trials, seeds, [r.rel_frobenius for r in results], [r.max_abs for r in results],
          [r.half_spread for r in results]),
     )
     reports.write_csv(
-        os.path.join(out, "series_convergence.csv"),
+        os.path.join(args.out, "series_convergence.csv"),
         ("trial", "order", "rel_error"),
         (trials.repeat(errors.shape[1]), np.tile(np.arange(1, errors.shape[1] + 1), args.trials),
          errors.ravel()),
     )
-    _write_manifest(out, "suzuki-verify",
-                    {"dim": args.dim, "rdim": args.rdim, "coupling": args.coupling,
-                     "trials": args.trials, "n_max": args.n_max},
-                    seed=args.seed, started=started)
     worst = max(r.rel_frobenius for r in results)
     print(f"{args.trials} trials: worst relative residual {worst:.3e}")
-    return _EXIT_OK
+    return {"dim": args.dim, "rdim": args.rdim, "coupling": args.coupling,
+            "trials": args.trials, "n_max": args.n_max}, seed
 
 
 def _require(path, stage):
@@ -371,11 +323,10 @@ def _require(path, stage):
     return path
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     """Copy the outputs of finetune, analyze-spectrum and fit-tan from
     ``--run`` into ``--out``, byte for byte.  Every input is checked, and
     ``tanfit.json`` read, before ``--out`` is made."""
-    started = time.perf_counter()
     run_dir = os.fspath(args.run)
     sources = [_require(os.path.join(run_dir, rel), stage) for rel, stage in (
         ("stage2/mae.csv", "finetune"), ("spectrum/overlap.csv", "analyze-spectrum"),
@@ -383,15 +334,14 @@ def _cmd_report(args) -> int:
         ("fit/tanfit.csv", "fit-tan"), ("fit/tanfit.json", "fit-tan"))]
     with open(sources[-1]) as fh:
         fit = json.load(fh)
-    rate, center = fit["rate"], fit["center"]
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    if not isinstance(fit, dict) or any(type(fit.get(k)) not in (int, float)
+                                        for k in ("rate", "center")):
+        raise _UsageError(f"{sources[-1]}: expected a JSON object with numeric rate and center")
+    os.makedirs(args.out, exist_ok=True)
     for src in sources:
-        reports.copy_file(src, os.path.join(out, os.path.basename(src)))
-    _write_manifest(out, "report", {"system": args.system, "run": run_dir},
-                    seed=None, started=started)
-    print(f"report for {args.system}: tan rate {rate:.4g}, center {center:.4g}")
-    return _EXIT_OK
+        reports.copy_file(src, os.path.join(args.out, os.path.basename(src)))
+    print(f"report for {args.system}: tan rate {fit['rate']:.4g}, center {fit['center']:.4g}")
+    return {"system": args.system, "run": run_dir}, None
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +353,13 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand")
 
-    def common(p, *, seed=False, config=False):
-        """``--out`` and those of ``--seed`` and ``--config`` that the
-        subcommand's handler reads.  Each handler creates ``--out``
-        only once its inputs have passed validation and its computation has
-        succeeded, just before the first write, so a failed run leaves no
-        directory behind."""
+    def common(p, handler, *, seed=False, config=False):
+        """``handler``, ``--out`` and those of ``--seed`` and ``--config``
+        that the handler reads.  Each handler creates ``--out`` only once
+        its inputs have passed validation and its computation has succeeded,
+        just before the first write, so a failed run leaves no directory
+        behind."""
+        p.set_defaults(handler=handler)
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if config:
@@ -417,35 +368,35 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a planted dataset")
     p.add_argument("--plant", required=True)
-    common(p, seed=True, config=True)
+    common(p, _cmd_synth, seed=True, config=True)
 
     p = sub.add_parser("train-bare", help="stage 1: fit bare tensors")
     p.add_argument("--system", required=True)
     p.add_argument("--body", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", required=True)
-    common(p, seed=True, config=True)
+    common(p, _cmd_train_bare, seed=True, config=True)
 
     p = sub.add_parser("finetune", help="stage 2: fine-tune on effective tensors")
     p.add_argument("--system", required=True)
     p.add_argument("--model", required=True, help="stage-1 model directory")
     p.add_argument("--data", required=True)
     p.add_argument("--refs", default=None, help="comma-separated reference geometries")
-    common(p, seed=True, config=True)
+    common(p, _cmd_finetune, seed=True, config=True)
 
     p = sub.add_parser("eval", help="per-geometry MAE of a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--refs", default=None)
-    common(p)
+    common(p, _cmd_eval)
 
     p = sub.add_parser("analyze-spectrum", help="align two kernel spectra")
     p.add_argument("--bare", required=True, help="model directory, kernel .npz or provenance.npz")
     p.add_argument("--eff", required=True)
-    common(p)
+    common(p, _cmd_analyze_spectrum)
 
     p = sub.add_parser("fit-tan", help="fit the tangent law to eigen differences")
     p.add_argument("--table", required=True, help="eigen_differences.csv")
-    common(p)
+    common(p, _cmd_fit_tan)
 
     p = sub.add_parser("suzuki-verify", help="random block-decoupling trials")
     p.add_argument("--dim", type=int, default=10)
@@ -453,26 +404,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--coupling", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n-max", type=int, default=12)
-    common(p, seed=True)
+    common(p, _cmd_suzuki_verify, seed=True)
 
     p = sub.add_parser("report", help="collect plot-ready CSVs from a run")
     p.add_argument("--system", required=True)
     p.add_argument("--run", required=True, help="pipeline run directory")
-    common(p)
+    common(p, _cmd_report)
 
     return parser
-
-
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "train-bare": _cmd_train_bare,
-    "finetune": _cmd_finetune,
-    "eval": _cmd_eval,
-    "analyze-spectrum": _cmd_analyze_spectrum,
-    "fit-tan": _cmd_fit_tan,
-    "suzuki-verify": _cmd_suzuki_verify,
-    "report": _cmd_report,
-}
 
 
 def _usage_text(parser) -> str:
@@ -491,7 +430,14 @@ def main(argv=None) -> int:
         if not args.subcommand:
             sys.stderr.write(_usage_text(parser))
             return _EXIT_USAGE
-        return _HANDLERS[args.subcommand](args)
+        started = time.perf_counter()
+        resolved, seed = args.handler(args)
+        reports.write_json(os.path.join(args.out, "manifest.json"), {
+            "subcommand": args.subcommand, "config": resolved, "seed": seed,
+            "version": __version__, "wall_time_s": round(time.perf_counter() - started, 3),
+            "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+        })
+        return _EXIT_OK
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # before ValueError: LinAlgError is one
         sys.stderr.write(f"tanfold: numerical failure: {exc}\n")
         return _EXIT_NUMERICAL

@@ -313,8 +313,9 @@ def _read_checkpoint(path, layout: str, keys) -> dict[str, np.ndarray]:
     """The arrays of the checkpoint archive at ``path``.
 
     The archive must hold ``version``, ``layout`` and ``keys``, each stored
-    as an array, with this package's version and ``layout``; a member that
-    is missing or not an array is named with the file.
+    as an array, with this package's version and ``layout``; ``version``,
+    ``layout``, ``step`` and ``seed`` must be 0-d.  A member that is
+    missing, not an array or not 0-d is named with the file.
     """
     with np.load(path) as data:
         stored = {key: data[key] for key in data.files}
@@ -324,6 +325,10 @@ def _read_checkpoint(path, layout: str, keys) -> dict[str, np.ndarray]:
     raw = [k for k, v in stored.items() if not isinstance(v, np.ndarray)]
     if raw:
         raise ValueError(f"{path}: not stored as arrays: {', '.join(raw)}")
+    shaped = [f"{k} {stored[k].shape}" for k in ("version", "layout", "step", "seed")
+              if k in stored and stored[k].ndim]
+    if shaped:
+        raise ValueError(f"{path}: expected 0-d members, got {', '.join(shaped)}")
     if int(stored["version"]) != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {int(stored['version'])} != {CHECKPOINT_VERSION}")
     if str(stored["layout"]) != layout:
@@ -336,6 +341,9 @@ def _read_checkpoint(path, layout: str, keys) -> dict[str, np.ndarray]:
 def load_net(path) -> OrbitalNet:
     """Read a checkpoint written by :func:`save_net`."""
     data = _read_checkpoint(path, "orbital-net", ("sizes", "seed", "step"))
+    if data["sizes"].ndim != 1 or data["sizes"].dtype.kind not in "iu":
+        raise ValueError(f"{path}: sizes must be a 1-D integer array, got "
+                         f"{data['sizes'].dtype} of shape {data['sizes'].shape}")
     sizes = data["sizes"].tolist()
     if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
         raise ValueError(f"{path}: bad layer widths {sizes}")

@@ -691,10 +691,13 @@ def save_model(model, directory: str | os.PathLike) -> None:
 
 
 def _model_meta(directory: str) -> dict:
-    with open(os.path.join(directory, "model.json")) as fh:
+    path = os.path.join(directory, "model.json")
+    with open(path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
     if meta.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {meta.get('format')!r}")
+        raise ValueError(f"{path}: unsupported model format {meta.get('format')!r}")
     return meta
 
 

@@ -47,7 +47,8 @@ hidden = 16,16
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
-    """One tiny pipeline run shared by the read-only tests below."""
+    """One tiny pipeline run of all eight stages, shared by the read-only
+    tests below."""
     root = tmp_path_factory.mktemp("cli")
     plant_cfg = root / "plant.cfg"
     plant_cfg.write_text(TINY_PLANT)
@@ -74,6 +75,12 @@ def work(tmp_path_factory):
                  "--out", str(run / "spectrum")]) == 0
     assert main(["fit-tan", "--table", str(run / "spectrum" / "eigen_differences.csv"),
                  "--out", str(run / "fit")]) == 0
+    assert main(["eval", "--model", str(run / "stage2" / "model"), "--data", str(data),
+                 "--out", str(run / "eval")]) == 0
+    assert main(["suzuki-verify", "--dim", "6", "--rdim", "2", "--trials", "3", "--seed", "2",
+                 "--out", str(run / "suzuki")]) == 0
+    assert main(["report", "--system", "desk", "--run", str(run),
+                 "--out", str(run / "report")]) == 0
     return {"root": root, "data": data, "run": run,
             "plant_cfg": plant_cfg, "train_cfg": train_cfg}
 
@@ -449,9 +456,63 @@ def test_file_system_error_is_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def _rewrite_npz(path, **members):
+    with np.load(path) as data:
+        stored = {key: data[key] for key in data.files}
+    np.savez(path, **{**stored, **members})
+
+
+@pytest.mark.parametrize("command, rel, corrupt", [
+    ("finetune", "stage1/model/net0.npz", lambda p: _rewrite_npz(p, seed=np.array([1, 2]))),
+    ("eval", "stage2/model/net0.npz", lambda p: _rewrite_npz(p, seed=np.array([1, 2]))),
+    ("eval", "stage2/model/net0.npz", lambda p: _rewrite_npz(p, sizes=np.ones((2, 2), int))),
+    ("eval", "stage2/model/net0.npz", lambda p: _rewrite_npz(p, sizes=np.array([3.0, 8.0]))),
+    ("analyze-spectrum", "stage1/model/kernel.npz", lambda p: _rewrite_npz(p, version=np.ones(2))),
+    ("analyze-spectrum", "stage2/model/kernel.npz", lambda p: _rewrite_npz(p, step=np.zeros(3))),
+    ("finetune", "stage1/model/model.json", lambda p: p.write_text("[1, 2]\n")),
+    ("eval", "stage2/model/model.json", lambda p: p.write_text('"model"\n')),
+    ("report", "fit/tanfit.json", lambda p: p.write_text("[1, 2]\n")),
+    ("report", "fit/tanfit.json", lambda p: p.write_text('{"rate": "fast", "center": 4}\n')),
+    ("report", "fit/tanfit.json", lambda p: p.write_text('{"rate": 0.05}\n')),
+], ids=["net-seed-finetune", "net-seed-eval", "net-sizes-2d", "net-sizes-float",
+        "kernel-version", "kernel-step", "model-json-list", "model-json-string",
+        "tanfit-list", "tanfit-rate-text", "tanfit-no-center"])
+def test_corrupt_input_is_one_error_line(work, tmp_path, capsys, command, rel, corrupt):
+    # a stored member of the wrong shape or type is named with its file by
+    # the reader, before --out is made
+    run = tmp_path / "run"
+    for stage in ("stage1", "stage2", "spectrum", "fit"):
+        shutil.copytree(work["run"] / stage, run / stage)
+    corrupt(run / rel)
+    out = str(tmp_path / "out")
+    argv = (["report", "--system", "desk", "--run", str(run), "--out", out] if command == "report"
+            else _stage_argv(command, run, work, out))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tanfold: error: {run / rel}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # happy paths and artifacts
 # ---------------------------------------------------------------------------
+
+#: the subcommand that wrote each directory of the ``work`` fixture
+_STAGE_DIRS = {"data": "synth", "run/stage1": "train-bare", "run/stage2": "finetune",
+               "run/eval": "eval", "run/spectrum": "analyze-spectrum", "run/fit": "fit-tan",
+               "run/suzuki": "suzuki-verify", "run/report": "report"}
+
+
+@pytest.mark.parametrize("directory, subcommand", _STAGE_DIRS.items())
+def test_every_stage_writes_its_manifest(work, directory, subcommand):
+    manifest = json.loads((work["root"] / directory / "manifest.json").read_text())
+    assert set(manifest) == {"subcommand", "config", "seed", "version", "wall_time_s",
+                             "blas_threads"}
+    assert manifest["subcommand"] == subcommand
+    assert manifest["blas_threads"] == {var: os.environ.get(var)
+                                        for var in cli._BLAS_THREAD_VARS}
+
 
 def test_synth_writes_series_and_manifest(work):
     data = work["data"]
@@ -779,12 +840,8 @@ def test_fit_tan_non_finite_row_fails(tmp_path, capsys, row):
     assert not out.exists()
 
 
-def test_suzuki_verify_artifacts(tmp_path, capsys):
-    out = tmp_path / "sz"
-    code = main(["suzuki-verify", "--dim", "6", "--rdim", "2",
-                 "--coupling", "0.05", "--trials", "3", "--seed", "2",
-                 "--out", str(out)])
-    assert code == 0
+def test_suzuki_verify_artifacts(work):
+    out = work["run"] / "suzuki"
     rows = (out / "residuals.csv").read_text().splitlines()
     assert rows[0] == "trial,seed,rel_frobenius,max_abs,half_spread"
     assert len(rows) == 4
@@ -843,6 +900,15 @@ def test_train_rerun_is_bit_identical(work, tmp_path):
     trees = _tree_bytes(a), _tree_bytes(b)
     assert trees[0].keys() == trees[1].keys()
     assert trees[0] == trees[1]
+
+
+def test_suzuki_verify_without_seed_uses_seed_0(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["suzuki-verify", "--dim", "6", "--rdim", "2",
+                     "--trials", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+    assert _tree_bytes(a) == _tree_bytes(b)
 
 
 def test_suzuki_rerun_is_bit_identical(tmp_path):

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from tanfold import cli
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
@@ -39,3 +41,7 @@ def test_a_tree_against_itself_differs_in_no_file(tool, capsys):
     assert tool.main([ROOT, ROOT, "--workload", "desk", "--seed", "3"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("desk seed 3: 0 of ") and last.endswith(" files differ")
+
+
+def test_runs_at_the_thread_counts_every_manifest_records(tool):
+    assert tool.THREAD_VARS == cli._BLAS_THREAD_VARS
