@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, presets, reports
 from .atomic import replacing
-from .heads import HeadKind, KernelMatrix
+from .heads import HeadKind
 from .nn import load_kernel
 from .spectral import DifferenceTable, align_eigensystems, eig_sym, eigen_differences
 from .suzuki import random_coupled_problem, verify_w_identities
@@ -221,10 +221,7 @@ def _load_kernel_matrix(path, planted: str) -> np.ndarray:
         return load_model_kernel(path).matrix
     if os.path.exists(path) and not zipfile.is_zipfile(path):
         raise _UsageError(f"{path}: neither a model directory nor an .npz archive")
-    with np.load(path) as data:
-        if planted in data.files:
-            return KernelMatrix(data[planted]).matrix
-    return load_kernel(path)
+    return load_kernel(path, planted).matrix
 
 
 def _cmd_analyze_spectrum(args):

@@ -1,14 +1,14 @@
 """Small dense network for per-orbital latent vectors, with hand-rolled
-reverse-mode gradients and an Adam optimizer on a cosine learning-rate
-schedule.
+reverse-mode gradients, an Adam optimizer on a cosine learning-rate
+schedule, and the checkpoint files of networks and kernels.
 
 This is the only trainable-parameter machinery in the package: a fixed-depth
 multilayer perceptron mapping ``one_hot(orbital) ++ [scaled geometry]`` to a
-latent vector, SiLU hidden activations, linear output.  Everything is plain
-float64 numpy; no autodiff framework is involved, so the backward pass is
-spelled out layer by layer and checked against finite differences in the
-tests.  Adam updates one contiguous parameter vector: a training stage
-keeps its networks and its kernel as views of one such vector.
+latent vector, SiLU hidden activations, linear output, in plain float64
+numpy with the backward pass spelled out layer by layer.  Adam updates one
+contiguous parameter vector: a training stage keeps its networks and its
+kernel as views of one such vector.  A checkpoint reader reads only the
+members it names, each checked against one table of shapes and dtype kinds.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .atomic import savez
+from .heads import KernelMatrix
 
 __all__ = [
     "OrbitalNet",
@@ -294,69 +295,58 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> float:
 # ----------------------------------------------------------------------------
 
 
+def _layers(sizes) -> dict[str, tuple[int, int] | tuple[int]]:
+    """Names and shapes of a network checkpoint's layers, in :meth:`OrbitalNet.views` order."""
+    return {key: shape for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]))
+            for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,)))}
+
+
 def save_net(path, net: OrbitalNet) -> None:
     """Write a network checkpoint; round-trips parameters bit for bit."""
-    payload = {
-        "version": np.int64(CHECKPOINT_VERSION),
-        "layout": np.str_("orbital-net"),
-        "sizes": np.asarray(net.sizes, dtype=np.int64),
-        "seed": np.int64(net.seed),
-        "step": np.int64(0),
-    }
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"w{i}"] = w
-        payload[f"b{i}"] = b
-    savez(path, **payload)
+    savez(path, version=np.int64(CHECKPOINT_VERSION), layout=np.str_("orbital-net"),
+          sizes=np.asarray(net.sizes, dtype=np.int64), seed=np.int64(net.seed), step=np.int64(0),
+          **dict(zip(_layers(net.sizes), net.views(net.flat))))
 
 
-def _read_checkpoint(path, layout: str, keys) -> dict[str, np.ndarray]:
-    """The arrays of the checkpoint archive at ``path``.
+#: the members every checkpoint holds, in the table form of :func:`_read_checkpoint`
+_HEADER = {"version": ((), "iu"), "layout": ((), "U"), "step": ((), "iu")}
 
-    The archive must hold ``version``, ``layout`` and ``keys``, each stored
-    as an array, with this package's version and ``layout``; ``version``,
-    ``layout``, ``step`` and ``seed`` must be 0-d.  A member that is
-    missing, not an array or not 0-d is named with the file.
-    """
-    with np.load(path) as data:
-        stored = {key: data[key] for key in data.files}
-    missing = [k for k in ("version", "layout", *keys) if k not in stored]
-    if "version" in missing or "layout" in missing:
-        raise ValueError(f"{path}: not a tanfold {layout} checkpoint; missing {', '.join(missing)}")
-    raw = [k for k, v in stored.items() if not isinstance(v, np.ndarray)]
-    if raw:
-        raise ValueError(f"{path}: not stored as arrays: {', '.join(raw)}")
-    shaped = [f"{k} {stored[k].shape}" for k in ("version", "layout", "step", "seed")
-              if k in stored and stored[k].ndim]
-    if shaped:
-        raise ValueError(f"{path}: expected 0-d members, got {', '.join(shaped)}")
-    if int(stored["version"]) != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {int(stored['version'])} != {CHECKPOINT_VERSION}")
-    if str(stored["layout"]) != layout:
-        raise ValueError(f"{path}: checkpoint layout {stored['layout']!r}, expected {layout!r}")
-    if missing:
-        raise ValueError(f"{path}: {layout} checkpoint missing {', '.join(missing)}")
-    return stored
+
+def _read_checkpoint(data, path, layout: str | None, members) -> dict[str, np.ndarray]:
+    """The ``members`` of the open archive ``data`` read from ``path``, each
+    checked against that table: name -> (shape, None for any length; dtype
+    kinds).  With a ``layout``, the ``_HEADER`` members come first and must
+    carry this version and ``layout``.  No other member is read, and every
+    error names the file."""
+    if layout is not None:
+        head = _read_checkpoint(data, path, None, _HEADER)
+        if (int(head["version"]), str(head["layout"])) != (CHECKPOINT_VERSION, layout):
+            raise ValueError(f"{path}: checkpoint version {head['version']}, layout "
+                             f"{str(head['layout'])!r}; expected {CHECKPOINT_VERSION}, {layout!r}")
+    out = {}
+    for name, (shape, kinds) in members.items():
+        try:
+            out[name] = value = data.get(name)
+        except ValueError as exc:  # an object array
+            raise ValueError(f"{path}: {name}: {exc}") from None
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds and value.ndim == len(shape)
+                and all(n in (None, m) for n, m in zip(shape, value.shape))):
+            got = ("missing" if value is None else "not an .npy array" if isinstance(value, bytes)
+                   else f"{value.dtype} of shape {value.shape}")
+            raise ValueError(f"{path}: {name} is {got}; expected dtype kind {kinds!r}, shape {shape}")
+    return out
 
 
 def load_net(path) -> OrbitalNet:
-    """Read a checkpoint written by :func:`save_net`."""
-    data = _read_checkpoint(path, "orbital-net", ("sizes", "seed", "step"))
-    if data["sizes"].ndim != 1 or data["sizes"].dtype.kind not in "iu":
-        raise ValueError(f"{path}: sizes must be a 1-D integer array, got "
-                         f"{data['sizes'].dtype} of shape {data['sizes'].shape}")
-    sizes = data["sizes"].tolist()
-    if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
-        raise ValueError(f"{path}: bad layer widths {sizes}")
-    parts = []
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
-            if key not in data:
-                raise ValueError(f"{path}: orbital-net checkpoint missing {key}")
-            if data[key].shape != shape:
-                raise ValueError(f"{path}: {key} has shape {data[key].shape}, expected {shape}")
-            parts.append(data[key].ravel())
-    flat = np.concatenate(parts).astype(np.float64, copy=False)
-    return OrbitalNet._bound(sizes, int(data["seed"]), flat)
+    """Read a :func:`save_net` checkpoint: ``sizes`` and ``seed``, then the layers they imply."""
+    with np.load(path) as data:
+        head = _read_checkpoint(data, path, "orbital-net", {"sizes": ((None,), "iu"), "seed": ((), "iu")})
+        sizes = head["sizes"].tolist()
+        if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
+            raise ValueError(f"{path}: bad layer widths {sizes}")
+        layers = _read_checkpoint(data, path, None, {k: (s, "f") for k, s in _layers(sizes).items()})
+    flat = np.concatenate([a.ravel() for a in layers.values()]).astype(np.float64, copy=False)
+    return OrbitalNet._bound(sizes, int(head["seed"]), flat)
 
 
 def save_kernel(path, matrix) -> None:
@@ -376,5 +366,14 @@ def save_kernel(path, matrix) -> None:
     )
 
 
-def load_kernel(path) -> np.ndarray:
-    return _read_checkpoint(path, "symmetric-matrix", ("step", "matrix"))["matrix"]
+def load_kernel(path, planted: str | None = None) -> KernelMatrix:
+    """The kernel of a :func:`save_kernel` checkpoint, or the member
+    ``planted`` of an archive that holds one, without a checkpoint header (a
+    plant's ``provenance.npz``); every error names the file."""
+    with np.load(path) as data:
+        name, layout = (planted, None) if planted in data.files else ("matrix", "symmetric-matrix")
+        matrix = _read_checkpoint(data, path, layout, {name: ((None, None), "f")})[name]
+    try:
+        return KernelMatrix(matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

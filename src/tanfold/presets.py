@@ -176,16 +176,7 @@ DESK_REFS = (1.86, 2.26, 2.66, 2.96)
 
 PLANT_PRESETS: dict[str, PlantSpec] = {
     # full-size plant mirroring the published H4 two-body tangent magnitudes
-    "default-h4": PlantSpec(
-        n_orb=4,
-        ell=300,
-        geometries=_grid(1.8, 3.0, 13),
-        rate=1.0e-2,
-        amplitude=0.6e-4,
-        center=149.8,
-        seed=0,
-        system="planted-h4",
-    ),
+    "default-h4": PlantSpec(system="planted-h4"),
     # Reduced plant at the desk network size: same construction, 61 geometries,
     # tangent center in the middle of the 32-point spectrum, rate scaled to
     # keep the argument range of the published law.  The amplitude is large

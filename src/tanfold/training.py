@@ -12,7 +12,8 @@ data equals the bare data.
 The loss is mean squared error over the entries of the nonsymmetric
 unit; each canonical representative counts once, without orbit
 multiplicity weighting.  Reported metrics are mean absolute error, both
-over the unit and over the full expanded tensor.
+over the unit and over the full expanded tensor.  A model directory's
+file names follow from its head, never from what ``model.json`` names.
 """
 
 from __future__ import annotations
@@ -670,52 +671,64 @@ def finetune_effective(
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _model_files(head: HeadKind) -> tuple[list[str], str]:
+    """The network and kernel file names of a model directory of ``head``."""
+    return [f"net{i}.npz" for i in range(head.n_nets)], "kernel.npz"
+
+
 def save_model(model, directory: str | os.PathLike) -> None:
     """Write a model directory: metadata JSON, network(s), kernel."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    nets = model.nets
-    net_files = [f"net{i}.npz" for i in range(len(nets))]
-    for fname, net in zip(net_files, nets):
+    net_files, kernel_file = _model_files(model.head)
+    for fname, net in zip(net_files, model.nets):
         save_net(os.path.join(directory, fname), net)
-    save_kernel(os.path.join(directory, "kernel.npz"), model.kernel.matrix)
+    save_kernel(os.path.join(directory, kernel_file), model.kernel.matrix)
     meta = {
         "format": MODEL_FORMAT,
         "head": model.head.name,
         "geometry_range": list(model.geometry_range),
         "system": model.system,
         "nets": net_files,
-        "kernel": "kernel.npz",
+        "kernel": kernel_file,
     }
     reports.write_json(os.path.join(directory, "model.json"), meta)
 
 
-def _model_meta(directory: str) -> dict:
+def _model_meta(directory) -> tuple[HeadKind, tuple[float, float], str]:
+    """The checked ``(head, geometry_range, system)`` of ``model.json``,
+    whose ``nets`` and ``kernel`` must be the head's file names."""
     path = os.path.join(directory, "model.json")
     with open(path) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
-    if meta.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: unsupported model format {meta.get('format')!r}")
-    return meta
+    head, span = HeadKind.__members__.get(str(meta.get("head"))), meta.get("geometry_range")
+    files = _model_files(head) if head else (None, None)
+    for key, ok, want in (
+        ("format", meta.get("format") == MODEL_FORMAT, repr(MODEL_FORMAT)),
+        ("head", head is not None, "one of " + ", ".join(HeadKind.__members__)),
+        ("geometry_range", isinstance(span, list) and len(span) == 2 and all(
+            type(r) in (int, float) and math.isfinite(r) for r in span), "two finite numbers"),
+        ("system", isinstance(meta.get("system"), str), "a string"),
+        ("nets", meta.get("nets") == files[0], repr(files[0])),
+        ("kernel", meta.get("kernel") == files[1], repr(files[1])),
+    ):
+        if not ok:
+            raise ValueError(f"{path}: {key} must be {want}, got {meta.get(key)!r}")
+    return head, tuple(span), meta["system"]
 
 
 def load_model(directory: str | os.PathLike):
     """Read a directory written by :func:`save_model`."""
-    directory = os.fspath(directory)
-    meta = _model_meta(directory)
-    return InteractionModel(
-        head=HeadKind[meta["head"]],
-        nets=[load_net(os.path.join(directory, f)) for f in meta["nets"]],
-        kernel=load_model_kernel(directory),
-        geometry_range=tuple(meta["geometry_range"]),
-        system=meta.get("system", ""),
-    )
+    head, geometry_range, system = _model_meta(directory)
+    net_files, kernel_file = _model_files(head)
+    nets = [load_net(os.path.join(directory, f)) for f in net_files]
+    kernel = load_kernel(os.path.join(directory, kernel_file))
+    return InteractionModel(head, nets, kernel, geometry_range, system)
 
 
 def load_model_kernel(directory: str | os.PathLike) -> KernelMatrix:
     """The kernel of a model directory, without reading its networks."""
-    directory = os.fspath(directory)
-    meta = _model_meta(directory)
-    return KernelMatrix(load_kernel(os.path.join(directory, meta["kernel"])))
+    head, _, _ = _model_meta(directory)
+    return load_kernel(os.path.join(directory, _model_files(head)[1]))

@@ -462,24 +462,57 @@ def _rewrite_npz(path, **members):
     np.savez(path, **{**stored, **members})
 
 
+def _edit_model_json(path, **fields):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+def _name_outside(path, key, source):
+    """Point ``key`` of a model.json at a valid copy of ``source`` beside
+    the model directory, a file its head does not name."""
+    shutil.copy(path.parent / source, path.parent.parent / "k.npz")
+    _edit_model_json(path, **{key: ["../k.npz"] if key == "nets" else "../k.npz"})
+
+
+_OBJECT = np.array([None], dtype=object)
+
+
 @pytest.mark.parametrize("command, rel, corrupt", [
     ("finetune", "stage1/model/net0.npz", lambda p: _rewrite_npz(p, seed=np.array([1, 2]))),
     ("eval", "stage2/model/net0.npz", lambda p: _rewrite_npz(p, seed=np.array([1, 2]))),
     ("eval", "stage2/model/net0.npz", lambda p: _rewrite_npz(p, sizes=np.ones((2, 2), int))),
     ("eval", "stage2/model/net0.npz", lambda p: _rewrite_npz(p, sizes=np.array([3.0, 8.0]))),
+    ("eval", "stage2/model/net1.npz", lambda p: _rewrite_npz(p, w0=_OBJECT)),
     ("analyze-spectrum", "stage1/model/kernel.npz", lambda p: _rewrite_npz(p, version=np.ones(2))),
+    ("analyze-spectrum", "stage1/model/kernel.npz", lambda p: _rewrite_npz(p, version=np.str_("x"))),
     ("analyze-spectrum", "stage2/model/kernel.npz", lambda p: _rewrite_npz(p, step=np.zeros(3))),
+    ("analyze-spectrum", "stage2/model/kernel.npz", lambda p: _rewrite_npz(p, matrix=_OBJECT)),
+    ("analyze-spectrum", "stage1/model/kernel.npz",
+     lambda p: _rewrite_npz(p, matrix=np.triu(np.ones((8, 8))))),
+    ("analyze-spectrum", "stage1/model/kernel.npz",
+     lambda p: _rewrite_npz(p, matrix=np.full((8, 8), np.nan))),
+    ("analyze-spectrum", "stage2/model/kernel.npz", lambda p: _rewrite_npz(p, matrix=np.ones((8, 7)))),
     ("finetune", "stage1/model/model.json", lambda p: p.write_text("[1, 2]\n")),
     ("eval", "stage2/model/model.json", lambda p: p.write_text('"model"\n')),
+    ("eval", "stage2/model/model.json", lambda p: _edit_model_json(p, nets=5)),
+    ("finetune", "stage1/model/model.json", lambda p: _name_outside(p, "nets", "net0.npz")),
+    ("analyze-spectrum", "stage1/model/model.json",
+     lambda p: _name_outside(p, "kernel", "kernel.npz")),
+    ("eval", "stage2/model/model.json", lambda p: _edit_model_json(p, head=3)),
+    ("eval", "stage2/model/model.json", lambda p: _edit_model_json(p, geometry_range=[1])),
+    ("eval", "stage2/model/model.json", lambda p: _edit_model_json(p, geometry_range="ab")),
     ("report", "fit/tanfit.json", lambda p: p.write_text("[1, 2]\n")),
     ("report", "fit/tanfit.json", lambda p: p.write_text('{"rate": "fast", "center": 4}\n')),
     ("report", "fit/tanfit.json", lambda p: p.write_text('{"rate": 0.05}\n')),
-], ids=["net-seed-finetune", "net-seed-eval", "net-sizes-2d", "net-sizes-float",
-        "kernel-version", "kernel-step", "model-json-list", "model-json-string",
-        "tanfit-list", "tanfit-rate-text", "tanfit-no-center"])
+], ids=["net-seed-finetune", "net-seed-eval", "net-sizes-2d", "net-sizes-float", "net-object-layer",
+        "kernel-version", "kernel-version-text", "kernel-step", "kernel-object-matrix",
+        "kernel-not-symmetric", "kernel-not-finite", "kernel-not-square",
+        "model-json-list", "model-json-string", "model-json-nets-int", "model-json-nets-outside",
+        "model-json-kernel-outside", "model-json-head-int", "model-json-range-short",
+        "model-json-range-text", "tanfit-list", "tanfit-rate-text", "tanfit-no-center"])
 def test_corrupt_input_is_one_error_line(work, tmp_path, capsys, command, rel, corrupt):
-    # a stored member of the wrong shape or type is named with its file by
-    # the reader, before --out is made
+    # a stored member or field of the wrong shape, type or value, or a
+    # model.json that names files other than its head's, is named with its
+    # file by the reader, before --out is made
     run = tmp_path / "run"
     for stage in ("stage1", "stage2", "spectrum", "fit"):
         shutil.copytree(work["run"] / stage, run / stage)
@@ -669,14 +702,14 @@ def _foreign_zip(path, what):
     """A zip archive that is not a kernel checkpoint, and the error it gives."""
     if what == "keys":
         np.savez(path, a=np.eye(3))
-        return "not a tanfold symmetric-matrix checkpoint; missing version, layout, step, matrix"
+        return "version is missing; expected dtype kind 'iu', shape ()"
     save_kernel(path, np.eye(3))
     with zipfile.ZipFile(path) as z:
         members = {name: z.read(name) for name in z.namelist()}
     with zipfile.ZipFile(path, "w") as z:
         for name, data in members.items():
             z.writestr(name, b"garbage" if name == "matrix.npy" else data)
-    return "not stored as arrays: matrix"
+    return "matrix is not an .npy array; expected dtype kind 'f', shape (None, None)"
 
 
 @pytest.mark.parametrize("flag", ["--bare", "--eff"])
@@ -691,6 +724,36 @@ def test_analyze_spectrum_names_foreign_archive(work, tmp_path, capsys, flag, wh
     assert code == 1
     assert capsys.readouterr().err == f"tanfold: error: {other}: {message}\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_unread_object_member_is_ignored(work, tmp_path):
+    # readers read only the members they check, so an extra object array,
+    # which cannot be loaded without pickle, does not stop them
+    run = tmp_path / "run"
+    for stage in ("stage1", "stage2"):
+        shutil.copytree(work["run"] / stage, run / stage)
+    for path in (run / "stage2" / "model").glob("*.npz"):
+        _rewrite_npz(path, extra=_OBJECT)
+    assert main(_stage_argv("eval", run, work, str(tmp_path / "eval"))) == 0
+    assert main(_stage_argv("analyze-spectrum", run, work, str(tmp_path / "spectrum"))) == 0
+    table = "eigen_differences.csv"
+    assert (tmp_path / "spectrum" / table).read_bytes() == (work["run"] / "spectrum" / table).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "provenance"])
+def test_analyze_spectrum_names_a_non_symmetric_kernel_file(work, tmp_path, capsys, source):
+    path = tmp_path / f"{source}.npz"
+    if source == "checkpoint":
+        save_kernel(path, np.triu(np.ones((8, 8))))
+    else:
+        shutil.copy(work["data"] / "provenance.npz", path)
+        _rewrite_npz(path, w_bare=np.triu(np.ones((8, 8))))
+    out = tmp_path / "x"
+    assert main(["analyze-spectrum", "--bare", str(path),
+                 "--eff", str(work["run"] / "stage2" / "model"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tanfold: error: {path}: kernel is not exactly symmetric " \
+                                      "(pass symmetrize=True to project)\n"
+    assert not out.exists()
 
 
 def test_truncated_tensor_file_fails(work, tmp_path, capsys):

@@ -27,14 +27,19 @@ def _write(root, files):
         path.write_bytes(data)
 
 
-def test_lists_missing_and_changed_files_but_no_manifest(tool, tmp_path):
+def test_lists_missing_and_changed_files_and_manifests(tool, tmp_path):
+    # manifests that differ only in their wall time match; one whose
+    # config differs is listed
     _write(tmp_path / "a", {"same.csv": b"1\n", "run/x.npz": b"ab", "only_a.txt": b"",
-                            "run/manifest.json": b"{}"})
+                            "run/manifest.json": b'{"seed": 1, "wall_time_s": 0.5}',
+                            "fit/manifest.json": b'{"config": {"a": 1}}'})
     _write(tmp_path / "b", {"same.csv": b"1\n", "run/x.npz": b"ac", "run/only_b.txt": b"",
-                            "run/manifest.json": b"{\"wall_time_s\": 1}"})
+                            "run/manifest.json": b'{"wall_time_s": 1, "seed": 1}',
+                            "fit/manifest.json": b'{"config": {"a": 2}}'})
     diff, total = tool.differing_files(str(tmp_path / "a"), str(tmp_path / "b"))
-    assert diff == ["only_a.txt", os.path.join("run", "only_b.txt"), os.path.join("run", "x.npz")]
-    assert total == 4
+    assert diff == [os.path.join("fit", "manifest.json"), "only_a.txt",
+                    os.path.join("run", "only_b.txt"), os.path.join("run", "x.npz")]
+    assert total == 6
 
 
 def test_a_tree_against_itself_differs_in_no_file(tool, capsys):

@@ -509,17 +509,14 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="bad layer widths"):
             load_net(path)
 
-    @pytest.mark.parametrize("load, keys", [
-        (load_net, "version, layout, sizes, seed, step"),
-        (load_kernel, "version, layout, step, matrix"),
-    ], ids=["net", "kernel"])
-    def test_foreign_archive_names_file_and_missing_keys(self, tmp_path, load, keys):
+    @pytest.mark.parametrize("load", [load_net, load_kernel], ids=["net", "kernel"])
+    def test_foreign_archive_names_file_and_missing_keys(self, tmp_path, load):
+        # the header is read first, so a foreign archive fails on its first member
         path = tmp_path / "other.npz"
         np.savez(path, a=np.eye(3))
         with pytest.raises(ValueError) as err:
             load(path)
-        layout = "orbital-net" if load is load_net else "symmetric-matrix"
-        assert str(err.value) == f"{path}: not a tanfold {layout} checkpoint; missing {keys}"
+        assert str(err.value) == f"{path}: version is missing; expected dtype kind 'iu', shape ()"
 
     @pytest.mark.parametrize("drop", ["step", "w1", "b0"])
     def test_load_rejects_missing_entry(self, tmp_path, drop):
@@ -530,7 +527,7 @@ class TestCheckpoints:
         np.savez(path, **payload)
         with pytest.raises(ValueError) as err:
             load_net(path)
-        assert str(err.value) == f"{path}: orbital-net checkpoint missing {drop}"
+        assert str(err.value).startswith(f"{path}: {drop} is missing; expected dtype kind ")
 
     def test_kernel_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -538,7 +535,7 @@ class TestCheckpoints:
         k = (k + k.T) / 2
         path = tmp_path / "kernel.npz"
         save_kernel(path, k)
-        back = load_kernel(path)
+        back = load_kernel(path).matrix
         with np.load(path) as data:
             assert data["step"] == 0 and data["step"].dtype == np.int64
         assert np.array_equal(back, k)
@@ -560,7 +557,7 @@ class TestCheckpoints:
     def test_path_without_suffix_is_kept(self, tmp_path):
         save_kernel(tmp_path / "kernel", np.eye(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel"]
-        assert np.array_equal(load_kernel(tmp_path / "kernel"), np.eye(2))
+        assert np.array_equal(load_kernel(tmp_path / "kernel").matrix, np.eye(2))
 
     @pytest.mark.parametrize("save", [
         lambda path: save_net(path, OrbitalNet(2, 4, hidden=(4,), seed=0)),

@@ -1004,8 +1004,10 @@ def test_load_model_rejects_unknown_format(tmp_path, small_series):
     (tmp_path / "model.json").write_text(meta)
     with pytest.raises(ValueError, match="format"):
         load_model(tmp_path)
-    with pytest.raises(ValueError, match="unsupported model format 'other v9'"):
+    with pytest.raises(ValueError) as err:
         load_model_kernel(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'model.json'}: format must be "
+                              f"{tr.MODEL_FORMAT!r}, got 'other v9'")
 
 
 def test_load_model_kernel_reads_the_kernel_alone(tmp_path, small_series):

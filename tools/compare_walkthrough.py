@@ -7,16 +7,18 @@ Each tree's own ``bench/workloads.py`` plans the walkthrough (plant,
 training configs, the argv of every stage) and its own ``src`` runs it,
 once per tree, in a fresh Python process with one BLAS thread.  Both runs
 write under the same path, so the paths the outputs record match.  Every
-output file is then compared byte for byte, except ``manifest.json``,
-which records wall times.  The differing files are listed; the exit status
-is 0 when none differs, 1 when some file differs, and 2 when a stage of
-either run fails.
+output file is then compared byte for byte, except that each
+``manifest.json`` is compared as JSON without its ``wall_time_s``, the one
+value that changes from run to run.  The differing files are listed; the
+exit status is 0 when none differs, 1 when some file differs, and 2 when a
+stage of either run fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -26,8 +28,8 @@ import tempfile
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "SCIPY_OPENBLAS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-#: written by every run; these change from run to run of one tree
-SKIPPED = ("manifest.json",)
+#: a manifest's one value that changes from run to run of one tree
+WALL_TIME = "wall_time_s"
 
 #: the walkthrough in a child process: argv is tree, workload, seed, root
 _CHILD = """
@@ -54,18 +56,30 @@ def run_walkthrough(tree: str, workload: str, seed: int, root: str) -> bool:
     return proc.returncode == 0
 
 
+def _same(a: str, b: str) -> bool:
+    """Whether two files match: byte for byte, or for a ``manifest.json``
+    as JSON without ``WALL_TIME``."""
+    if os.path.basename(a) != "manifest.json":
+        return filecmp.cmp(a, b, shallow=False)
+    manifests = []
+    for path in (a, b):
+        with open(path) as fh:
+            manifests.append(json.load(fh))
+        manifests[-1].pop(WALL_TIME, None)
+    return manifests[0] == manifests[1]
+
+
 def differing_files(a: str, b: str) -> tuple[list[str], int]:
     """Relative paths of the files under ``a`` and ``b`` that exist in only
-    one of them or differ in a byte, and the number of files compared;
-    ``SKIPPED`` names are left out of both."""
+    one of them or do not match (:func:`_same`), and the number of files
+    compared."""
     def files(root):
         return {os.path.relpath(os.path.join(d, f), root)
-                for d, _, names in os.walk(root) for f in names if f not in SKIPPED}
+                for d, _, names in os.walk(root) for f in names}
 
     in_a, in_b = files(a), files(b)
     diff = (in_a ^ in_b) | {
-        rel for rel in in_a & in_b
-        if not filecmp.cmp(os.path.join(a, rel), os.path.join(b, rel), shallow=False)
+        rel for rel in in_a & in_b if not _same(os.path.join(a, rel), os.path.join(b, rel))
     }
     return sorted(diff), len(in_a | in_b)
 
