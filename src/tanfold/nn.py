@@ -327,7 +327,7 @@ def _read_checkpoint(data, path, layout: str | None, members) -> dict[str, np.nd
     for name, (shape, kinds) in members.items():
         try:
             out[name] = value = data.get(name)
-        except ValueError as exc:  # an object array
+        except ValueError as exc:  # an object array, or a malformed .npy header
             raise ValueError(f"{path}: {name}: {exc}") from None
         if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds and value.ndim == len(shape)
                 and all(n in (None, m) for n, m in zip(shape, value.shape))):

@@ -699,10 +699,16 @@ def test_analyze_spectrum_rejects_non_npz_kernel(work, tmp_path, capsys, flag, n
 
 
 def _foreign_zip(path, what):
-    """A zip archive that is not a kernel checkpoint, and the error it gives."""
+    """A zip archive that holds no usable kernel, and the error it gives."""
     if what == "keys":
         np.savez(path, a=np.eye(3))
         return "version is missing; expected dtype kind 'iu', shape ()"
+    if what in ("asymmetric", "provenance"):
+        if what == "asymmetric":
+            save_kernel(path, np.triu(np.ones((3, 3))))
+        else:  # the planted kernels of a provenance.npz
+            np.savez(path, w_bare=np.triu(np.ones((3, 3))), w_eff=np.tril(np.ones((3, 3))))
+        return "kernel is not exactly symmetric (pass symmetrize=True to project)"
     save_kernel(path, np.eye(3))
     with zipfile.ZipFile(path) as z:
         members = {name: z.read(name) for name in z.namelist()}
@@ -713,7 +719,7 @@ def _foreign_zip(path, what):
 
 
 @pytest.mark.parametrize("flag", ["--bare", "--eff"])
-@pytest.mark.parametrize("what", ["keys", "member"])
+@pytest.mark.parametrize("what", ["keys", "member", "asymmetric", "provenance"])
 def test_analyze_spectrum_names_foreign_archive(work, tmp_path, capsys, flag, what):
     other = tmp_path / "other.npz"
     message = _foreign_zip(other, what)
@@ -738,22 +744,6 @@ def test_unread_object_member_is_ignored(work, tmp_path):
     assert main(_stage_argv("analyze-spectrum", run, work, str(tmp_path / "spectrum"))) == 0
     table = "eigen_differences.csv"
     assert (tmp_path / "spectrum" / table).read_bytes() == (work["run"] / "spectrum" / table).read_bytes()
-
-
-@pytest.mark.parametrize("source", ["checkpoint", "provenance"])
-def test_analyze_spectrum_names_a_non_symmetric_kernel_file(work, tmp_path, capsys, source):
-    path = tmp_path / f"{source}.npz"
-    if source == "checkpoint":
-        save_kernel(path, np.triu(np.ones((8, 8))))
-    else:
-        shutil.copy(work["data"] / "provenance.npz", path)
-        _rewrite_npz(path, w_bare=np.triu(np.ones((8, 8))))
-    out = tmp_path / "x"
-    assert main(["analyze-spectrum", "--bare", str(path),
-                 "--eff", str(work["run"] / "stage2" / "model"), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"tanfold: error: {path}: kernel is not exactly symmetric " \
-                                      "(pass symmetrize=True to project)\n"
-    assert not out.exists()
 
 
 def test_truncated_tensor_file_fails(work, tmp_path, capsys):
