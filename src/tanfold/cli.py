@@ -25,20 +25,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
 import typing
-import zipfile
 
 import numpy as np
 
 from . import __version__, presets, reports
-from .atomic import replacing
+from .atomic import read_json, read_text, replacing
 from .heads import HeadKind
-from .nn import load_kernel
-from .spectral import DifferenceTable, align_eigensystems, eig_sym, eigen_differences
+from .spectral import align_eigensystems, eig_sym, eigen_differences
 from .suzuki import random_coupled_problem, verify_w_identities
 from .synth import plant_series, save_plant
 from .tanmodel import fit_tan
@@ -82,17 +79,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in out:
-                raise _UsageError(f"{path}:{ln}: repeated config key {key!r}")
-            out[key] = value
+    for ln, raw in enumerate(read_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{ln}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise _UsageError(f"{path}:{ln}: repeated config key {key!r}")
+        out[key] = value
     return out
 
 
@@ -213,20 +209,9 @@ def _cmd_eval(args):
     return {"model": os.fspath(args.model), "data": os.fspath(args.data), "refs": refs}, None
 
 
-def _load_kernel_matrix(path, planted: str) -> np.ndarray:
-    """A kernel from a model directory, a kernel checkpoint file, or the
-    ``planted`` array (``w_bare``/``w_eff``) of a plant's provenance.npz."""
-    path = os.fspath(path)
-    if os.path.isdir(path):
-        return load_model_kernel(path).matrix
-    if os.path.exists(path) and not zipfile.is_zipfile(path):
-        raise _UsageError(f"{path}: neither a model directory nor an .npz archive")
-    return load_kernel(path, planted).matrix
-
-
 def _cmd_analyze_spectrum(args):
-    bare = eig_sym(_load_kernel_matrix(args.bare, "w_bare"))
-    eff = eig_sym(_load_kernel_matrix(args.eff, "w_eff"))
+    bare = eig_sym(load_model_kernel(args.bare, "w_bare").matrix)
+    eff = eig_sym(load_model_kernel(args.eff, "w_eff").matrix)
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
     os.makedirs(args.out, exist_ok=True)
@@ -239,42 +224,12 @@ def _cmd_analyze_spectrum(args):
     return {"bare": os.fspath(args.bare), "eff": os.fspath(args.eff)}, None
 
 
-def _read_difference_csv(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            i_idx = header.index("index")
-            b_idx = header.index("bare")
-            e_idx = header.index("eff")
-            f_idx = header.index("flagged")
-        except ValueError:
-            raise _UsageError(f"{path}: expected columns index,bare,eff,...,flagged")
-        for ln, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            try:
-                if parts[f_idx] == "true":
-                    continue
-                row = (int(parts[i_idx]), float(parts[b_idx]), float(parts[e_idx]))
-            except (IndexError, ValueError):
-                raise _UsageError(f"{path}:{ln}: bad row {line.strip()!r} for columns {','.join(header)}")
-            if not np.isfinite(row).all():
-                raise _UsageError(f"{path}:{ln}: non-finite value in row {line.strip()!r}")
-            rows.append(row)
-    return rows
-
-
 def _cmd_fit_tan(args):
-    pairs = _read_difference_csv(args.table)
-    fit = fit_tan(pairs)
+    table = reports.read_difference_csv(args.table)
+    fit = fit_tan(table.pairs())
     os.makedirs(args.out, exist_ok=True)
     reports.write_tanfit_json(os.path.join(args.out, "tanfit.json"), fit)
     # re-emit the fitted curve against the observed relative differences
-    index, bare, eff = (np.array(column) for column in zip(*pairs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = (eff - bare) / bare
-    table = DifferenceTable(index=index, bare=bare, eff=eff, diff=eff - bare, rel_diff=rel,
-                            flagged=np.zeros(index.size, dtype=bool))
     reports.write_tanfit_csv(os.path.join(args.out, "tanfit.csv"), table, fit)
     print(
         f"tan fit: rate {fit.rate:.6g}, amplitude {fit.amplitude:.6g}, "
@@ -329,11 +284,9 @@ def _cmd_report(args):
         ("stage2/mae.csv", "finetune"), ("spectrum/overlap.csv", "analyze-spectrum"),
         ("spectrum/eigen_differences.csv", "analyze-spectrum"),
         ("fit/tanfit.csv", "fit-tan"), ("fit/tanfit.json", "fit-tan"))]
-    with open(sources[-1]) as fh:
-        fit = json.load(fh)
-    if not isinstance(fit, dict) or any(type(fit.get(k)) not in (int, float)
-                                        for k in ("rate", "center")):
-        raise _UsageError(f"{sources[-1]}: expected a JSON object with numeric rate and center")
+    fit = read_json(sources[-1])
+    if any(type(fit.get(k)) not in (int, float) for k in ("rate", "center")):
+        raise _UsageError(f"{sources[-1]}: expected numeric rate and center")
     os.makedirs(args.out, exist_ok=True)
     for src in sources:
         reports.copy_file(src, os.path.join(args.out, os.path.basename(src)))

@@ -86,7 +86,7 @@ class KernelMatrix:
         if symmetrize:
             m = (m + m.T) / 2.0
         elif not np.array_equal(m, m.T):
-            raise ValueError("kernel is not exactly symmetric (pass symmetrize=True to project)")
+            raise ValueError("kernel is not exactly symmetric")
         m.flags.writeable = False
         self.matrix = m
 

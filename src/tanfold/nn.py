@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .atomic import savez
+from .atomic import read_npz, savez
 from .heads import KernelMatrix
 
 __all__ = [
@@ -339,7 +339,7 @@ def _read_checkpoint(data, path, layout: str | None, members) -> dict[str, np.nd
 
 def load_net(path) -> OrbitalNet:
     """Read a :func:`save_net` checkpoint: ``sizes`` and ``seed``, then the layers they imply."""
-    with np.load(path) as data:
+    with read_npz(path) as data:
         head = _read_checkpoint(data, path, "orbital-net", {"sizes": ((None,), "iu"), "seed": ((), "iu")})
         sizes = head["sizes"].tolist()
         if len(sizes) < 2 or sizes[0] < 2 or min(sizes) < 1:
@@ -370,7 +370,7 @@ def load_kernel(path, planted: str | None = None) -> KernelMatrix:
     """The kernel of a :func:`save_kernel` checkpoint, or the member
     ``planted`` of an archive that holds one, without a checkpoint header (a
     plant's ``provenance.npz``); every error names the file."""
-    with np.load(path) as data:
+    with read_npz(path) as data:
         name, layout = (planted, None) if planted in data.files else ("matrix", "symmetric-matrix")
         matrix = _read_checkpoint(data, path, layout, {name: ((None, None), "f")})[name]
     try:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atomic import replacing
+from .atomic import read_text, replacing
 from .spectral import AlignmentReport, DifferenceTable
 from .tanmodel import TanFit, eval_tan
 
@@ -24,6 +24,7 @@ __all__ = [
     "write_mae_csv",
     "write_overlap_csv",
     "write_difference_csv",
+    "read_difference_csv",
     "write_tanfit_csv",
     "write_tanfit_json",
     "fit_report_text",
@@ -107,6 +108,36 @@ def write_difference_csv(path, table: DifferenceTable) -> None:
         ("index", "bare", "eff", "diff", "rel_diff", "flagged"),
         (table.index, table.bare, table.eff, table.diff, table.rel_diff, table.flagged),
     )
+
+
+def read_difference_csv(path) -> DifferenceTable:
+    """The unflagged rows of a :func:`write_difference_csv` table, read by
+    the columns ``index``, ``bare``, ``eff`` and ``flagged``; ``diff`` and
+    ``rel_diff`` are recomputed from ``bare`` and ``eff``."""
+    header, *lines = read_text(path).splitlines() or [""]
+    header = header.strip().split(",")
+    try:
+        i_idx, b_idx, e_idx, f_idx = (header.index(c) for c in ("index", "bare", "eff", "flagged"))
+    except ValueError:
+        raise ValueError(f"{path}: expected columns index,bare,eff,...,flagged") from None
+    rows = []
+    for ln, line in enumerate(lines, start=2):
+        parts = line.strip().split(",")
+        try:
+            if parts[f_idx] == "true":
+                continue
+            row = (int(parts[i_idx]), float(parts[b_idx]), float(parts[e_idx]))
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}:{ln}: bad row {line.strip()!r} for columns {','.join(header)}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{ln}: non-finite value in row {line.strip()!r}")
+        rows.append(row)
+    index = np.array([r[0] for r in rows], dtype=np.int64)
+    bare, eff = (np.array([r[k] for r in rows], dtype=np.float64) for k in (1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = (eff - bare) / bare
+    return DifferenceTable(index=index, bare=bare, eff=eff, diff=eff - bare, rel_diff=rel,
+                           flagged=np.zeros(index.size, dtype=bool))
 
 
 def write_tanfit_csv(path, table: DifferenceTable, fit: TanFit) -> None:

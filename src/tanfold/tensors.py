@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import replacing
+from .atomic import read_text, replacing
 
 __all__ = [
     "Kind",
@@ -580,7 +580,7 @@ def load_fcidump(
     system: str = "",
     expected_n_orb: int | None = None,
 ) -> TensorSet:
-    """Read an FCIDUMP-like text file into a fully expanded :class:`TensorSet`.
+    """Read an FCIDUMP-like UTF-8 text file into a fully expanded :class:`TensorSet`.
 
     The file is a ``&FCI NORB=...`` header terminated by ``&END`` (or a bare
     ``/``), followed by ``value p q r s`` lines with 1-based indices.
@@ -589,8 +589,7 @@ def load_fcidump(
     must be finite.  Entries are expanded under the symmetry group of
     ``kind``; duplicate entries of one orbit must agree to ``DUPLICATE_TOL``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
 
     n_orb = None
     data_start = None
@@ -662,8 +661,7 @@ _HEADER_FIELDS = ("system", "geometry", "kind", "n_orb", "scalar_term")
 
 def _canonical_body(path: str | os.PathLike) -> _Body:
     """Read a canonical file and check its header; the body is left unparsed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != f"# {FORMAT_TAG}":
         raise TensorFormatError(f"{path}: missing or mismatched format tag (expected '{FORMAT_TAG}')")
 

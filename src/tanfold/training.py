@@ -18,7 +18,6 @@ file names follow from its head, never from what ``model.json`` names.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -27,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import reports
+from .atomic import read_json
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps, pair_head
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net, scale_geometry
 from .tensors import GeometrySeries, Kind
@@ -699,10 +699,7 @@ def _model_meta(directory) -> tuple[HeadKind, tuple[float, float], str]:
     """The checked ``(head, geometry_range, system)`` of ``model.json``,
     whose ``nets`` and ``kernel`` must be the head's file names."""
     path = os.path.join(directory, "model.json")
-    with open(path) as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    meta = read_json(path)
     head, span = HeadKind.__members__.get(str(meta.get("head"))), meta.get("geometry_range")
     files = _model_files(head) if head else (None, None)
     for key, ok, want in (
@@ -728,7 +725,11 @@ def load_model(directory: str | os.PathLike):
     return InteractionModel(head, nets, kernel, geometry_range, system)
 
 
-def load_model_kernel(directory: str | os.PathLike) -> KernelMatrix:
-    """The kernel of a model directory, without reading its networks."""
-    head, _, _ = _model_meta(directory)
-    return load_kernel(os.path.join(directory, _model_files(head)[1]))
+def load_model_kernel(path: str | os.PathLike, planted: str | None = None) -> KernelMatrix:
+    """The kernel of a model directory, without reading its networks, or of
+    the archive at ``path``: a kernel checkpoint, or one that holds the array
+    ``planted`` (see :func:`~tanfold.nn.load_kernel`)."""
+    if not os.path.isdir(path):
+        return load_kernel(path, planted)
+    head, _, _ = _model_meta(path)
+    return load_kernel(os.path.join(path, _model_files(head)[1]))

@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import shutil
+import struct
 import typing
 import zipfile
 
@@ -527,6 +529,71 @@ def test_corrupt_input_is_one_error_line(work, tmp_path, capsys, command, rel, c
     assert not os.path.exists(out)
 
 
+def _garbage(path):
+    path.write_bytes(b"garbage, in no format\n")
+
+
+def _first_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _stray_ff(path):
+    """Set the middle byte of ``path`` to 0xFF; in an archive, the middle
+    byte of its first member, which every reader reads."""
+    data = bytearray(path.read_bytes())
+    at = len(data) // 2
+    if path.suffix == ".npz":
+        with zipfile.ZipFile(path) as z:
+            first = z.infolist()[0]
+        # the member's data follow its 30-byte local header, name and extra field
+        start = first.header_offset + 30 + sum(struct.unpack_from("<HH", data, first.header_offset + 26))
+        at = start + first.compress_size // 2
+    assert data[at] != 0xFF
+    data[at] = 0xFF
+    path.write_bytes(bytes(data))
+
+
+#: every file a stage parses, by the subcommand that reads it
+_PARSED = {
+    "run/stage1/model/model.json": "finetune", "run/stage1/model/net0.npz": "finetune",
+    "run/stage1/model/kernel.npz": "analyze-spectrum", "run/stage2/model/net1.npz": "eval",
+    "run/stage2/model/kernel.npz": "eval", "run/spectrum/eigen_differences.csv": "fit-tan",
+    "run/fit/tanfit.json": "report", "data/bare_0002.tensor": "train-bare",
+    "data/effective_0001.tensor": "eval", "data/provenance.npz": "analyze-spectrum",
+    "train.cfg": "train-bare",
+}
+
+
+@pytest.mark.parametrize("corrupt", [_garbage, _first_half, _stray_ff], ids=["garbage", "half", "ff"])
+@pytest.mark.parametrize("rel", _PARSED)
+def test_corrupt_file_is_one_error_line(work, tmp_path, capsys, rel, corrupt):
+    # garbage bytes, a truncation or an undecodable byte in any file a stage
+    # parses is one error line naming that file (and the line, where the
+    # parser reads by lines), before --out is made
+    for part in ("data", "run/stage1", "run/stage2", "run/spectrum", "run/fit"):
+        shutil.copytree(work["root"] / part, tmp_path / part)
+    shutil.copy(work["train_cfg"], tmp_path / "train.cfg")
+    corrupt(tmp_path / rel)
+    run, data, out = tmp_path / "run", str(tmp_path / "data"), str(tmp_path / "out")
+    bare = tmp_path / rel if rel.endswith("provenance.npz") else run / "stage1" / "model"
+    argv = {
+        "finetune": _stage_argv("finetune", run, work, out),
+        "train-bare": ["train-bare", "--system", "desk", "--body", "2", "--data", data,
+                       "--config", str(tmp_path / "train.cfg"), "--out", out],
+        "eval": ["eval", "--model", str(run / "stage2" / "model"), "--data", data, "--out", out],
+        "analyze-spectrum": ["analyze-spectrum", "--bare", str(bare),
+                             "--eff", str(run / "stage2" / "model"), "--out", out],
+        "fit-tan": ["fit-tan", "--table", str(tmp_path / rel), "--out", out],
+        "report": ["report", "--system", "desk", "--run", str(run), "--out", out],
+    }[_PARSED[rel]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.match(rf"tanfold: error: {re.escape(str(tmp_path / rel))}(:\d+)?: ", err), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # happy paths and artifacts
 # ---------------------------------------------------------------------------
@@ -693,7 +760,7 @@ def test_analyze_spectrum_rejects_non_npz_kernel(work, tmp_path, capsys, flag, n
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"tanfold: error: {bad}: neither a model directory nor an .npz archive\n"
+        f"tanfold: error: {bad}: not a readable .npz archive: File is not a zip file\n"
     )
     assert not (tmp_path / "x").exists()
 
@@ -708,7 +775,7 @@ def _foreign_zip(path, what):
             save_kernel(path, np.triu(np.ones((3, 3))))
         else:  # the planted kernels of a provenance.npz
             np.savez(path, w_bare=np.triu(np.ones((3, 3))), w_eff=np.tril(np.ones((3, 3))))
-        return "kernel is not exactly symmetric (pass symmetrize=True to project)"
+        return "kernel is not exactly symmetric"
     save_kernel(path, np.eye(3))
     with zipfile.ZipFile(path) as z:
         members = {name: z.read(name) for name in z.namelist()}

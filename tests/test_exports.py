@@ -74,3 +74,38 @@ def test_traced_arguments_keep_their_positions():
     # samples and w_base from _solve_kernel's arguments 2-3
     assert list(inspect.signature(training._batch_loss).parameters)[4:6] == ["samples", "sel"]
     assert list(inspect.signature(training._solve_kernel).parameters)[2:4] == ["samples", "w_base"]
+
+
+def _reads(tree):
+    """The file reads of a module: ``np.load``, ``json.load``, ``json.loads``
+    and ``open`` without a constant write mode, as ``line: call``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            call = f"{func.value.id}.{func.attr}"
+            if call in ("np.load", "numpy.load", "json.load", "json.loads"):
+                found.append(f"{node.lineno}: {call}")
+        elif isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+")):
+                found.append(f"{node.lineno}: open")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "atomic"])
+def test_files_are_read_only_through_atomic(module):
+    # tanfold.atomic holds the one reader of each file kind, so every read
+    # fault is one error naming the file
+    path = os.path.join(os.path.dirname(tanfold.__file__), f"{module}.py")
+    with open(path) as fh:
+        assert _reads(ast.parse(fh.read())) == []
+
+
+def test_read_guard_sees_each_kind_of_read():
+    tree = ast.parse("np.load(p)\njson.loads(t)\nopen(p)\nopen(p, 'rb')\n"
+                     "open(p, mode='r')\nopen(p, 'w')\nopen(t, 'ab')\n")
+    assert _reads(tree) == ["1: np.load", "2: json.loads", "3: open", "4: open", "5: open"]

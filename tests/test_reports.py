@@ -12,6 +12,7 @@ from tanfold.heads import HeadKind
 from tanfold.reports import (
     fit_report_text,
     format_value,
+    read_difference_csv,
     write_csv,
     write_difference_csv,
     write_json,
@@ -330,6 +331,18 @@ def test_write_difference_csv_bytes_match_per_row_writer(tmp_path, flag):
             table.index, table.bare, table.eff, table.diff, table.rel_diff, table.flagged)),
     )
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", [(), (298, 299)])
+def test_read_difference_csv_returns_the_unflagged_rows(tmp_path, flag):
+    table = _ell300_table(flag)
+    write_difference_csv(tmp_path / "t.csv", table)
+    back = read_difference_csv(tmp_path / "t.csv")
+    keep = ~table.flagged
+    assert keep.sum() == 300 - len(flag) and not back.flagged.any()
+    for name in ("index", "bare", "eff", "diff", "rel_diff"):
+        got, want = getattr(back, name), getattr(table, name)[keep]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_write_mae_csv_bytes_match_per_row_writer(tmp_path):

@@ -1018,3 +1018,5 @@ def test_load_model_kernel_reads_the_kernel_alone(tmp_path, small_series):
     kernel = load_model_kernel(tmp_path)
     assert np.array_equal(kernel.matrix, model.kernel.matrix)
     assert not kernel.matrix.flags.writeable
+    # a kernel archive reads as the model directory that holds it
+    assert np.array_equal(load_model_kernel(tmp_path / "kernel.npz").matrix, model.kernel.matrix)
