@@ -77,8 +77,9 @@ class _Parser(argparse.ArgumentParser):
 # config files: flat "key = value" text, '#' comments
 # ---------------------------------------------------------------------------
 
-def _read_config(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_config(path) -> dict[str, tuple[int, str]]:
+    """``{key: (line number, value text)}`` of a config file."""
+    out: dict[str, tuple[int, str]] = {}
     for ln, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,12 +89,13 @@ def _read_config(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in out:
             raise _UsageError(f"{path}:{ln}: repeated config key {key!r}")
-        out[key] = value
+        out[key] = ln, value
     return out
 
 
-def _coerce(key: str, text: str, py_type):
-    """``text`` read as a value of the field type ``py_type``."""
+def _coerce(where: str, key: str, text: str, py_type):
+    """``text`` read as a value of the field type ``py_type``; a fault is
+    reported at ``where``, the file and line of the setting."""
     try:
         if py_type is bool:
             lowered = text.lower()
@@ -107,7 +109,7 @@ def _coerce(key: str, text: str, py_type):
             return tuple(item(part) for part in text.split(",") if part.strip())
         return py_type(text)
     except ValueError as exc:
-        raise _UsageError(f"config key {key}: {exc}") from None
+        raise _UsageError(f"{where}: config key {key}: {exc}") from None
 
 
 def _config_overrides(config_path, fields_of) -> dict:
@@ -120,8 +122,8 @@ def _config_overrides(config_path, fields_of) -> dict:
     raw = _read_config(config_path)
     unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return {k: _coerce(k, v, keys[k]) for k, v in raw.items()}
+        raise _UsageError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
+    return {k: _coerce(f"{config_path}:{ln}", k, v, keys[k]) for k, (ln, v) in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +132,16 @@ def _config_overrides(config_path, fields_of) -> dict:
 
 def _resolve(preset, args):
     """``preset`` (a ``TrainConfig`` or ``PlantSpec``) with the settings of
-    ``--config`` and then ``--seed`` in place of its own."""
+    ``--config`` and then ``--seed`` in place of its own.  A value that
+    the dataclass rejects is reported with the config file's path."""
     overrides = _config_overrides(args.config, type(preset))
+    try:
+        resolved = dataclasses.replace(preset, **overrides)
+    except ValueError as exc:
+        raise _UsageError(f"{args.config}: {exc}") from None
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    return dataclasses.replace(preset, **overrides)
+        resolved = dataclasses.replace(resolved, seed=args.seed)
+    return resolved
 
 
 # ---------------------------------------------------------------------------

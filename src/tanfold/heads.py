@@ -38,6 +38,7 @@ __all__ = [
     "HeadKind",
     "KernelMatrix",
     "entry_table",
+    "fill",
     "head_at_reps",
     "pair_head",
     "sym_bilinear",
@@ -139,7 +140,17 @@ def entry_table(kind: Kind, body: int, n_orb: int):
     return orbit_table(n_orb, symmetry_for(kind) if body == 2 else None)
 
 
-def pair_head(head, phi, phit, w, n_geo):
+def fill(work: dict, name, fn, *args, **kwargs) -> np.ndarray:
+    """``fn(*args, **kwargs)`` written into the array ``work`` holds under
+    ``name``, which keeps the result: the first call allocates it, and each
+    later call with the same ``work`` overwrites it in place.  The values
+    are those of the call without ``out=``; a fresh ``{}`` gives a new array.
+    """
+    out = work[name] = fn(*args, out=work.get(name), **kwargs)
+    return out
+
+
+def pair_head(head, phi, phit, w, n_geo, work=None):
     """Every entry of ``n_geo`` geometry blocks from per-geometry
     pair-product matrices.
 
@@ -148,8 +159,11 @@ def pair_head(head, phi, phit, w, n_geo):
     ``A_g W A_g^T`` predicts every entry of geometry ``g`` at once; the
     effective head averages it with its pair-swapped copy.  Returns the
     predictions, shaped ``(n_geo, m, m)`` with ``m = n_orb**body``, and the
-    ``(f, ft, rows, rows_w)`` intermediates of the gradient.
+    ``(f, ft, rows, rows_w)`` intermediates of the gradient.  The arrays
+    are :func:`fill`-ed into ``work``, a dict that a caller handing it back
+    finds overwritten; None makes them new.
     """
+    work = {} if work is None else work
     ell = w.shape[0]
     f = phi.reshape(n_geo, -1, ell)
     n = f.shape[1]
@@ -158,12 +172,15 @@ def pair_head(head, phi, phit, w, n_geo):
         rows = f
     else:
         ft = f if head is HeadKind.BARE_TWO else phit.reshape(n_geo, n, ell)
-        rows = (f[:, :, None] * ft[:, None]).reshape(n_geo, n * n, ell)
-    rows_w = rows @ w
-    pred = rows_w @ rows.transpose(0, 2, 1)
+        rows = fill(work, "rows", np.multiply, f[:, :, None], ft[:, None]).reshape(n_geo, n * n, ell)
+    rows_w = fill(work, "rows_w", np.matmul, rows, w)
+    pred = fill(work, "pred", np.matmul, rows_w, rows.transpose(0, 2, 1))
     if head is HeadKind.EFF_TWO:
-        swap = np.arange(n * n).reshape(n, n).T.ravel()
-        pred = 0.5 * (pred + pred[:, swap][:, :, swap])
+        # the pair swap (p, q) -> (q, p) of rows and columns, as a transpose
+        blocks = pred.reshape(n_geo, n, n, n, n)
+        pred = fill(work, "pred_swap", np.add, blocks, blocks.transpose(0, 2, 1, 4, 3))
+        pred *= 0.5
+        pred = pred.reshape(n_geo, n * n, n * n)
     return pred, (f, ft, rows, rows_w)
 
 

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .atomic import read_npz, savez
-from .heads import KernelMatrix
+from .heads import KernelMatrix, fill
 
 __all__ = [
     "OrbitalNet",
@@ -154,58 +154,60 @@ class OrbitalNet:
         x[:, -1] = r_norm
         return x
 
-    def forward(self, x: np.ndarray, with_cache: bool = False):
+    def forward(self, x: np.ndarray, with_cache: bool = False, cache: dict | None = None):
         """Batched forward pass.
 
         ``x`` has shape ``(batch, n_orb + 1)``.  With ``with_cache=True``
         returns ``(y, cache)`` where the cache holds what :meth:`backward`
         needs: every layer's input and each hidden layer's pre-activation
-        ``z`` and sigmoid ``expit(z)``.
+        ``z`` and sigmoid ``expit(z)``.  A ``cache`` that an earlier call
+        returned, for an input of the same shape, is refilled in place of a
+        new one: handing it back overwrites its arrays, the ``y`` returned
+        with it included.
         """
         from scipy.special import expit  # at first use: `import tanfold.cli` loads no scipy
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with {self.sizes[0]} features")
-        activations = [x]
-        pre, sig = [], []
-        a = x
+        cache = {} if cache is None else cache
+        cache["a", 0] = a = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w
+            z = fill(cache, ("z", i), np.matmul, a, w)
             z += b
             if i < last:
-                s = expit(z)
-                a = z * s  # silu(z)
-                pre.append(z)
-                sig.append(s)
-                activations.append(a)
-            else:
-                a = z
+                s = fill(cache, ("s", i), expit, z)
+                a = fill(cache, ("a", i + 1), np.multiply, z, s)  # silu(z)
         if with_cache:
-            return a, (activations, pre, sig)
-        return a
+            return z, cache
+        return z
 
     def backward(self, cache, grad_out: np.ndarray, out: np.ndarray | None = None):
         """Gradients of ``sum(grad_out * forward(x))`` w.r.t. parameters.
 
         Returns ``(grads, grad_x)`` with ``grads`` the :meth:`views` of
         ``out`` (a vector shaped like :attr:`flat`, allocated when None),
-        which receives the whole gradient.
+        which receives the whole gradient.  The deltas, ``grad_x`` among
+        them, are arrays of ``cache``: the next backward pass from that
+        cache overwrites them.
         """
-        activations, pre, sig = cache
         if out is None:
             out = np.empty_like(self.flat)
         grads = self.views(out)
         delta = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(activations[i].T, delta, out=grads[2 * i])
-            np.sum(delta, axis=0, out=grads[2 * i + 1])
-            delta = delta @ self.weights[i].T
+            w = self.weights[i]
+            np.matmul(cache["a", i].T, delta, out=grads[2 * i])
+            np.add.reduce(delta, axis=0, out=grads[2 * i + 1])  # np.sum, without its wrapper
+            # two arrays of each shape take turns: layer i's delta goes where
+            # the silu' factor of layer i + 1 was, its silu' factor where the
+            # delta it was computed from was; both are dead by then
+            delta = fill(cache, ("delta", i % 2, (len(delta), w.shape[0])), np.matmul, delta, w.T)
             if i > 0:
                 # silu'(z) = s (1 + z (1 - s)) from the cached s = expit(z)
-                s = sig[i - 1]
-                d = 1.0 - s
-                d *= pre[i - 1]
+                s = cache["s", i - 1]
+                d = fill(cache, ("delta", (i + 1) % 2, s.shape), np.subtract, 1.0, s)
+                d *= cache["z", i - 1]
                 d += 1.0
                 d *= s
                 delta *= d
@@ -227,7 +229,8 @@ def cosine_lr(base_lr: float, t: int, total_steps: int) -> float:
 @dataclass
 class AdamState:
     """First/second moment vectors of a parameter vector of ``size`` values,
-    plus the schedule bookkeeping."""
+    the schedule bookkeeping, and the two scratch blocks of
+    :func:`adam_step`."""
 
     size: InitVar[int]
     base_lr: float
@@ -235,10 +238,12 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
+    scratch: np.ndarray = field(init=False)
 
     def __post_init__(self, size):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.scratch = np.empty((2, min(ADAM_BLOCK, size)))
 
 
 #: Adam's moment decay rates and the floor of its step's denominator
@@ -268,11 +273,10 @@ def adam_step(p: np.ndarray, g: np.ndarray, state: AdamState) -> float:
     bc2 = 1.0 - ADAM_BETA2 ** state.t
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), spelled out in place;
     # the operations are elementwise, so the slicing changes no bit
-    scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
     for start in range(0, p.size, ADAM_BLOCK):
         piece = slice(start, start + ADAM_BLOCK)
         pp, gg, m, v = p[piece], g[piece], state.m[piece], state.v[piece]
-        u, den = scratch[:, : pp.size]
+        u, den = state.scratch[:, : pp.size]
         np.multiply(gg, 1.0 - ADAM_BETA1, out=u)
         m *= ADAM_BETA1
         m += u

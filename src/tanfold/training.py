@@ -27,7 +27,7 @@ import numpy as np
 
 from . import reports
 from .atomic import read_json
-from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps, pair_head
+from .heads import HeadKind, KernelMatrix, entry_table, fill, head_at_reps, pair_head
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net, scale_geometry
 from .tensors import GeometrySeries, Kind
 
@@ -73,10 +73,12 @@ class TrainConfig:
             raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.freeze_orbitals and not self.kernel_polish:
             raise ValueError("freeze_orbitals needs kernel_polish: with frozen networks "
                              "the loss is linear in the kernel, so the exact solve is the fit")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
 @dataclass(frozen=True)
@@ -195,40 +197,49 @@ def _orbit_tables(head, samples):
     return target, table.expand(1.0 / table.sizes).reshape(m, m)
 
 
-def _feature_grads(head, dw, drows, f, ft, dw_out):
+def _feature_grads(head, dw, drows, f, ft, dw_out, work):
     """``(dW, dPhi, dPhit)`` from the kernel gradient ``dw`` and the
     gradient ``drows`` of every row of the pair-product matrices, shaped
     ``(n_geo, m, ell)``; ``f``/``ft`` are the features of :func:`pair_head`.
-    ``dW`` is written into ``dw_out`` unless that is None."""
+    ``dW`` is written into ``dw_out`` unless that is None, the feature
+    gradients into the workspace ``work`` (:func:`~tanfold.heads.fill`)."""
     n_geo, n, ell = f.shape
     dw = np.add(dw, dw.T, out=dw_out)
     dw *= 0.5
     if head.body == 1:
         return dw, drows.reshape(-1, ell), None
     drows = drows.reshape(n_geo, n, n, ell)
-    dphi = np.einsum("gpqk,gqk->gpk", drows, ft).reshape(-1, ell)
-    dphit = np.einsum("gpqk,gpk->gqk", drows, f).reshape(-1, ell)
+    dphi = fill(work, "dphi", np.einsum, "gpqk,gqk->gpk", drows, ft).reshape(-1, ell)
+    dphit = fill(work, "dphit", np.einsum, "gpqk,gpk->gqk", drows, f).reshape(-1, ell)
     if head is HeadKind.BARE_TWO:
-        return dw, dphi + dphit, None
+        dphi += dphit
+        return dw, dphi, None
     return dw, dphi, dphit
 
 
-def _dense_loss(head, phi, phit, w, tables, inv, with_grads, dw_out):
-    """Full-batch loss and gradients through :func:`pair_head`."""
+def _dense_loss(head, phi, phit, w, tables, inv, with_grads, dw_out, work):
+    """Full-batch loss and gradients through :func:`pair_head`, every array
+    of the step :func:`~tanfold.heads.fill`-ed into the workspace ``work``.
+    A result goes over a dead array of its shape where there is one (the
+    residual over the predictions, ``dpred`` over the residual), so the
+    step touches no more memory than its arithmetic needs."""
     target, weight = tables
-    pred, (f, ft, rows, rows_w) = pair_head(head, phi, phit, w, target.shape[0])
+    pred, (f, ft, rows, rows_w) = pair_head(head, phi, phit, w, target.shape[0], work)
     ell = w.shape[0]
-    diff = pred - target
-    wdiff = weight * diff
+    diff = np.subtract(pred, target, out=pred)
+    wdiff = fill(work, "wdiff", np.multiply, weight, diff)
     loss = float(np.vdot(wdiff, diff)) * inv
     if not with_grads:
         return loss, None, None, None
     # For EFF_TWO, pred, target and weight are exactly invariant under the
     # pair swap, so the swap average passes dpred through unchanged.
-    dpred = (2.0 * inv) * wdiff
-    dw = rows.reshape(-1, ell).T @ (dpred @ rows).reshape(-1, ell)
-    drows = (dpred + dpred.transpose(0, 2, 1)) @ rows_w
-    return (loss, *_feature_grads(head, dw, drows, f, ft, dw_out))
+    dpred = np.multiply(2.0 * inv, wdiff, out=diff)
+    dpred_sym = np.add(dpred, dpred.transpose(0, 2, 1), out=wdiff)
+    drows = fill(work, "drows", np.matmul, dpred_sym, rows_w)
+    # rows_w is dead now: it takes dpred @ rows
+    dpred_rows = np.matmul(dpred, rows, out=rows_w).reshape(-1, ell)
+    dw = fill(work, "dw", np.matmul, rows.reshape(-1, ell).T, dpred_rows)
+    return (loss, *_feature_grads(head, dw, drows, f, ft, dw_out, work))
 
 
 def _pair_rows(head, phi, phit, samples, sel):
@@ -293,10 +304,10 @@ def _row_loss(head, phi, phit, w, samples, sel, with_grads, dw_out):
     n_geo, n, ell = f.shape
     drows = np.zeros((n_geo * n ** head.body, ell))
     drows[uniq] = (s + s.T) @ rows_w
-    return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft, dw_out))
+    return (loss, *_feature_grads(head, rows.T @ (s @ rows), drows, f, ft, dw_out, {}))
 
 
-def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, dw_out=None):
+def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, dw_out=None, work=None):
     """Loss over ``sel`` plus (dW, dPhi, dPhit) when ``with_grads``; dW is
     written into ``dw_out`` when given.
 
@@ -305,10 +316,14 @@ def _batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=None, dw_ou
     form over every entry of every geometry, whatever the order of ``sel``;
     otherwise it builds only the pair rows the samples of ``sel`` touch,
     which is cheaper when the subset is small against the dense blocks.
+    The dense form refills the arrays of ``work``, a dict kept from a
+    previous call, so the dPhi and dPhit that call returned are
+    overwritten; with None its arrays are new.
     """
     if tables is not None:
         inv = 1.0 / samples.y.size
-        return _dense_loss(head, phi, phit, w, tables, inv, with_grads, dw_out)
+        return _dense_loss(head, phi, phit, w, tables, inv, with_grads, dw_out,
+                           {} if work is None else work)
     return _row_loss(head, phi, phit, w, samples, sel, with_grads, dw_out)
 
 
@@ -454,7 +469,10 @@ def _train_loop(head, nets, w, samples, cfg) -> np.ndarray:
 
     When one batch holds every sample, the dense tables are built once,
     before the first step, and no permutation is drawn (the dense loss does
-    not depend on the order, and the generator serves nothing else).
+    not depend on the order, and the generator serves nothing else).  The
+    networks' forward and backward passes refill one cache per network,
+    and the dense loss one workspace: a full-batch step writes every array
+    into memory that the first step allocated.
     """
     n = samples.y.size
     steps_per_epoch = math.ceil(n / cfg.batch_size)
@@ -470,22 +488,26 @@ def _train_loop(head, nets, w, samples, cfg) -> np.ndarray:
     state = AdamState(theta.size, cfg.base_lr, total_steps)
     tables = _orbit_tables(head, samples) if steps_per_epoch == 1 else None
     rng = np.random.default_rng(cfg.seed)
+    caches, work = [{} for _ in nets], {}
 
+    order = np.arange(n)
     for epoch in range(cfg.epochs):
-        order = np.arange(n) if tables is not None else rng.permutation(n)
+        if tables is None:
+            order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            caches = [net.forward(samples.x_all, with_cache=True) for net in nets]
+            feats = [net.forward(samples.x_all, with_cache=True, cache=cache)[0]
+                     for net, cache in zip(nets, caches)]
             loss, _, dphi, dphit = _batch_loss(
-                head, caches[0][0], caches[1][0] if len(caches) > 1 else None, w, samples, sel,
-                True, tables=tables, dw_out=grad_w,
+                head, feats[0], feats[1] if len(feats) > 1 else None, w, samples, sel,
+                True, tables=tables, dw_out=grad_w, work=work,
             )
             if not math.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, step {state.t}"
                 )
             for net, cache, dout, end in zip(nets, caches, (dphi, dphit), ends):
-                net.backward(cache[1], dout, grad[end - net.flat.size : end])
+                net.backward(cache, dout, grad[end - net.flat.size : end])
             adam_step(theta, grad, state)
     return w
 

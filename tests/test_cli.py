@@ -186,6 +186,10 @@ def test_config_values_take_their_field_types(tmp_path):
     ("train-bare", "base_lr = fast", "config key base_lr: could not convert string to float: 'fast'"),
     ("train-bare", "stage = EFF_TWO", "unknown config keys: stage"),
     ("synth", "geometries = 1.0,x", "config key geometries: could not convert string to float: 'x'"),
+    ("synth", "seed = 3\n# a comment\nn_orb = four", "config key n_orb: invalid literal for int() with base 10: 'four'"),
+    ("train-bare", "ell = 0", "ell must be >= 1"),
+    ("train-bare", "hidden = 0", "hidden widths must be >= 1, got (0,)"),
+    ("train-bare", "hidden = 16, -2", "hidden widths must be >= 1, got (16, -2)"),
 ])
 def test_config_value_error_names_the_key(tmp_path, capsys, command, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -193,7 +197,10 @@ def test_config_value_error_names_the_key(tmp_path, capsys, command, line, messa
     argv = {"synth": ["--plant", "desk"],
             "train-bare": ["--system", "desk", "--body", "2", "--data", str(tmp_path)]}[command]
     assert main([command, *argv, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == f"tanfold: error: {message}\n"
+    # a value that does not read as its type is reported at its line, the
+    # last one written; the other faults name the file
+    where = f"{cfg}:{line.count(chr(10)) + 1}" if message.startswith("config key") else cfg
+    assert capsys.readouterr().err == f"tanfold: error: {where}: {message}\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -230,7 +237,7 @@ def test_non_finite_setting_fails_naming_the_field(work, tmp_path, capsys, comma
     out = tmp_path / "x"
     assert main([command, *argv, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"tanfold: error: {field} must be ") and err.count("\n") == 1
+    assert err.startswith(f"tanfold: error: {cfg}: {field} must be ") and err.count("\n") == 1
     assert not out.exists()
 
 

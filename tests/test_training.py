@@ -617,20 +617,53 @@ def _per_array_train_loop(head, nets, w, samples, cfg):
                 p -= lr * (mm / (1.0 - b1**t)) / (np.sqrt(vv / (1.0 - b2**t)) + eps)
 
 
-@pytest.mark.parametrize("batch", ["full", "minibatch"])
+#: runs of the training loop, each a sequence of (head, batch) stages; the
+#: last runs two loops in a row, as the two training stages do
+_LOOP_RUNS = [
+    *(pytest.param([(head, batch)], id=f"{head.name}-{batch}")
+      for head in _HEADS for batch in ("full", "minibatch")),
+    pytest.param([(HeadKind.BARE_TWO, "full"), (HeadKind.EFF_TWO, "minibatch")],
+                 id="BARE_TWO-full-then-EFF_TWO-minibatch"),
+]
+
+
+@pytest.mark.parametrize("stages", _LOOP_RUNS)
+def test_one_vector_train_loop_equals_per_array_updates_bitwise(stages, small_series):
+    runs = []
+    for head, batch in stages:
+        nets, w, samples = _setup_head(head, small_series)
+        n = samples.y.size
+        cfg = quick_config(head, epochs=3, batch_size=n if batch == "full" else max(1, n // 3))
+        ref_nets, ref_w = [net.copy() for net in nets], w.copy()
+        trained = tr._train_loop(head, nets, w, samples, cfg)
+        runs.append((head, nets, w, samples, cfg, ref_nets, ref_w, trained))
+    for head, nets, w, samples, cfg, ref_nets, ref_w, trained in runs:
+        _per_array_train_loop(head, ref_nets, ref_w, samples, cfg)
+        assert not np.array_equal(ref_w, w)  # the loop took steps
+        assert np.array_equal(trained, ref_w)
+        for net, ref in zip(nets, ref_nets):
+            assert np.array_equal(net.flat, ref.flat)
+            assert net.flat.base is trained.base  # one vector holds them all
+
+
 @pytest.mark.parametrize("head", _HEADS, ids=lambda h: h.name)
-def test_one_vector_train_loop_equals_per_array_updates_bitwise(head, batch, small_series):
+def test_dense_gradients_outlive_later_loss_calls(head, small_series):
+    # the gradient check's pattern: gradients from one call, then loss-only
+    # calls with the same tables at moved parameters, and a last call with
+    # gradients; none of them may write into the arrays the first returned
     nets, w, samples = _setup_head(head, small_series)
-    n = samples.y.size
-    cfg = quick_config(head, epochs=3, batch_size=n if batch == "full" else max(1, n // 3))
-    ref_nets, ref_w = [net.copy() for net in nets], w.copy()
-    trained = tr._train_loop(head, nets, w, samples, cfg)
-    _per_array_train_loop(head, ref_nets, ref_w, samples, cfg)
-    assert not np.array_equal(ref_w, w)  # the loop took steps
-    assert np.array_equal(trained, ref_w)
-    for net, ref in zip(nets, ref_nets):
-        assert np.array_equal(net.flat, ref.flat)
-        assert net.flat.base is trained.base  # one vector holds them all
+    phi = nets[0].forward(samples.x_all)
+    phit = nets[1].forward(samples.x_all) if len(nets) > 1 else None
+    sel, tables = _full_or(head, samples, None)
+    _, *grads = tr._batch_loss(head, phi, phit, w, samples, sel, True, tables=tables)
+    kept = [None if g is None else g.copy() for g in grads]
+    for k, with_grads in enumerate((False, False, False, True)):
+        w[0, k] += 1e-3
+        w[k, 0] = w[0, k]
+        phi[k] += 1e-3
+        tr._batch_loss(head, phi, phit, w, samples, sel, with_grads, tables=tables)
+    for g, ref in zip(grads, kept):
+        assert (g is None and ref is None) or np.array_equal(g, ref)
 
 
 def test_holdout_geometries_become_test_split(small_series):
@@ -947,6 +980,11 @@ def test_config_validation():
             TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3, ell=0)
+    for hidden in ((0,), (16, -2)):
+        with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+            TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3, hidden=hidden)
+    assert TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3,
+                       hidden=()).hidden == ()  # no hidden layer: a linear network
     # frozen networks leave the loss linear in the kernel: the exact solve
     # is the whole fit, so freezing without it is refused
     with pytest.raises(ValueError, match="freeze_orbitals.*kernel_polish"):
