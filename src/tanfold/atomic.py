@@ -1,23 +1,30 @@
-"""Whole-file writes, so a reader sees the old file or the new one, never
-half; and whole-file reads, each fault of the file one ``ValueError`` naming it."""
+"""The one write path and the one read path of each file kind.  A write
+replaces the whole file, as UTF-8 with ``\n`` line ends for text, and makes
+the file's directory when it is missing, so an output directory appears at
+its first write and a stage that fails before that leaves none.  A read
+takes the whole file; each fault of the file is one ``ValueError`` naming it."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
+import shutil
 import zipfile
 
 import numpy as np
 
-__all__ = ["read_json", "read_npz", "read_text", "replacing", "savez"]
+__all__ = ["copy_file", "read_json", "read_npz", "read_text", "savez", "write_json", "write_text"]
 
 
 @contextlib.contextmanager
-def replacing(path):
+def _replacing(path):
     """Yield ``path.tmp`` for the block to write, then rename it to ``path``,
-    so no reader sees a half-written file; remove it if the block raises."""
-    tmp = f"{os.fspath(path)}.tmp"
+    so no reader sees a half-written file; remove it if the block raises.
+    The parent directory of ``path`` is made first when it is missing."""
+    path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    tmp = f"{path}.tmp"
     try:
         yield tmp
         os.replace(tmp, path)
@@ -27,10 +34,28 @@ def replacing(path):
         raise
 
 
+def write_text(path, parts) -> None:
+    """Write the strings of ``parts`` in order as the UTF-8 text of ``path``,
+    line ends as given; ``parts`` may be a generator, consumed as it is written."""
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(parts)
+
+
+def write_json(path, payload: dict) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    write_text(path, (json.dumps(payload, indent=2, sort_keys=True), "\n"))
+
+
+def copy_file(src, dst) -> None:
+    """Copy the bytes of ``src`` to ``dst``."""
+    with _replacing(dst) as tmp:
+        shutil.copyfile(src, tmp)
+
+
 def savez(path, **arrays) -> None:
-    """``np.savez`` through :func:`replacing`.  It writes to an open handle,
+    """``np.savez`` to a whole-file write.  It writes to an open handle,
     since given a path without ``.npz`` it would append that suffix."""
-    with replacing(path) as tmp, open(tmp, "wb") as fh:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
 
 

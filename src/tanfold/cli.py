@@ -33,7 +33,7 @@ import typing
 import numpy as np
 
 from . import __version__, presets, reports
-from .atomic import read_json, read_text, replacing
+from .atomic import copy_file, read_json, read_text, write_json, write_text
 from .heads import HeadKind
 from .spectral import align_eigensystems, eig_sym, eigen_differences
 from .suzuki import random_coupled_problem, verify_w_identities
@@ -168,8 +168,7 @@ def _write_fit(out, model, report, inputs: dict):
     text = reports.fit_report_text(report)
     save_model(model, os.path.join(out, "model"))
     reports.write_mae_csv(os.path.join(out, "mae.csv"), report.per_geometry)
-    with replacing(os.path.join(out, "fit_report.txt")) as tmp, open(tmp, "w") as fh:
-        fh.write(text)
+    write_text(os.path.join(out, "fit_report.txt"), (text,))
     print(text, end="")
     print(f"wall_time_s: {report.wall_time:.3f}")
     return {**inputs, **dataclasses.asdict(cfg), "stage": cfg.stage.value}, cfg.seed
@@ -209,7 +208,6 @@ def _cmd_eval(args):
     series = load_series(args.data, kind=model.head.kind)
     refs = _parse_refs(args.refs) if args.refs else []
     per_geometry = evaluate_mae(model, series, train_geometries=refs)
-    os.makedirs(args.out, exist_ok=True)
     reports.write_mae_csv(os.path.join(args.out, "mae.csv"), per_geometry)
     overall = float(np.mean([g.unit_mae for g in per_geometry]))
     print(f"evaluated {len(per_geometry)} geometries, mean unit MAE {overall:.6g}")
@@ -221,7 +219,6 @@ def _cmd_analyze_spectrum(args):
     eff = eig_sym(load_model_kernel(args.eff, "w_eff").matrix)
     alignment = align_eigensystems(bare, eff)
     table = eigen_differences(alignment)
-    os.makedirs(args.out, exist_ok=True)
     reports.write_overlap_csv(os.path.join(args.out, "overlap.csv"), alignment)
     reports.write_difference_csv(os.path.join(args.out, "eigen_differences.csv"), table)
     print(
@@ -234,7 +231,6 @@ def _cmd_analyze_spectrum(args):
 def _cmd_fit_tan(args):
     table = reports.read_difference_csv(args.table)
     fit = fit_tan(table.pairs())
-    os.makedirs(args.out, exist_ok=True)
     reports.write_tanfit_json(os.path.join(args.out, "tanfit.json"), fit)
     # re-emit the fitted curve against the observed relative differences
     reports.write_tanfit_csv(os.path.join(args.out, "tanfit.csv"), table, fit)
@@ -257,7 +253,6 @@ def _cmd_suzuki_verify(args):
     results = verify_w_identities(problems, n_max=args.n_max)
     trials = np.arange(args.trials)
     errors = np.array([r.series_errors for r in results])
-    os.makedirs(args.out, exist_ok=True)
     reports.write_csv(
         os.path.join(args.out, "residuals.csv"),
         ("trial", "seed", "rel_frobenius", "max_abs", "half_spread"),
@@ -285,7 +280,7 @@ def _require(path, stage):
 def _cmd_report(args):
     """Copy the outputs of finetune, analyze-spectrum and fit-tan from
     ``--run`` into ``--out``, byte for byte.  Every input is checked, and
-    ``tanfit.json`` read, before ``--out`` is made."""
+    ``tanfit.json`` read, before the first copy makes ``--out``."""
     run_dir = os.fspath(args.run)
     sources = [_require(os.path.join(run_dir, rel), stage) for rel, stage in (
         ("stage2/mae.csv", "finetune"), ("spectrum/overlap.csv", "analyze-spectrum"),
@@ -294,9 +289,8 @@ def _cmd_report(args):
     fit = read_json(sources[-1])
     if any(type(fit.get(k)) not in (int, float) for k in ("rate", "center")):
         raise _UsageError(f"{sources[-1]}: expected numeric rate and center")
-    os.makedirs(args.out, exist_ok=True)
     for src in sources:
-        reports.copy_file(src, os.path.join(args.out, os.path.basename(src)))
+        copy_file(src, os.path.join(args.out, os.path.basename(src)))
     print(f"report for {args.system}: tan rate {fit['rate']:.4g}, center {fit['center']:.4g}")
     return {"system": args.system, "run": run_dir}, None
 
@@ -305,6 +299,13 @@ def _cmd_report(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """The value of ``--seed``: an integer, at least 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tanfold", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -312,13 +313,10 @@ def _build_parser() -> _Parser:
 
     def common(p, handler, *, seed=False, config=False):
         """``handler``, ``--out`` and those of ``--seed`` and ``--config``
-        that the handler reads.  Each handler creates ``--out`` only once
-        its inputs have passed validation and its computation has succeeded,
-        just before the first write, so a failed run leaves no directory
-        behind."""
+        that the handler reads."""
         p.set_defaults(handler=handler)
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_seed, default=None)
         if config:
             p.add_argument("--config", default=None)
         p.add_argument("--out", required=True)
@@ -389,7 +387,7 @@ def main(argv=None) -> int:
             return _EXIT_USAGE
         started = time.perf_counter()
         resolved, seed = args.handler(args)
-        reports.write_json(os.path.join(args.out, "manifest.json"), {
+        write_json(os.path.join(args.out, "manifest.json"), {
             "subcommand": args.subcommand, "config": resolved, "seed": seed,
             "version": __version__, "wall_time_s": round(time.perf_counter() - started, 3),
             "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},

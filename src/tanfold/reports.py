@@ -7,14 +7,14 @@ produce bit-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-import json
-import shutil
 from typing import Sequence
 
 import numpy as np
 
-from .atomic import read_text, replacing
+# write_json is bound here too, as the name the benchmark's tracer wraps
+from .atomic import read_text, write_json, write_text
 from .spectral import AlignmentReport, DifferenceTable
 from .tanmodel import TanFit, eval_tan
 
@@ -28,8 +28,6 @@ __all__ = [
     "write_tanfit_csv",
     "write_tanfit_json",
     "fit_report_text",
-    "write_json",
-    "copy_file",
 ]
 
 
@@ -67,14 +65,13 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """
     if not header or len(columns) != len(header):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        fields, cells = zip(*map(_column, columns))
-        n_rows = {len(c) for c in cells}
-        if len(n_rows) > 1:
-            raise ValueError(f"columns of unequal lengths {sorted(n_rows)}")
-        row = ",".join(fields) + "\n"
-        fh.write(",".join(header) + "\n")
-        fh.write((row * n_rows.pop()) % tuple(itertools.chain.from_iterable(zip(*cells))))
+    fields, cells = zip(*map(_column, columns))
+    n_rows = {len(c) for c in cells}
+    if len(n_rows) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(n_rows)}")
+    row = ",".join(fields) + "\n"
+    write_text(path, (",".join(header) + "\n",
+                      (row * n_rows.pop()) % tuple(itertools.chain.from_iterable(zip(*cells)))))
 
 
 def write_mae_csv(path, per_geometry) -> None:
@@ -96,10 +93,9 @@ def write_overlap_csv(path, report: AlignmentReport) -> None:
     # one row of Python floats at a time keeps the ell-300 read-out's peak
     # memory below the training stages'
     cells = [f"{j},%.17g" for j in range(1, report.overlap.shape[1] + 1)]
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        fh.write("i,j,overlap\n")
-        for i, row in enumerate(report.overlap, start=1):
-            fh.write((f"{i}," + f"\n{i},".join(cells) + "\n") % tuple(row.tolist()))
+    rows = ((f"{i}," + f"\n{i},".join(cells) + "\n") % tuple(row.tolist())
+            for i, row in enumerate(report.overlap, start=1))
+    write_text(path, itertools.chain(("i,j,overlap\n",), rows))
 
 
 def write_difference_csv(path, table: DifferenceTable) -> None:
@@ -149,31 +145,7 @@ def write_tanfit_csv(path, table: DifferenceTable, fit: TanFit) -> None:
 
 
 def write_tanfit_json(path, fit: TanFit) -> None:
-    write_json(
-        path,
-        {
-            "rate": fit.rate,
-            "amplitude": fit.amplitude,
-            "center": fit.center,
-            "residual": fit.residual,
-            "n_points": fit.n_points,
-            "degenerate": fit.degenerate,
-            "converged": fit.converged,
-        },
-    )
-
-
-def write_json(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, trailing newline, atomic replace."""
-    with replacing(path) as tmp, open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def copy_file(src, dst) -> None:
-    """Copy the bytes of ``src`` to ``dst``, replacing ``dst`` atomically."""
-    with replacing(dst) as tmp:
-        shutil.copyfile(src, tmp)
+    write_json(path, dataclasses.asdict(fit))
 
 
 def fit_report_text(report) -> str:

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import reports
-from .atomic import savez
+from .atomic import savez, write_json
 from .heads import HeadKind, KernelMatrix, entry_table, head_at_reps
 from .nn import scale_geometry
 from .tanmodel import _ARG_CAP
@@ -59,6 +58,8 @@ class PlantSpec:
     def __post_init__(self):
         if self.n_orb < 1:
             raise ValueError("n_orb must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ell < 3:
             raise ValueError("ell must be >= 3")
         if not self.geometries:
@@ -234,10 +235,8 @@ def save_plant(result: PlantResult, directory: str | os.PathLike) -> None:
     ``plant.json`` holds the generating parameters; ``provenance.npz``
     holds every planted array (kernels, spectra, bases, coefficients).
     """
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
     save_series(result.series, directory)
-    reports.write_json(os.path.join(directory, "plant.json"), asdict(result.spec))
+    write_json(os.path.join(directory, "plant.json"), asdict(result.spec))
     savez(
         os.path.join(directory, "provenance.npz"),
         w_bare=result.w_bare.matrix,

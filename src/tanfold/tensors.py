@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import read_text, replacing
+from .atomic import read_text, write_text
 
 __all__ = [
     "Kind",
@@ -651,8 +651,7 @@ def save_canonical(path: str | os.PathLike, tset: TensorSet) -> None:
     two = orbit_table(tset.n_orb, tset.symmetry)
     values = tset.one_body.ravel()[one.rep_flat].tolist() + tset.two_body.ravel()[two.rep_flat].tolist()
     body = _body_template(tset.n_orb, tset.symmetry) % tuple(values)
-    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header) + "\n" + body)
+    write_text(path, ("\n".join(header), "\n", body))
 
 
 #: the header fields of a canonical file, each allowed once
@@ -704,15 +703,20 @@ def save_series(series: GeometrySeries, directory: str | os.PathLike) -> list[st
 
     File names are ``{kind}_{index:04d}.tensor`` in geometry order; the
     geometry itself lives in each file header.  Returns the paths written.
+    A ``.tensor`` file already in ``directory`` that this series would not
+    overwrite belongs to another series, which :func:`load_series` would
+    mix in: it is refused before anything is written.
     """
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for kind in Kind:
-        for i, tset in enumerate(series.of_kind(kind)):
-            path = os.path.join(directory, f"{kind.value}_{i:04d}.tensor")
-            save_canonical(path, tset)
-            paths.append(path)
-    return paths
+    files = {os.path.join(directory, f"{kind.value}_{i:04d}.tensor"): tset
+             for kind in Kind for i, tset in enumerate(series.of_kind(kind))}
+    if os.path.isdir(directory):
+        foreign = sorted(n for n in os.listdir(directory)
+                         if n.endswith(".tensor") and os.path.join(directory, n) not in files)
+        if foreign:
+            raise ValueError(f"{directory}: {foreign[0]} is a .tensor file of another series")
+    for path, tset in files.items():
+        save_canonical(path, tset)
+    return list(files)
 
 
 def load_series(directory: str | os.PathLike, kind: Kind | None = None) -> GeometrySeries:

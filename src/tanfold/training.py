@@ -25,8 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import reports
-from .atomic import read_json
+from .atomic import read_json, write_json
 from .heads import HeadKind, KernelMatrix, entry_table, fill, head_at_reps, pair_head
 from .nn import AdamState, OrbitalNet, adam_step, load_kernel, load_net, save_kernel, save_net, scale_geometry
 from .tensors import GeometrySeries, Kind
@@ -73,6 +72,8 @@ class TrainConfig:
             raise ValueError(f"base_lr must be finite and positive, got {self.base_lr}")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
@@ -700,8 +701,6 @@ def _model_files(head: HeadKind) -> tuple[list[str], str]:
 
 def save_model(model, directory: str | os.PathLike) -> None:
     """Write a model directory: metadata JSON, network(s), kernel."""
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
     net_files, kernel_file = _model_files(model.head)
     for fname, net in zip(net_files, model.nets):
         save_net(os.path.join(directory, fname), net)
@@ -714,7 +713,7 @@ def save_model(model, directory: str | os.PathLike) -> None:
         "nets": net_files,
         "kernel": kernel_file,
     }
-    reports.write_json(os.path.join(directory, "model.json"), meta)
+    write_json(os.path.join(directory, "model.json"), meta)
 
 
 def _model_meta(directory) -> tuple[HeadKind, tuple[float, float], str]:

@@ -190,6 +190,8 @@ def test_config_values_take_their_field_types(tmp_path):
     ("train-bare", "ell = 0", "ell must be >= 1"),
     ("train-bare", "hidden = 0", "hidden widths must be >= 1, got (0,)"),
     ("train-bare", "hidden = 16, -2", "hidden widths must be >= 1, got (16, -2)"),
+    ("train-bare", "seed = -1", "seed must be >= 0, got -1"),
+    ("synth", "seed = -1", "seed must be >= 0, got -1"),
 ])
 def test_config_value_error_names_the_key(tmp_path, capsys, command, line, message):
     cfg = tmp_path / "bad.cfg"
@@ -277,6 +279,17 @@ def test_subcommand_rejects_shared_flag_it_does_not_read(command, flag, tmp_path
     out = tmp_path / "x"
     assert main([command, *required, flag, value, "--out", str(out)]) == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [c for c, (_, reads) in _SUBCOMMAND_ARGS.items()
+                                     if "--seed" in reads])
+def test_negative_seed_is_a_usage_error(command, tmp_path, capsys):
+    required, _ = _SUBCOMMAND_ARGS[command]
+    out = tmp_path / "x"
+    assert main([command, *required, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("tanfold: error: argument --seed: must be an integer >= 0, got '-1'\n")
     assert not out.exists()
 
 
@@ -1015,6 +1028,24 @@ def test_synth_rerun_is_bit_identical(work, tmp_path):
         assert main(["synth", "--plant", "desk", "--config",
                      str(work["plant_cfg"]), "--out", str(out)]) == 0
     assert _tree_bytes(a) == _tree_bytes(b)
+
+
+def test_synth_refuses_a_directory_of_another_series(work, tmp_path, capsys):
+    # a rerun of one plant overwrites its files; a plant on fewer geometries
+    # is refused before it writes anything, so the first dataset is intact
+    out = tmp_path / "d"
+    for _ in range(2):
+        assert main(["synth", "--plant", "desk", "--config", str(work["plant_cfg"]),
+                     "--out", str(out)]) == 0
+    assert _tree_bytes(out) == _tree_bytes(work["data"])
+    first = _tree_bytes(out, skip=())
+    fewer = tmp_path / "fewer.cfg"
+    fewer.write_text(TINY_PLANT.replace("1.0, 1.25, 1.5, 1.75, 2.0", "1.0, 1.5"))
+    capsys.readouterr()
+    assert main(["synth", "--plant", "desk", "--config", str(fewer), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"tanfold: error: {out}: bare_0002.tensor is a .tensor file of another series\n"
+    assert _tree_bytes(out, skip=()) == first
 
 
 def test_train_rerun_is_bit_identical(work, tmp_path):

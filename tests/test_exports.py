@@ -109,3 +109,57 @@ def test_read_guard_sees_each_kind_of_read():
     tree = ast.parse("np.load(p)\njson.loads(t)\nopen(p)\nopen(p, 'rb')\n"
                      "open(p, mode='r')\nopen(p, 'w')\nopen(t, 'ab')\n")
     assert _reads(tree) == ["1: np.load", "2: json.loads", "3: open", "4: open", "5: open"]
+
+
+#: the calls that write a file or make a directory, as ``module.function``;
+#: every ``shutil.copy*`` counts too
+_WRITE_CALLS = {"np.save", "np.savez", "numpy.save", "numpy.savez", "json.dump",
+                "os.replace", "os.makedirs", "os.mkdir"}
+
+
+def _writes(tree):
+    """The file writes of a module: ``open`` with a constant write mode, the
+    calls of ``_WRITE_CALLS``, ``shutil.copy*`` and ``_replacing``, as
+    ``line: call``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            call = f"{func.value.id}.{func.attr}"
+        elif isinstance(func, ast.Name):
+            call = func.id
+        else:
+            continue
+        if call == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+")):
+                continue
+        elif not (call in _WRITE_CALLS or call.startswith("shutil.copy")
+                  or call.rpartition(".")[2] == "_replacing"):
+            continue
+        found.append(f"{node.lineno}: {call}")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "atomic"])
+def test_files_are_written_only_through_atomic(module):
+    # tanfold.atomic holds the one writer of each file kind, and each write
+    # makes its own directory, so a stage that fails before its first write
+    # leaves no output directory
+    path = os.path.join(os.path.dirname(tanfold.__file__), f"{module}.py")
+    with open(path) as fh:
+        assert _writes(ast.parse(fh.read())) == []
+
+
+def test_write_guard_sees_each_kind_of_write():
+    tree = ast.parse("open(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\nopen(p)\nopen(p, 'rb')\n"
+                     "np.savez(fh)\nnp.save(p, a)\njson.dump(x, fh)\njson.dumps(x)\n"
+                     "shutil.copyfile(a, b)\nshutil.copy2(a, b)\nos.replace(a, b)\n"
+                     "os.makedirs(d)\nos.mkdir(d)\n_replacing(p)\natomic._replacing(p)\n")
+    assert _writes(tree) == [
+        "1: open", "2: open", "3: open", "6: np.savez", "7: np.save", "8: json.dump",
+        "10: shutil.copyfile", "11: shutil.copy2", "12: os.replace", "13: os.makedirs",
+        "14: os.mkdir", "15: _replacing", "16: atomic._replacing"]

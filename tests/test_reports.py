@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from tanfold.atomic import copy_file, write_json, write_text
 from tanfold.heads import HeadKind
 from tanfold.reports import (
     fit_report_text,
@@ -15,7 +16,6 @@ from tanfold.reports import (
     read_difference_csv,
     write_csv,
     write_difference_csv,
-    write_json,
     write_mae_csv,
     write_overlap_csv,
     write_tanfit_csv,
@@ -225,12 +225,9 @@ def test_write_tanfit_json_fields(tmp_path):
     fit = TanFit(rate=0.1, amplitude=0.01, center=3.0, residual=1e-14, n_points=6)
     path = tmp_path / "tanfit.json"
     write_tanfit_json(path, fit)
-    payload = json.loads(_read(path))
-    assert payload["rate"] == 0.1
-    assert payload["center"] == 3.0
-    assert payload["n_points"] == 6
-    assert payload["degenerate"] is False
-    assert payload["converged"] is True
+    assert json.loads(_read(path)) == {
+        "rate": 0.1, "amplitude": 0.01, "center": 3.0, "residual": 1e-14, "n_points": 6,
+        "degenerate": False, "converged": True}
 
 
 def test_write_json_sorted_atomic(tmp_path):
@@ -247,6 +244,33 @@ def test_write_json_overwrites_existing(tmp_path):
     write_json(path, {"v": 1})
     write_json(path, {"v": 2})
     assert json.loads(_read(path)) == {"v": 2}
+
+
+def test_writes_make_their_directory(tmp_path):
+    # an output directory appears at its first write, parents included
+    write_json(tmp_path / "a" / "b" / "x.json", {"v": 1})
+    copy_file(tmp_path / "a" / "b" / "x.json", tmp_path / "c" / "y.json")
+    write_text(tmp_path / "d" / "z.txt", ("x", "\n"))
+    assert json.loads(_read(tmp_path / "c" / "y.json")) == {"v": 1}
+    assert sorted(os.listdir(tmp_path)) == ["a", "c", "d"]
+
+
+def test_write_text_is_utf8_with_given_line_ends(tmp_path):
+    path = tmp_path / "t.txt"
+    write_text(path, (c for c in ("\u00e9\n", "b\r\n", "cd")))
+    assert path.read_bytes() == "\u00e9\nb\r\ncd".encode("utf-8")
+
+
+def test_write_text_interrupted_mid_stream_leaves_no_file(tmp_path):
+    # the parts are written as they come: a generator that fails half way
+    # leaves neither a truncated file nor its temp file
+    def parts():
+        yield "i,j,overlap\n"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_text(tmp_path / "t.csv", parts())
+    assert os.listdir(tmp_path) == []
 
 
 def test_fit_report_text_lists_config_and_losses():

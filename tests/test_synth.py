@@ -43,6 +43,8 @@ class TestPlantSpec:
             PlantSpec(geometries=(1.0, 1.0))
         with pytest.raises(ValueError):
             PlantSpec(spectrum_lo=0.0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            PlantSpec(seed=-1)
 
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

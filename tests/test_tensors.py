@@ -758,6 +758,22 @@ class TestGeometrySeries:
         with pytest.raises(TensorFormatError, match=re.escape(f"{tmp_path}: no effective .tensor files")):
             load_series(tmp_path, kind=Kind.EFFECTIVE)
 
+    def test_save_refuses_a_directory_of_another_series(self, tmp_path):
+        # a series on fewer geometries would leave the other series' later
+        # files beside its own, for load_series to mix in
+        def series(geometries):
+            return GeometrySeries(system="toy", tensor_sets=tuple(
+                TensorSet.zeros(g, kind, 2, system="toy") for g in geometries for kind in Kind))
+
+        paths = save_series(series((1.0, 2.0, 3.0)), tmp_path)
+        before = {str(p): p.read_bytes() for p in tmp_path.iterdir()}
+        assert save_series(series((1.0, 2.0, 3.0)), tmp_path) == paths  # the same names
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path}: bare_0002.tensor is a .tensor file of another series")):
+            save_series(series((1.0, 1.5)), tmp_path)
+        assert {str(p): p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert set(save_series(series((1.0, 2.0, 3.0, 4.0)), tmp_path)) > set(paths)  # overwrites them all
+
     def test_interrupted_save_leaves_no_file(self, tmp_path, monkeypatch):
         def interrupted(src, dst):
             raise KeyboardInterrupt

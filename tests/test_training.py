@@ -980,6 +980,8 @@ def test_config_validation():
             TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3, ell=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3, seed=-1)
     for hidden in ((0,), (16, -2)):
         with pytest.raises(ValueError, match="hidden widths must be >= 1"):
             TrainConfig(stage=HeadKind.BARE_TWO, epochs=1, batch_size=8, base_lr=1e-3, hidden=hidden)
