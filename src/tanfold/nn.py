@@ -40,6 +40,16 @@ __all__ = [
 CHECKPOINT_VERSION = 1
 
 
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sigmoid ``1 / (1 + exp(-z))``, written into ``out`` when given.
+    Below z = -709.78, exp(-z) overflows to inf and the quotient is exactly
+    0; such overflow and underflow are expected, so they are not reported."""
+    with np.errstate(over="ignore", under="ignore"):
+        t = np.exp(np.negative(z, out=out), out=out)
+        t += 1.0
+        return np.divide(1.0, t, out=out)
+
+
 def silu(x: np.ndarray) -> np.ndarray:
     """SiLU activation ``x * sigmoid(x)``.
 
@@ -47,14 +57,12 @@ def silu(x: np.ndarray) -> np.ndarray:
     :meth:`~OrbitalNet.backward`; this and :func:`silu_prime` are the
     reference it is tested against.
     """
-    from scipy.special import expit
-    return x * expit(x)
+    return x * _sigmoid(x)
 
 
 def silu_prime(x: np.ndarray) -> np.ndarray:
     """Derivative of SiLU: ``sigmoid(x) * (1 + x * (1 - sigmoid(x)))``."""
-    from scipy.special import expit
-    s = expit(x)
+    s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 
@@ -160,12 +168,11 @@ class OrbitalNet:
         ``x`` has shape ``(batch, n_orb + 1)``.  With ``with_cache=True``
         returns ``(y, cache)`` where the cache holds what :meth:`backward`
         needs: every layer's input and each hidden layer's pre-activation
-        ``z`` and sigmoid ``expit(z)``.  A ``cache`` that an earlier call
-        returned, for an input of the same shape, is refilled in place of a
-        new one: handing it back overwrites its arrays, the ``y`` returned
-        with it included.
+        ``z`` and sigmoid ``1 / (1 + exp(-z))``.  A ``cache`` that an
+        earlier call returned, for an input of the same shape, is refilled
+        in place of a new one: handing it back overwrites its arrays, the
+        ``y`` returned with it included.
         """
-        from scipy.special import expit  # at first use: `import tanfold.cli` loads no scipy
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with {self.sizes[0]} features")
@@ -176,7 +183,7 @@ class OrbitalNet:
             z = fill(cache, ("z", i), np.matmul, a, w)
             z += b
             if i < last:
-                s = fill(cache, ("s", i), expit, z)
+                s = fill(cache, ("s", i), _sigmoid, z)
                 a = fill(cache, ("a", i + 1), np.multiply, z, s)  # silu(z)
         if with_cache:
             return z, cache
@@ -204,7 +211,7 @@ class OrbitalNet:
             # delta it was computed from was; both are dead by then
             delta = fill(cache, ("delta", i % 2, (len(delta), w.shape[0])), np.matmul, delta, w.T)
             if i > 0:
-                # silu'(z) = s (1 + z (1 - s)) from the cached s = expit(z)
+                # silu'(z) = s (1 + z (1 - s)) from the cached s = sigmoid(z)
                 s = cache["s", i - 1]
                 d = fill(cache, ("delta", (i + 1) % 2, s.shape), np.subtract, 1.0, s)
                 d *= cache["z", i - 1]

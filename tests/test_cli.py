@@ -5,6 +5,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import typing
 import zipfile
 
@@ -702,6 +704,30 @@ def test_eval_writes_mae(work, tmp_path, capsys):
     lines = (out / "mae.csv").read_text().splitlines()
     assert lines[0] == "R,mae,split"
     assert len(lines) == 6
+
+
+_TRAIN_AND_EVAL = """
+import sys
+from tanfold.cli import main
+data, train, tune, out = sys.argv[1:]
+for argv in (["train-bare", "--system", "desk", "--body", "2", "--config", train, "--seed", "1",
+              "--data", data, "--out", out + "/stage1"],
+             ["finetune", "--system", "desk", "--model", out + "/stage1/model", "--refs", "1.0,1.5",
+              "--config", tune, "--seed", "1", "--data", data, "--out", out + "/stage2"],
+             ["eval", "--model", out + "/stage2/model", "--data", data, "--out", out + "/eval"]):
+    assert main(argv) == 0, argv
+assert "scipy.special" not in sys.modules
+"""
+
+
+def test_training_leaves_scipy_special_unloaded(work, tmp_path):
+    # the SiLU sigmoid is NumPy's, so a process that trains and evaluates
+    # never pays scipy.special's import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _TRAIN_AND_EVAL, str(work["data"]), str(work["train_cfg"]),
+                    str(work["root"] / "tune.cfg"), str(tmp_path)], env=env, check=True)
+    assert (tmp_path / "eval" / "mae.csv").exists()
 
 
 def test_analyze_spectrum_and_fit_tan_roundtrip(work, tmp_path, capsys):

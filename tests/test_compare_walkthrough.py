@@ -4,6 +4,7 @@ of the desk walkthrough on this tree against itself."""
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from tanfold import cli
@@ -50,3 +51,26 @@ def test_a_tree_against_itself_differs_in_no_file(tool, capsys):
 
 def test_runs_at_the_thread_counts_every_manifest_records(tool):
     assert tool.THREAD_VARS == cli._BLAS_THREAD_VARS
+
+
+def test_names_the_largest_relative_difference_of_a_numeric_file(tool, tmp_path):
+    # one value perturbed in a CSV and one in an .npz; a changed word, or a
+    # row more, makes the structure differ
+    a, b = tmp_path / "a", tmp_path / "b"
+    table = "index,bare,eff,flagged\n1,2.5,-4.0,false\n2,0.0,nan,true\n"
+    _write(a, {"t.csv": table.encode(), "w.csv": table.encode(), "r.csv": table.encode()})
+    _write(b, {"t.csv": table.replace("-4.0", "-4.002").encode(),
+               "w.csv": table.replace("false", "true").encode(),
+               "r.csv": (table + "3,1.0,1.0,false\n").encode()})
+    w = np.arange(6.0).reshape(2, 3) + 1.0
+    np.savez(a / "k.npz", matrix=w, step=np.int64(0), layout=np.str_("m"), extra=np.ones(2))
+    w[1, 2] *= 1.0 + 1e-12
+    np.savez(b / "k.npz", matrix=w, step=np.int64(0), layout=np.str_("n"), extra=np.ones(3))
+
+    def largest(rel):
+        return tool.largest_relative_difference(str(a / rel), str(b / rel))
+
+    assert largest("t.csv") == pytest.approx(0.002 / 4.002, rel=1e-12)
+    assert largest("k.npz") == pytest.approx(1e-12, rel=1e-3)
+    assert largest("w.csv") is None and largest("r.csv") is None
+    assert largest("missing.csv") is None

@@ -42,6 +42,41 @@ class TestActivations:
             fd = central_diff(lambda t: float(silu(np.array([t]))[0]), x)
             assert rel_err(float(silu_prime(np.array([x]))[0]), fd) < 1e-8
 
+    # the sigmoid is NumPy's exp and divide; SciPy's expit is its reference
+    EDGES = np.array([1.0, 37.0, 709.0, 710.0, 800.0, np.inf])
+
+    def test_sigmoid_matches_expit(self):
+        from scipy.special import expit
+
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.normal(scale=8.0, size=4096), self.EDGES, -self.EDGES, [-0.0]])
+        s = nn._sigmoid(z)
+        assert np.abs(s - expit(z)).max() <= np.finfo(float).eps  # 2.2e-16
+        out = np.empty_like(z)
+        assert nn._sigmoid(z, out=out) is out
+        np.testing.assert_array_equal(out, s)
+
+    def test_sigmoid_is_exact_at_the_ends_and_keeps_nan(self):
+        with np.errstate(all="raise"):
+            s = nn._sigmoid(np.array([-np.inf, -800.0, -710.0, 800.0, np.inf, np.nan, -0.0]))
+            nn._sigmoid(np.concatenate([self.EDGES, -self.EDGES]))
+            silu_prime(np.concatenate([self.EDGES[:-1], -self.EDGES[:-1]]))
+        assert s[:3].tolist() == [0.0, 0.0, 0.0]
+        assert s[3:5].tolist() == [1.0, 1.0]
+        assert np.isnan(s[5]) and s[6] == 0.5
+
+    def test_forward_far_below_the_overflow_point_is_finite(self):
+        # pre-activations of +-1000 in the first hidden layer: the sigmoid
+        # of -1000 is exactly 0 without a floating-point error
+        net = OrbitalNet(2, 3, hidden=(4, 4), seed=0)
+        net.weights[0][...] = np.array([-1000.0, 1000.0, -1000.0, 1000.0])
+        net.biases[0][...] = -5.0
+        x = net.embed([0, 1], [0.0, 1.0])
+        with np.errstate(all="raise"):
+            y, cache = net.forward(x, with_cache=True)
+        assert (cache["z", 0] < -709).any()
+        assert np.isfinite(y).all()
+
 
 class TestOrbitalNet:
     def test_init_shapes_and_ranges(self):

@@ -330,9 +330,10 @@ class TestGeneratorConstruction:
             assert np.array_equal(gen.eigh[0], np.linalg.eigh(1j * gen.g)[0])
 
     def test_cli_import_leaves_scipy_linalg_unloaded(self):
-        # the generator is closed-form; no module of the package needs
-        # scipy.linalg, and scipy.special and scipy.sparse are imported
-        # only where training runs
+        # the generator is closed-form, so suzuki needs no scipy.linalg;
+        # the package imports scipy.linalg and scipy.sparse only where the
+        # kernel polish and the minibatch loss first run, and scipy.special
+        # nowhere (tests/test_cli.py checks a training process for it)
         import tanfold
 
         src = os.path.dirname(os.path.dirname(tanfold.__file__))
